@@ -1,6 +1,13 @@
 """Deterministic estimators: backtracking gradient descent over any objective,
 the closed-form Gaussian score-matching solution, finite-difference gradient
-oracles, and a multi-estimator comparison harness."""
+oracles, and a multi-estimator comparison harness.
+
+Fits use the objectives' exact parameter gradients: Gaussian score matching
+and every empirical discrete objective (gsm, rm, pl, mle) provide them.
+Central finite differences remain only for score matching on the
+generalized Gaussian, exact MLE on the Gaussian, and population fits against
+an enumerated joint.
+"""
 
 from __future__ import annotations
 
@@ -12,11 +19,14 @@ from .models import (
     Dataset,
     Model,
     ModelKind,
+    ParameterDomainError,
+    exact_normalize,
     gaussian_model,
     sample,
 )
 from .objectives import (
     ObjectiveKind,
+    collapse_states,
     exact_mle_objective,
     exact_mle_population,
     gsm_discrete_objective,
@@ -75,19 +85,30 @@ def default_init(model: Model) -> np.ndarray:
 
 
 def fd_gradient(fun, theta, step: float = FD_CHECK_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the parameters."""
+    """Central-difference gradient of a scalar function of the parameters.
+
+    A coordinate whose probe on one side leaves the domain (a non-finite
+    value) takes the one-sided difference on the other side, so a point
+    within one step of the domain's edge still has a gradient.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     theta = np.asarray(theta, dtype=float)
     out = np.empty(theta.size)
+    f0 = None
     for k in range(theta.size):
         hi, lo = theta.copy(), theta.copy()
         hi[k] += step
         lo[k] -= step
         fp, fm = fun(hi), fun(lo)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        if np.isfinite(fp) and np.isfinite(fm):
+            out[k] = (fp - fm) / (2.0 * step)
+            continue
+        if f0 is None:
+            f0 = fun(theta)
+        if not np.isfinite(f0) or not (np.isfinite(fp) or np.isfinite(fm)):
             raise ValueError(f"non-finite objective near coordinate {k}")
-        out[k] = (fp - fm) / (2.0 * step)
+        out[k] = (fp - f0) / step if np.isfinite(fp) else (f0 - fm) / step
     return out
 
 
@@ -111,9 +132,12 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
     """Value and gradient callables of theta for the given objective.
 
     ``data`` is a Dataset (empirical objective) or a DiscreteJoint (population
-    objective).  Gradients are analytic when the objective provides them and
-    central finite differences otherwise; non-PD Gaussian parameters evaluate
-    to +inf so line searches back off.
+    objective).  Empirical objectives give exact gradients, except score
+    matching on the generalized Gaussian and exact MLE on the Gaussian;
+    there, and for every population objective, the gradient callable is None and the caller falls back to
+    central finite differences.  Parameters outside the model's domain (a
+    non-PD Gaussian covariance, a non-positive generalized-Gaussian exponent)
+    evaluate to +inf so line searches back off.
     """
     if isinstance(data, DiscreteJoint):
         if objective not in _POPULATION:
@@ -131,24 +155,28 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
     if data.kind == "discrete" and objective is not ObjectiveKind.SM_CONTINUOUS:
         # Collapse to unique states once; re-deduplicating on every objective
         # evaluation inside the optimizer dominates the runtime at large N.
-        from .models import discrete_dataset
-        from .objectives import _weighted_states
-
-        states, w = _weighted_states(data, None)
-        data = discrete_dataset(states, data.alphabet_size, seed=data.seed)
+        data, w = collapse_states(data)
         kwargs = {"weights": w}
+    # One evaluation gives both the value and the gradient; the optimizer asks
+    # for the gradient at the point whose value it has just accepted.
+    last = {}
+
+    def evaluate(theta):
+        key = np.asarray(theta, dtype=float).tobytes()
+        if last.get("key") != key:
+            last.update(key=key, result=fn(model, theta, data, **kwargs))
+        return last["result"]
 
     def value(theta):
         try:
-            return fn(model, theta, data, **kwargs).value
-        except np.linalg.LinAlgError:
+            return evaluate(theta).value
+        except (np.linalg.LinAlgError, ParameterDomainError):
             return np.inf
 
     def grad(theta):
-        res = fn(model, theta, data, **kwargs)
-        return res.grad_theta
+        return evaluate(theta).grad_theta
 
-    probe = fn(model, default_init(model), data, **kwargs)
+    probe = evaluate(default_init(model))
     return value, (grad if probe.grad_theta is not None else None)
 
 
@@ -234,8 +262,6 @@ def compare_estimators(
     Population rows fit against the exactly enumerated joint of the true
     parameters and are marked n = "inf" with an empty seed field.
     """
-    from .models import exact_normalize  # local import to avoid cycle noise
-
     theta_star = np.asarray(theta_star, dtype=float)
     truth = model.with_params(theta_star)
     joint = exact_normalize(truth)

@@ -3,6 +3,11 @@
 All models expose the *unnormalized* log density log q~(x); partition-free
 objectives must be invariant to adding any constant to it.  Discrete symbols
 are integers 0..m-1; Ising spins use the fixed map {0 -> -1, 1 -> +1}.
+
+Ising and Potts are both written once as a pairwise model over one-hot
+symbols (`pairwise_form`): their parameters enter linearly through a field
+table and a coupling matrix, which gives every singleton conditional from one
+matrix product and the parameter gradients by the chain rule.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ _LAYOUTS = {
 }
 
 
+class ParameterDomainError(ValueError):
+    """Parameters of the right shape that lie outside the model's domain."""
+
+
 @dataclass(frozen=True)
 class Model:
     kind: ModelKind
@@ -67,11 +76,21 @@ class Model:
             )
         if not np.all(np.isfinite(theta)):
             raise ValueError("parameters must be finite")
+        if self.kind is ModelKind.GEN_GAUSS_1D and theta[0] <= 0:
+            raise ParameterDomainError(f"alpha must be positive, got {theta[0]}")
         return replace(self, params=theta)
 
 
 def chain_edges(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(d - 1))
+
+
+def _check_edges(edges, d: int) -> tuple[tuple[int, int], ...]:
+    edges = tuple(tuple(e) for e in edges)
+    for e in edges:
+        if len(e) != 2 or not (0 <= e[0] < e[1] < d):
+            raise ValueError(f"bad edge {e}")
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +112,10 @@ def gaussian_model(mu, cov) -> Model:
 def ising_model(h, couplings, edges=None) -> Model:
     h = np.atleast_1d(np.asarray(h, dtype=float))
     d = h.size
-    edges = chain_edges(d) if edges is None else tuple(tuple(e) for e in edges)
+    edges = chain_edges(d) if edges is None else _check_edges(edges, d)
     couplings = np.atleast_1d(np.asarray(couplings, dtype=float))
     if couplings.size != len(edges):
         raise ValueError("one coupling per edge required")
-    for i, j in edges:
-        if not (0 <= i < j < d):
-            raise ValueError(f"bad edge ({i}, {j})")
     params = np.concatenate([h, couplings])
     return Model(ModelKind.ISING, d, 2, params, edges)
 
@@ -109,7 +125,7 @@ def potts_model(fields, couplings, edges=None) -> Model:
     d, m = fields.shape
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
-    edges = chain_edges(d) if edges is None else tuple(tuple(e) for e in edges)
+    edges = chain_edges(d) if edges is None else _check_edges(edges, d)
     couplings = np.atleast_1d(np.asarray(couplings, dtype=float))
     if couplings.size != len(edges):
         raise ValueError("one coupling per edge required")
@@ -234,6 +250,81 @@ def laplacian_x_log(model: Model, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
+_SPIN = np.array([-1.0, 1.0])
+
+
+def _edge_pattern(model: Model):
+    """Edge endpoints i, j and the (m, m) symbol-pair pattern of the
+    couplings of an Ising or Potts model."""
+    _require_discrete(model)
+    if model.kind is ModelKind.ISING:
+        pair = np.outer(_SPIN, _SPIN)
+    else:
+        pair = np.eye(model.alphabet_size)
+    i, j = np.asarray(model.edges, dtype=int).reshape(-1, 2).T
+    return i, j, pair
+
+
+def pairwise_form(model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """The pairwise form of a discrete model: a field vector F (d*m,) and a
+    coupling matrix C (d*m, d*m) with log q~(x) = F . x1 + x1' C x1 / 2 for
+    the one-hot row x1 of x (see `one_hot`), up to log_shift.
+
+    (F, C) is a fixed linear map B of the parameters that depends only on the
+    kind, d, m and the edges; `pairwise_adjoint` is its transpose.  Ising:
+    F[i,y] = h_i s_y and C[(i,y),(j,y')] = J_k s_y s_y' with spins
+    s = (-1, +1); Potts: F = fields and C[(i,y),(j,y')] = J_k [y = y'].
+    C is symmetric and zero on its (i, i) blocks.
+    """
+    i, j, pair = _edge_pattern(model)
+    d, m = model.dim, model.alphabet_size
+    fields, couplings = np.split(model.params, [model.n_params - len(i)])
+    F = np.outer(fields, _SPIN) if model.kind is ModelKind.ISING else fields
+    C = np.zeros((d, m, d, m))
+    np.add.at(C, (i, slice(None), j), couplings[:, None, None] * pair)
+    C += C.transpose(2, 3, 0, 1)
+    return F.ravel(), C.reshape(d * m, d * m)
+
+
+def pairwise_adjoint(model: Model, dF, dC) -> np.ndarray:
+    """Transpose of the map theta -> (F, C) of `pairwise_form`: the gradient
+    in theta of a function of (F, C) whose gradients are dF and dC."""
+    i, j, pair = _edge_pattern(model)
+    d, m = model.dim, model.alphabet_size
+    dF = np.reshape(dF, (d, m))
+    dC = np.reshape(dC, (d, m, d, m))
+    d_fields = dF @ _SPIN if model.kind is ModelKind.ISING else dF.ravel()
+    d_couplings = ((dC[i, :, j] + dC[j, :, i].transpose(0, 2, 1)) * pair).sum(axis=(1, 2))
+    return np.concatenate([d_fields, d_couplings])
+
+
+def one_hot(model: Model, X) -> np.ndarray:
+    """One-hot rows of discrete points, shape (N, d*m): column i*m + x_i is 1."""
+    _require_discrete(model)
+    pts = _check_points(model, np.atleast_2d(X))
+    n, d, m = pts.shape[0], model.dim, model.alphabet_size
+    x1 = np.zeros((n, d * m))
+    x1[np.arange(n)[:, None], np.arange(d) * m + pts] = 1.0
+    return x1
+
+
+def pairwise_conditionals(model: Model, x1: np.ndarray) -> np.ndarray:
+    """Singleton conditionals, shape (N, d, m), from one-hot rows x1.
+
+    The logits Z = F + x1 C' hold log q~(x with x_i := y) up to terms free of
+    x_i, because C is zero on its (i, i) blocks; a max-subtracted softmax
+    over y, done in place on Z, turns them into conditionals.
+    """
+    F, C = pairwise_form(model)
+    z = x1 @ C.T
+    z += F
+    z = z.reshape(x1.shape[0], model.dim, model.alphabet_size)
+    z -= z.max(axis=2, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=2, keepdims=True)
+    return z
+
+
 def conditional_table(model: Model, X) -> np.ndarray:
     """Singleton conditionals q(xi | x^{\\i}) for every sample, coordinate, symbol.
 
@@ -241,19 +332,7 @@ def conditional_table(model: Model, X) -> np.ndarray:
     Computed in log space with max subtraction, so it is partition-free and
     underflow-safe.
     """
-    _require_discrete(model)
-    pts = _check_points(model, np.atleast_2d(X))
-    n, d, m = pts.shape[0], model.dim, model.alphabet_size
-    logs = np.empty((n, d, m))
-    for i in range(d):
-        for sym in range(m):
-            y = pts.copy()
-            y[:, i] = sym
-            logs[:, i, sym] = log_unnorm(model, y)
-    logs -= logs.max(axis=2, keepdims=True)
-    table = np.exp(logs)
-    table /= table.sum(axis=2, keepdims=True)
-    return table
+    return pairwise_conditionals(model, one_hot(model, X))
 
 
 def singleton_conditional(model: Model, x, i: int) -> np.ndarray:
@@ -423,12 +502,15 @@ def model_to_json(model: Model) -> str:
     }
     if model.alphabet_size is not None:
         obj["alphabet_size"] = model.alphabet_size
+    if model.edges is not None:
+        obj["edges"] = [list(e) for e in model.edges]
     return json.dumps(obj, indent=2)
 
 
 def model_from_json(text: str) -> Model:
+    """Parse a model file; a discrete model without an "edges" key is a chain."""
     obj = json.loads(text)
-    allowed = {"kind", "dim", "alphabet_size", "params", "layout"}
+    allowed = {"kind", "dim", "alphabet_size", "params", "layout", "edges"}
     extra = set(obj) - allowed
     if extra:
         raise ValueError(f"unknown keys in model file: {sorted(extra)}")
@@ -442,6 +524,8 @@ def model_from_json(text: str) -> Model:
         )
     d = int(obj["dim"])
     params = np.asarray(obj["params"], dtype=float)
+    if kind in CONTINUOUS_KINDS and "edges" in obj:
+        raise ValueError(f"{kind.value} models have no edges")
     if kind is ModelKind.GAUSSIAN:
         if params.size != d + d * (d + 1) // 2:
             raise ValueError("bad Gaussian parameter length")
@@ -455,6 +539,8 @@ def model_from_json(text: str) -> Model:
         return Model(kind, 1, None, params)
     m = int(obj["alphabet_size"])
     edges = chain_edges(d)
+    if "edges" in obj:
+        edges = _check_edges(_int_pairs(obj["edges"]), d)
     if kind is ModelKind.ISING:
         if m != 2:
             raise ValueError("Ising alphabet size must be 2")
@@ -464,3 +550,11 @@ def model_from_json(text: str) -> Model:
     if params.size != d * m + len(edges):
         raise ValueError("bad Potts parameter length")
     return Model(kind, d, m, params, edges)
+
+
+def _int_pairs(value) -> list[tuple[int, ...]]:
+    if not isinstance(value, list) or not all(
+        isinstance(e, list) and all(type(v) is int for v in e) for e in value
+    ):
+        raise ValueError("edges must be a list of integer pairs")
+    return [tuple(e) for e in value]

@@ -5,11 +5,17 @@ discrete spaces; the empirical objectives (score matching, the discrete
 ratio-form objective, ratio matching, pseudo-likelihood, exact MLE) are the
 quantities the estimators minimize.  Every objective except exact MLE is
 partition-free: it only sees log q~ through derivatives or conditional ratios.
+
+The empirical discrete objectives (gsm, rm, pl, mle) return exact parameter
+gradients, taken through the pairwise one-hot form of Ising and Potts
+(`models.pairwise_form`).  The population objectives are value-only: they are
+the enumeration oracles the estimators are checked against, so they keep
+their own independent route through `log_unnorm`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -21,11 +27,13 @@ from .models import (
     Dataset,
     Model,
     ModelKind,
-    conditional_table,
     gaussian_parts,
     grad_x_log,
     laplacian_x_log,
     log_unnorm,
+    one_hot,
+    pairwise_adjoint,
+    pairwise_conditionals,
 )
 
 
@@ -120,21 +128,6 @@ def _check_discrete_pair(model: Model, data: Dataset) -> None:
         raise ValueError("dataset is not discrete data of matching shape")
 
 
-def _weighted_states(data: Dataset, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse a discrete dataset to unique states with empirical weights.
-
-    Averaging is linear in the samples, so the weighted form agrees with the
-    file-order mean up to roundoff while making repeated-state datasets cheap.
-    """
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (data.n,):
-            raise ValueError("weights length does not match dataset")
-        return data.values, w / w.sum()
-    states, counts = np.unique(data.values, axis=0, return_counts=True)
-    return states, counts / counts.sum()
-
-
 def _log_table(model: Model, theta) -> np.ndarray:
     """log q~ on the full state cube, shape (m,)*d."""
     mod = model.with_params(theta)
@@ -194,9 +187,59 @@ def _gaussian_sm_grad(model: Model, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Discrete empirical objectives
 
+def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
+    """A discrete dataset collapsed to its distinct states, with their
+    empirical weights.
+
+    Averaging is linear in the samples, so the weighted objectives agree with
+    the file-order mean up to roundoff while repeated states cost nothing.
+    """
+    states, counts = np.unique(data.values, axis=0, return_counts=True)
+    return replace(data, values=states), counts / counts.sum()
+
+
+def _weighted_states(data: Dataset, weights) -> tuple[np.ndarray, np.ndarray]:
+    if weights is None:
+        data, w = collapse_states(data)
+        return data.values, w
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (data.n,):
+        raise ValueError("weights length does not match dataset")
+    return data.values, w / w.sum()
+
+
+def _pairwise_design(model: Model, theta, data: Dataset, weights):
+    """The model at theta, the weighted states, their one-hot rows x1 and the
+    singleton conditionals q."""
+    _check_discrete_pair(model, data)
+    states, w = _weighted_states(data, weights)
+    mod = model.with_params(theta)
+    x1 = one_hot(mod, states)
+    return mod, states, w, x1, pairwise_conditionals(mod, x1)
+
+
 def _observed(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """q(xi|x^{\\i}) at each sample's own symbol, shape (N, d)."""
     return np.take_along_axis(table, states[:, :, None], axis=2)[:, :, 0]
+
+
+def _softmax_backward(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dl/dZ = q * (g - <q, g>) from g = dl/dq through q = softmax(Z) over the
+    last axis; overwrites g."""
+    g -= (q * g).sum(axis=2, keepdims=True)
+    g *= q
+    return g
+
+
+def _conditional_grad(model: Model, x1: np.ndarray, w: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Gradient in theta of sum_n w_n l_n from dz = dl_n/dZ, shape (N, d, m).
+
+    Z = F + x1 C', so dF = sum_n w_n dz_n and dC = (w dz)' x1, which the
+    adjoint of the pairwise form maps back to theta.  Overwrites dz.
+    """
+    g = dz.reshape(x1.shape)
+    g *= w[:, None]
+    return pairwise_adjoint(model, g.sum(axis=0), g.T @ x1)
 
 
 def gsm_discrete_objective(
@@ -211,11 +254,10 @@ def gsm_discrete_objective(
     depend on theta.  That constant needs p and is not added: the value is the
     plain sample form (the Brier score of the singleton conditionals).
     """
-    _check_discrete_pair(model, data)
-    states, w = _weighted_states(data, weights)
-    table = conditional_table(model.with_params(theta), states)
-    per_sample = ((table**2).sum(axis=2) - 2.0 * _observed(table, states)).sum(axis=1)
-    return ObjectiveValue(float(w @ per_sample))
+    mod, states, w, x1, q = _pairwise_design(model, theta, data, weights)
+    per_sample = ((q**2).sum(axis=2) - 2.0 * _observed(q, states)).sum(axis=1)
+    dz = _softmax_backward(q, 2.0 * (q - x1.reshape(q.shape)))
+    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
 
 
 def ratio_matching_objective(
@@ -236,27 +278,38 @@ def ratio_matching_objective(
             f"ratio matching needs binary data, got alphabet size "
             f"{model.alphabet_size}; use gsm"
         )
-    states, w = _weighted_states(data, weights)
-    table = conditional_table(model.with_params(theta), states)
-    per_sample = ((1.0 - _observed(table, states)) ** 2).sum(axis=1)
-    return ObjectiveValue(float(w @ per_sample))
+    mod, states, w, x1, q = _pairwise_design(model, theta, data, weights)
+    miss = 1.0 - _observed(q, states)
+    per_sample = (miss**2).sum(axis=1)
+    dz = _softmax_backward(q, -2.0 * miss[:, :, None] * x1.reshape(q.shape))
+    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
 
 
 def pseudo_likelihood_objective(
     model: Model, theta, data: Dataset, weights=None
 ) -> ObjectiveValue:
     """Negative mean log product of singleton conditionals."""
-    _check_discrete_pair(model, data)
-    states, w = _weighted_states(data, weights)
-    table = conditional_table(model.with_params(theta), states)
-    per_sample = -np.log(np.maximum(_observed(table, states), 1e-300)).sum(axis=1)
-    return ObjectiveValue(float(w @ per_sample))
+    mod, states, w, x1, q = _pairwise_design(model, theta, data, weights)
+    per_sample = -np.log(np.maximum(_observed(q, states), 1e-300)).sum(axis=1)
+    q -= x1.reshape(q.shape)  # dl/dZ of -log softmax at the observed symbol
+    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, q))
+
+
+def _pair_moments(model: Model, x1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The w-weighted sum of T(x) = dlog q~/dtheta over the one-hot rows x1:
+    log q~ = F . x1 + x1' C x1 / 2, so T is the adjoint of the pairwise form
+    applied to (x1, x1 x1' / 2)."""
+    return pairwise_adjoint(model, w @ x1, 0.5 * ((x1.T * w) @ x1))
 
 
 def exact_mle_objective(
     model: Model, theta, data: Dataset, weights=None
 ) -> ObjectiveValue:
-    """Negative mean log *normalized* likelihood (brute-force partition)."""
+    """Negative mean log *normalized* likelihood (brute-force partition).
+
+    For discrete models the gradient is E_q[T] - E_data[T] of the sufficient
+    statistic T = dlog q~/dtheta, with E_q taken over the enumerated cube.
+    """
     mod = model.with_params(theta)
     if mod.kind is ModelKind.GAUSSIAN:
         _check_continuous_pair(model, data)
@@ -269,10 +322,14 @@ def exact_mle_objective(
         return ObjectiveValue(float(-np.mean(logq) + const))
     _check_discrete_pair(model, data)
     states, w = _weighted_states(data, weights)
-    table = _log_table(model, theta)
-    log_z = float(logsumexp(table))
+    m, d = mod.alphabet_size, mod.dim
+    cube = np.indices((m,) * d).reshape(d, -1).T
+    log_cube = np.asarray(log_unnorm(mod, cube))
+    log_z = float(logsumexp(log_cube))
     logq = np.asarray(log_unnorm(mod, states))
-    return ObjectiveValue(float(-(w @ logq) + log_z))
+    grad = _pair_moments(mod, one_hot(mod, cube), np.exp(log_cube - log_z))
+    grad -= _pair_moments(mod, one_hot(mod, states), w)
+    return ObjectiveValue(float(-(w @ logq) + log_z), grad)
 
 
 # ---------------------------------------------------------------------------

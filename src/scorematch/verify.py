@@ -12,10 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids, operators, scalespace
-from .models import exact_normalize, gaussian_model, ising_model, sample
+from .models import exact_normalize, gaussian_model, ising_model, potts_model, sample
 from .objectives import (
+    exact_mle_objective,
     gsm_discrete_objective,
     gsm_discrete_population,
+    pseudo_likelihood_objective,
+    ratio_matching_objective,
     ratio_matching_population,
     sm_objective,
 )
@@ -200,7 +203,32 @@ def suite_gradcheck() -> list[Check]:
             )
             scale = max(1.0, float(np.abs(numeric).max()))
             worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)
-    return [Check("gaussian SM analytic vs FD gradient (rel)", worst, 1e-5)]
+    checks = [Check("gaussian SM analytic vs FD gradient (rel)", worst, 1e-5)]
+    star = [(0, 1), (0, 2), (0, 3)]
+    families = {
+        "Ising star": ising_model(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), star),
+        "Potts m=3": potts_model(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 2)),
+    }
+    objectives = {
+        "gsm": gsm_discrete_objective,
+        "rm": ratio_matching_objective,
+        "pl": pseudo_likelihood_objective,
+        "mle": exact_mle_objective,
+    }
+    for family, model in families.items():
+        data = sample(model, 200, seed=17)
+        theta = model.params + rng.uniform(-0.5, 0.5, model.n_params)
+        for tag, fn in objectives.items():
+            if tag == "rm" and model.alphabet_size != 2:
+                continue  # ratio matching rejects alphabets larger than 2
+            exact = fn(model, theta, data).grad_theta
+            numeric = fd_gradient(lambda th: fn(model, th, data).value, theta, FD_CHECK_STEP)
+            scale = max(1.0, float(np.abs(numeric).max()))
+            checks.append(
+                Check(f"{tag} exact vs FD gradient, {family} (rel)",
+                      float(np.abs(exact - numeric).max()) / scale, 1e-6)
+            )
+    return checks
 
 
 SUITES = {

@@ -37,6 +37,13 @@ def test_fd_gradient_quadratic_exact():
     assert np.abs(g - [2.0, 4.0]).max() < 1e-8
 
 
+def test_fd_gradient_one_sided_at_domain_edge():
+    def f(t):
+        return 3.0 * t[0] + t[1] ** 2 if t[0] >= 0 else np.inf
+
+    assert np.abs(fd_gradient(f, np.array([0.0, 2.0]), 1e-5) - [3.0, 4.0]).max() < 1e-8
+
+
 def test_fd_gradient_rejects_bad_step_and_nonfinite():
     with pytest.raises(ValueError):
         fd_gradient(lambda t: 0.0, np.zeros(2), 0.0)
@@ -123,6 +130,16 @@ def test_fit_gen_gauss_alpha_recovery():
     data = sample(truth, 20_000, seed=21)
     res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
     assert abs(res.theta_hat[0] - 1.5) < 0.1
+
+
+def test_fit_gen_gauss_stays_in_alpha_domain():
+    # From alpha = 0.05 the smoothed-cusp SM objective falls towards alpha = 0
+    # (it left the domain, to alpha < 0, before with_params rejected it).
+    data = sample(gen_gauss_model(1.5), 2000, seed=1)
+    cfg = OptimizerConfig(init_theta=np.array([0.05]))
+    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data, cfg)
+    assert res.theta_hat[0] > 0
+    assert not res.converged
 
 
 def test_fit_result_converged_implies_grad_tol():

@@ -9,6 +9,7 @@ import pytest
 from scorematch.models import (
     Dataset,
     ModelKind,
+    ParameterDomainError,
     conditional_table,
     continuous_dataset,
     discrete_dataset,
@@ -21,6 +22,9 @@ from scorematch.models import (
     log_unnorm,
     model_from_json,
     model_to_json,
+    one_hot,
+    pairwise_adjoint,
+    pairwise_form,
     potts_model,
     read_dataset_csv,
     sample,
@@ -177,16 +181,42 @@ def test_singleton_conditional_index_out_of_range():
 
 def test_singleton_conditional_matches_enumeration_marginal_ratio():
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        model = ising_model(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2))
+    star = [(0, 1), (0, 2), (0, 3)]
+    models = [ising_model(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)) for _ in range(10)]
+    models += [ising_model(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), star) for _ in range(5)]
+    models += [potts_model(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 2)) for _ in range(5)]
+    models += [
+        potts_model(rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 3), star) for _ in range(5)
+    ]
+    for model in models:
+        d = model.dim
         joint = exact_normalize(model)
-        x = rng.integers(0, 2, 3)
-        for i in range(3):
-            idx = tuple(slice(None) if j == i else int(x[j]) for j in range(3))
+        x = rng.integers(0, model.alphabet_size, d)
+        for i in range(d):
+            idx = tuple(slice(None) if j == i else int(x[j]) for j in range(d))
             col = joint.probs[idx]
             want = col / col.sum()
             got = singleton_conditional(model, x, i)
             assert np.abs(got - want).max() < 1e-12
+
+
+def test_pairwise_form_reproduces_log_unnorm_and_adjoint_is_transpose():
+    rng = np.random.default_rng(29)
+    star = [(0, 1), (0, 2), (0, 3)]
+    for model in [
+        ising_model(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), star),
+        potts_model(rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 3), star),
+        potts_model(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3), [(0, 1), (0, 1), (1, 2)]),
+    ]:
+        X = rng.integers(0, model.alphabet_size, (20, model.dim))
+        x1 = one_hot(model, X)
+        F, C = pairwise_form(model)
+        quadratic = np.einsum("na,ab,nb->n", x1, C, x1)
+        assert np.abs(x1 @ F + quadratic / 2 - log_unnorm(model, X)).max() < 1e-12
+        dF, dC = rng.standard_normal(F.shape), rng.standard_normal(C.shape)
+        lhs = F @ dF + np.sum(C * dC)
+        rhs = model.params @ pairwise_adjoint(model, dF, dC)
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
 def test_conditional_table_shape_and_normalization():
@@ -305,9 +335,19 @@ def test_ising_model_validates_edges_and_couplings():
         ising_model([0.0, 0.0], [0.5], edges=[(1, 0)])
 
 
+def test_potts_model_validates_edges():
+    with pytest.raises(ValueError, match="bad edge"):
+        potts_model(np.zeros((3, 2)), [0.5], edges=[(1, 1)])
+    with pytest.raises(ValueError, match="bad edge"):
+        potts_model(np.zeros((3, 2)), [0.5], edges=[(0, 3)])
+
+
 def test_gen_gauss_model_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         gen_gauss_model(0.0)
+    for alpha in (0.0, -0.3):
+        with pytest.raises(ParameterDomainError):
+            gen_gauss_model(1.0).with_params([alpha])
 
 
 def test_with_params_validates_shape_and_finiteness():
@@ -374,12 +414,31 @@ def test_model_json_round_trip():
         ising_model([0.1, 0.2, 0.3], [0.5, -0.5]),
         potts_model(np.arange(6.0).reshape(2, 3), [0.7]),
         gen_gauss_model(1.5),
+        ising_model([0.1, 0.2, 0.3], [0.5, -0.5], edges=[(0, 1), (0, 2)]),
+        potts_model(np.arange(9.0).reshape(3, 3), [0.7, -0.2], edges=[(0, 1), (0, 2)]),
     ]:
         back = model_from_json(model_to_json(model))
         assert back.kind is model.kind
         assert back.dim == model.dim
         assert back.alphabet_size == model.alphabet_size
         assert np.allclose(back.params, model.params)
+        assert back.edges == model.edges
+
+
+def test_model_json_edges_default_to_chain_and_are_validated():
+    import json
+
+    obj = json.loads(model_to_json(ising_model([0.0] * 3, [0.5, 0.5], edges=[(0, 1), (0, 2)])))
+    del obj["edges"]
+    assert model_from_json(json.dumps(obj)).edges == ((0, 1), (1, 2))
+    for bad in ([[0, 1], [2, 2]], [[0, 1, 2], [0, 2]], [[0, 1], [0.0, 2]], "01"):
+        obj["edges"] = bad
+        with pytest.raises(ValueError, match="edge"):
+            model_from_json(json.dumps(obj))
+    gauss = json.loads(model_to_json(gaussian_model([0.0], [[1.0]])))
+    gauss["edges"] = []
+    with pytest.raises(ValueError, match="edges"):
+        model_from_json(json.dumps(gauss))
 
 
 def test_model_json_rejects_unknown_keys_and_bad_layout():

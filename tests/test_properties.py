@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from scorematch.grids import gaussian_1d, mixture_1d
+from scorematch.estimation import FD_CHECK_STEP, fd_gradient
 from scorematch.models import (
     discrete_dataset,
     exact_normalize,
@@ -13,6 +14,7 @@ from scorematch.models import (
     ising_model,
     laplacian_x_log,
     log_unnorm,
+    potts_model,
     sample,
 )
 from scorematch.objectives import (
@@ -85,6 +87,30 @@ def test_discrete_objectives_normalization_invariant(seed, c):
         base = fn(model, model.params, data).value
         moved = fn(shifted, model.params, data).value
         assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
+
+
+@given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
+@settings(**SETTINGS)
+def test_discrete_objective_gradients_match_fd_and_ignore_shift(seed, c):
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    edges = [e for e in pairs if rng.random() < 0.5] or pairs[:1]
+    if m == 2 and rng.random() < 0.5:
+        model = ising_model(np.zeros(d), np.zeros(len(edges)), edges)
+    else:
+        model = potts_model(np.zeros((d, m)), np.zeros(len(edges)), edges)
+    theta = rng.uniform(-1, 1, model.n_params)
+    data = discrete_dataset(rng.integers(0, m, (30, d)), m=m)
+    objectives = [gsm_discrete_objective, pseudo_likelihood_objective, exact_mle_objective]
+    if m == 2:
+        objectives.append(ratio_matching_objective)
+    for fn in objectives:
+        exact = fn(model, theta, data).grad_theta
+        numeric = fd_gradient(lambda t: fn(model, t, data).value, theta, FD_CHECK_STEP)
+        assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
+        moved = fn(model.shifted(c), theta, data).grad_theta
+        assert np.abs(moved - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
 
 
 @given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
