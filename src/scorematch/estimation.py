@@ -23,6 +23,7 @@ from .models import (
     exact_normalize,
     gaussian_model,
     sample,
+    write_text,
 )
 from .objectives import (
     ObjectiveKind,
@@ -302,9 +303,4 @@ def write_comparison_csv(path, rows) -> None:
             f"{r['iters']},{r['linf_error']:.17g},{r['objective_value']:.17g},"
             f"{r['grad_norm']:.17g}"
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    write_text(path, "\n".join(lines) + "\n")

@@ -461,6 +461,15 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 # File formats
 
+def write_text(path, text: str) -> None:
+    """Write text to a path, or to an open file-like object with a write method."""
+    if hasattr(path, "write"):
+        path.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def write_dataset_csv(path, data: Dataset) -> None:
     header = ",".join(f"x{i}" for i in range(data.dim))
     lines = [header]
@@ -470,12 +479,7 @@ def write_dataset_csv(path, data: Dataset) -> None:
     else:
         for row in data.values:
             lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_dataset_csv(path, alphabet_size: int | None = None) -> Dataset:

@@ -16,6 +16,7 @@ from scorematch.models import (
 )
 from scorematch.objectives import (
     ObjectiveKind,
+    collapse_states,
     exact_mle_objective,
     exact_mle_population,
     fisher_exact,
@@ -187,6 +188,18 @@ def test_gsm_weighted_equals_duplicated_dataset():
     )
     plain = gsm_discrete_objective(model, model.params, dup)
     assert weighted.value == pytest.approx(plain.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [63, 64])
+def test_collapse_states_at_the_int64_code_limit(d):
+    # 2**63 - 1 is the largest packed base-2 code that fits in int64; at d=64
+    # the rows are collapsed directly.
+    ones, zeros = np.ones(d, dtype=int), np.zeros(d, dtype=int)
+    mixed = np.arange(d) % 2
+    data = discrete_dataset([ones, mixed, zeros, ones, mixed, ones], 2)
+    collapsed, w = collapse_states(data)
+    assert np.array_equal(collapsed.values, np.array([zeros, mixed, ones]))
+    assert np.array_equal(w, np.array([1, 2, 3]) / 6)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from scorematch.models import (
     sample,
 )
 from scorematch.objectives import (
+    collapse_states,
     exact_mle_objective,
     gsm_discrete_objective,
     gsm_discrete_population,
@@ -158,6 +159,22 @@ def test_population_divergences_nonnegative_and_zero_at_self(seed):
     assert gsm_discrete_population(p, model, model.params) <= 1e-13
     other = rng.uniform(-1, 1, 3)
     assert gsm_discrete_population(p, model, other) >= 0.0
+
+
+@given(seed=st.integers(0, 10_000), m=st.sampled_from([2, 3]), d=st.integers(1, 8))
+@settings(**SETTINGS)
+def test_collapse_states_equals_row_unique(seed, m, d):
+    rng = np.random.default_rng(seed)
+    edges = [(i, i + 1) for i in range(d - 1)]
+    if m == 2:
+        model = ising_model(rng.uniform(-1, 1, d), rng.uniform(-1, 1, len(edges)))
+    else:
+        model = potts_model(rng.uniform(-1, 1, (d, m)), rng.uniform(-1, 1, len(edges)))
+    data = sample(model, int(rng.integers(1, 400)), seed=seed)
+    collapsed, w = collapse_states(data)
+    states, counts = np.unique(data.values, axis=0, return_counts=True)
+    assert np.array_equal(collapsed.values, states)
+    assert np.array_equal(w, counts / counts.sum())
 
 
 @given(seed=st.integers(0, 10_000))

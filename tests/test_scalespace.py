@@ -5,10 +5,12 @@ import io
 
 import numpy as np
 import pytest
+from scipy.ndimage import convolve1d
 
 from scorematch.grids import gaussian_1d, grid_density, mixture_1d, uniform_axis
 from scorematch.scalespace import (
     DivergenceCurve,
+    _kernel,
     debruijn_residual,
     divergence_curve,
     entropy,
@@ -54,6 +56,40 @@ def test_smooth_semigroup_property():
     a = smooth(smooth(p, 0.3), 0.5)
     b = smooth(p, 0.8)
     assert np.abs(a.values - b.values).max() < 1e-8
+
+
+def _reference_smooth(p, t):
+    """scipy's direct zero-padded convolution with the same kernel, normalized
+    like `smooth`."""
+    values = p.values
+    for ax, (h, (lo, hi)) in enumerate(zip(p.spacing, p.box)):
+        k = _kernel(t, h, (hi - lo) / 2.0)
+        values = convolve1d(values, k, axis=ax, mode="constant", cval=0.0)
+    return grid_density(p.axes, values, require_decay=False).values
+
+
+def _assert_tail_precision(p, t_values):
+    deep_tail = False
+    for t in t_values:
+        got, ref = smooth(p, t).values, _reference_smooth(p, t)
+        # Relative at every point: an FFT convolution's ~1e-17-of-peak
+        # absolute error would fail this in the tails.
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref), t
+        deep_tail |= bool(np.any(ref < 1e-30 * ref.max()))
+    assert deep_tail
+
+
+def test_smooth_keeps_relative_precision_in_1d_tails():
+    for p in (_gauss(0.0, 0.5), mixture_1d([(0.5, -2.0, 0.5), (0.5, 2.0, 1.0)], box=BOX, n=4096)):
+        _assert_tail_precision(p, (0.02, 0.3, 1.0))
+
+
+def test_smooth_keeps_relative_precision_in_2d_tails():
+    x, y = uniform_axis(-12.0, 12.0, 257), uniform_axis(-10.0, 10.0, 193)
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    vals = np.exp(-((xx - 1.0) ** 2) / 0.8 - (yy + 0.5) ** 2 / 0.6)
+    p = grid_density((x, y), vals, require_decay=False)
+    _assert_tail_precision(p, (0.02, 0.5, 1.5))
 
 
 def test_smooth_rejects_negative_t_and_wide_kernel():
