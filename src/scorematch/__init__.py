@@ -19,7 +19,6 @@ from .models import (
     potts_model,
     read_dataset_csv,
     sample,
-    singleton_conditional,
     write_dataset_csv,
 )
 from .objectives import (
@@ -37,11 +36,8 @@ from .objectives import (
 )
 from .operators import (
     DiscreteJoint,
-    LinearOperatorKind,
-    adjoint_identity_residual,
     brook_ratio,
     discrete_joint,
-    gradient_completeness_check,
     joint_conditionals,
     reconstruct_joint,
 )

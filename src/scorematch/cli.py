@@ -7,6 +7,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -84,11 +85,22 @@ def _parse_density_spec(spec: str, box, n: int) -> grids.GridDensity:
     )
 
 
+def _parse_int(flag: str, text: str, lowest: int) -> int:
+    """A plain decimal integer >= lowest; anything else is a usage error."""
+    text = text.strip()
+    if re.fullmatch(r"[0-9]+", text) is None or int(text) < lowest:
+        raise CliError(f"{flag} takes integers >= {lowest}, got {text!r}")
+    return int(text)
+
+
 def _parse_seeds(spec: str) -> list[int]:
     if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in spec.split(",")]
+        lo, _, hi = spec.partition("..")
+        lo, hi = _parse_int("--seeds", lo, 0), _parse_int("--seeds", hi, 0)
+        if hi < lo:
+            raise CliError(f"--seeds range {spec!r} is empty")
+        return list(range(lo, hi + 1))
+    return [_parse_int("--seeds", v, 0) for v in spec.split(",")]
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -97,9 +109,10 @@ def _optimizer_config(args) -> OptimizerConfig:
         kwargs["max_iters"] = args.max_iters
     if args.grad_tol is not None:
         kwargs["grad_tol"] = args.grad_tol
-    if args.init_step is not None:
-        kwargs["initial_step"] = args.init_step
-    return OptimizerConfig(**kwargs)
+    try:
+        return OptimizerConfig(**kwargs)
+    except ValueError as exc:
+        raise CliError(f"bad --max-iters/--grad-tol: {exc}") from None
 
 
 def cmd_generate(args) -> int:
@@ -115,6 +128,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    cfg = _optimizer_config(args)
     model = _load_model(args.model)
     objective = _OBJECTIVE_TAGS[args.objective]
     if args.data == "enumerate":
@@ -133,7 +147,7 @@ def cmd_fit(args) -> int:
             raise CliError(f"bad data file {args.data}: {exc}") from exc
         seed_of_data = data.seed
     try:
-        result = fit(model, objective, data, _optimizer_config(args))
+        result = fit(model, objective, data, cfg)
     except ValueError as exc:
         raise CliError(
             f"cannot fit objective {objective.value!r} to model kind "
@@ -153,18 +167,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    cfg = _optimizer_config(args)
     model = _load_model(args.model)
     objectives = []
     for tag in args.objectives.split(","):
         if tag not in _OBJECTIVE_TAGS:
             raise CliError(f"unknown objective tag {tag!r}")
         objectives.append(_OBJECTIVE_TAGS[tag])
-    n_list = [int(v) for v in args.n.split(",")]
+    n_list = [_parse_int("--n", v, 1) for v in args.n.split(",")]
     seeds = _parse_seeds(args.seeds)
     try:
-        rows = compare_estimators(
-            model, model.params, n_list, seeds, objectives, _optimizer_config(args)
-        )
+        rows = compare_estimators(model, model.params, n_list, seeds, objectives, cfg)
     except ValueError as exc:
         raise CliError(
             f"cannot compare on model kind {model.kind.value!r}: {exc}"
@@ -255,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_optimizer_flags(p) -> None:
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--grad-tol", type=float, default=None)
-    p.add_argument("--init-step", type=float, default=None)
 
 
 def main(argv=None) -> int:

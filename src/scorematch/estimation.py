@@ -1,12 +1,16 @@
-"""Deterministic estimators: backtracking gradient descent over any objective,
-the closed-form Gaussian score-matching solution, finite-difference gradient
-oracles, and a multi-estimator comparison harness.
+"""Deterministic estimators: gradient descent with a backtracking line search
+over any objective, the closed-form Gaussian score-matching solution,
+finite-difference gradient oracles, and a multi-estimator comparison harness.
+
+`OptimizerConfig` sets only the iteration cap, the gradient tolerance and the
+start point.  The line search is fixed: a unit trial step scaled down by the
+gradient max-norm, halved until the Armijo condition with constant 1e-4 holds.
 
 Fits use the objectives' exact parameter gradients: Gaussian score matching
 and every empirical discrete objective (gsm, rm, pl, mle) provide them.
-Central finite differences remain only for score matching on the
-generalized Gaussian, exact MLE on the Gaussian, and population fits against
-an enumerated joint.
+Central finite differences, with step `FD_OPT_STEP`, remain only for score
+matching on the generalized Gaussian, exact MLE on the Gaussian, and
+population fits against an enumerated joint.
 """
 
 from __future__ import annotations
@@ -49,17 +53,11 @@ FD_OPT_STEP = 1e-6
 class OptimizerConfig:
     max_iters: int = 2000
     grad_tol: float = 1e-7
-    initial_step: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
     init_theta: np.ndarray | None = None
-    fd_step: float = FD_OPT_STEP
 
     def __post_init__(self):
-        if min(self.max_iters, self.grad_tol, self.initial_step, self.fd_step) <= 0:
-            raise ValueError("optimizer config entries must be positive")
-        if not 0 < self.backtrack < 1 or not 0 < self.armijo < 1:
-            raise ValueError("backtrack and armijo constants must lie in (0, 1)")
+        if not (self.max_iters > 0 and self.grad_tol > 0):
+            raise ValueError("max_iters and grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,11 +132,11 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
 
     ``data`` is a Dataset (empirical objective) or a DiscreteJoint (population
     objective).  Empirical objectives give exact gradients, except score
-    matching on the generalized Gaussian and exact MLE on the Gaussian;
-    there, and for every population objective, the gradient callable is None and the caller falls back to
-    central finite differences.  Parameters outside the model's domain (a
-    non-PD Gaussian covariance, a non-positive generalized-Gaussian exponent)
-    evaluate to +inf so line searches back off.
+    matching on the generalized Gaussian and exact MLE on the Gaussian.
+    There, and for every population objective, the gradient callable is None
+    and the caller falls back to central finite differences.  Parameters
+    outside the model's domain (a non-PD Gaussian covariance, a non-positive
+    generalized-Gaussian exponent) evaluate to +inf so line searches back off.
     """
     if isinstance(data, DiscreteJoint):
         if objective not in _POPULATION:
@@ -182,14 +180,14 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
 
 
 def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | None = None) -> FitResult:
-    """Gradient descent with backtracking line search; deterministic."""
+    """Gradient descent with a backtracking Armijo line search; deterministic."""
     cfg = cfg or OptimizerConfig()
     value, analytic_grad = objective_functions(model, objective, data)
 
     def grad(theta):
         if analytic_grad is not None:
             return analytic_grad(theta)
-        return fd_gradient(value, theta, cfg.fd_step)
+        return fd_gradient(value, theta, FD_OPT_STEP)
 
     theta = (
         np.asarray(cfg.init_theta, dtype=float)
@@ -206,16 +204,16 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
         if gnorm <= cfg.grad_tol:
             break
         descent = -float(g @ g)
-        # Trial step clipped by the gradient max-norm: a raw unit step along a
-        # large early gradient can jump into a flat far-field valley that the
-        # Armijo test still accepts, stranding the iterate.
-        step = cfg.initial_step / max(1.0, gnorm)
+        # Unit trial step clipped by the gradient max-norm: a raw unit step
+        # along a large early gradient can jump into a flat far-field valley
+        # that the Armijo test still accepts, stranding the iterate.
+        step = 1.0 / max(1.0, gnorm)
         while True:
             cand = theta - step * g
             v_new = value(cand)
-            if np.isfinite(v_new) and v_new <= v + cfg.armijo * step * descent:
+            if np.isfinite(v_new) and v_new <= v + 1e-4 * step * descent:
                 break
-            step *= cfg.backtrack
+            step *= 0.5
             if step < 1e-20:
                 cand, v_new = theta, v  # line search stalled at roundoff
                 break

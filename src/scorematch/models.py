@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import GridDensity, from_function
-from .operators import DiscreteJoint, discrete_joint
+from .grids import from_function
+from .operators import discrete_joint
 
 # Smoothing constant for the generalized-Gaussian exponent (x^2 + eps^2)^(a/2),
 # which keeps gradient and Laplacian defined at the origin.
@@ -323,24 +323,6 @@ def pairwise_conditionals(model: Model, x1: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=2, keepdims=True)
     return z
-
-
-def conditional_table(model: Model, X) -> np.ndarray:
-    """Singleton conditionals q(xi | x^{\\i}) for every sample, coordinate, symbol.
-
-    Returns shape (N, d, m); probabilities along the last axis sum to one.
-    Computed in log space with max subtraction, so it is partition-free and
-    underflow-safe.
-    """
-    return pairwise_conditionals(model, one_hot(model, X))
-
-
-def singleton_conditional(model: Model, x, i: int) -> np.ndarray:
-    """Conditional distribution of coordinate i given the rest of x."""
-    _require_discrete(model)
-    if not 0 <= i < model.dim:
-        raise IndexError(f"coordinate {i} out of range")
-    return conditional_table(model, np.asarray(x)[None, :])[0, i]
 
 
 def default_box(model: Model) -> tuple[float, float]:

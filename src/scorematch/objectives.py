@@ -50,30 +50,10 @@ class ObjectiveKind(Enum):
     EXACT_MLE = "mle"
 
 
-DISCRETE_OBJECTIVES = {
-    ObjectiveKind.GSM_DISCRETE,
-    ObjectiveKind.RATIO_MATCHING,
-    ObjectiveKind.PSEUDO_LIKELIHOOD,
-    ObjectiveKind.EXACT_MLE,
-}
-
-
 @dataclass(frozen=True)
 class ObjectiveValue:
     value: float
     grad_theta: np.ndarray | None = None
-
-
-def objective_record(kind: ObjectiveKind, theta, result: ObjectiveValue) -> dict:
-    """JSON-serializable log record for one objective evaluation."""
-    rec = {
-        "objective": kind.value,
-        "theta": np.asarray(theta, dtype=float).tolist(),
-        "value": result.value,
-    }
-    if result.grad_theta is not None:
-        rec["grad"] = np.asarray(result.grad_theta, dtype=float).tolist()
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +133,6 @@ def _conditionals_from_table(table: np.ndarray, log_space: bool) -> np.ndarray:
             e = table
         out[i] = e / e.sum(axis=i, keepdims=True)
     return out
-
-
-def joint_singleton_conditionals(p: DiscreteJoint) -> np.ndarray:
-    return _conditionals_from_table(p.probs, log_space=False)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +330,7 @@ def gsm_discrete_population(p: DiscreteJoint, model: Model, theta) -> float:
     sum_x p(x) sum_i sum_xi (p(xi|x^{\\i}) - q(xi|x^{\\i}))^2.
     """
     _check_population(p, model)
-    pc = joint_singleton_conditionals(p)
+    pc = _conditionals_from_table(p.probs, log_space=False)
     qc = _conditionals_from_table(_log_table(model, theta), log_space=True)
     total = 0.0
     for i in range(p.d):

@@ -1,25 +1,20 @@
 """Linear operators on densities: grid gradient and discrete marginalization.
 
-Both operators come with their adjoints (negative divergence for the gradient,
-the summed per-coordinate marginalization for the discrete case), exact adjoint
-residual checks, and the telescoping joint-ratio reconstruction that makes the
-marginalization operator information-complete.
+Each operator has an adjoint residual check: `gradient_adjoint_residual`
+against the negative divergence under trapezoid quadrature, and
+`marginalization_adjoint_residual` against the summed per-coordinate
+marginalization.  The telescoping joint-ratio reconstruction from singleton
+conditionals (`brook_ratio`, `reconstruct_joint`) makes the marginalization
+operator information-complete.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .grids import GridDensity, log_values, quad_weights, require_same_geometry, support_mask
-
-
-class LinearOperatorKind(Enum):
-    GRADIENT = "gradient"
-    MARGINALIZATION = "marginalization"
+from .grids import quad_weights
 
 
 @dataclass(frozen=True)
@@ -33,24 +28,6 @@ class DiscreteJoint:
     m: int
     d: int
     probs: np.ndarray
-
-    def prob(self, x) -> float:
-        return float(self.probs[tuple(int(v) for v in x)])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"m": self.m, "d": self.d, "probs": self.probs.ravel().tolist()}
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "DiscreteJoint":
-        obj = json.loads(text)
-        extra = set(obj) - {"m", "d", "probs"}
-        if extra:
-            raise ValueError(f"unknown keys in joint file: {sorted(extra)}")
-        m, d = int(obj["m"]), int(obj["d"])
-        probs = np.asarray(obj["probs"], dtype=float).reshape((m,) * d)
-        return discrete_joint(probs)
 
 
 def discrete_joint(probs: np.ndarray) -> DiscreteJoint:
@@ -121,21 +98,6 @@ def marginalize(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_operator(kind: LinearOperatorKind, f, spacing=None):
-    """Apply an operator to a density table (marginalization) or grid (gradient)."""
-    if kind is LinearOperatorKind.MARGINALIZATION:
-        if isinstance(f, GridDensity):
-            return marginalize(f.values)
-        return marginalize(np.asarray(f, dtype=float))
-    if kind is LinearOperatorKind.GRADIENT:
-        if isinstance(f, GridDensity):
-            return grid_gradient(f.values, f.spacing)
-        if spacing is None:
-            raise ValueError("gradient operator needs grid spacing")
-        return grid_gradient(np.asarray(f, dtype=float), spacing)
-    raise ValueError(f"unsupported operator {kind}")
-
-
 def marginalization_adjoint_residual(f: np.ndarray, g: np.ndarray) -> float:
     """|<Mf, g> - <f, sum_i M_i g_i>| on a finite discrete space (exact identity)."""
     f = np.asarray(f, dtype=float)
@@ -163,16 +125,6 @@ def gradient_adjoint_residual(f: np.ndarray, g: list[np.ndarray], axes) -> float
     lhs = float(sum(np.sum(w * gf * gi) for gf, gi in zip(grads, g)))
     rhs = float(np.sum(w * f * (-grid_divergence(list(g), spacing))))
     return abs(lhs - rhs)
-
-
-def adjoint_identity_residual(kind: LinearOperatorKind, f, g, axes=None) -> float:
-    if kind is LinearOperatorKind.MARGINALIZATION:
-        return marginalization_adjoint_residual(f, g)
-    if kind is LinearOperatorKind.GRADIENT:
-        if axes is None:
-            raise ValueError("gradient adjoint residual needs grid axes")
-        return gradient_adjoint_residual(f, g, axes)
-    raise ValueError(f"unsupported operator {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,42 +190,3 @@ def reconstruct_joint(conds, m: int, d: int) -> DiscreteJoint:
         state = np.unravel_index(flat, shape)
         ratios[state] = brook_ratio(conds, state, ref)
     return discrete_joint(ratios)
-
-
-# ---------------------------------------------------------------------------
-# Gradient completeness check on grids
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    applicable: bool
-    held: bool
-    max_score_diff: float
-    max_density_diff: float
-    bound: float
-
-
-def gradient_completeness_check(
-    p: GridDensity, q: GridDensity, eps: float
-) -> CompletenessReport:
-    """Check the implication |grad log p - grad log q| <= eps  =>  p close to q.
-
-    If the scores agree to eps pointwise (on the shared support), log(p/q) can
-    drift by at most eps * L over a box of diameter L, and normalization pins
-    the constant, so |p - q| <= C * eps with C = 2 * L * max(p).
-    """
-    require_same_geometry(p, q)
-    mask = support_mask(p) & support_mask(q)
-    gp = grid_gradient(log_values(p), p.spacing)
-    gq = grid_gradient(log_values(q), q.spacing)
-    diff = np.zeros_like(p.values)
-    for a, b in zip(gp, gq):
-        diff = np.maximum(diff, np.abs(a - b))
-    max_score_diff = float(diff[mask].max())
-    box_diam = float(np.sqrt(sum((hi - lo) ** 2 for lo, hi in p.box)))
-    bound = 2.0 * box_diam * float(p.values.max()) * eps
-    max_density_diff = float(np.abs(p.values - q.values).max())
-    if max_score_diff > eps:
-        return CompletenessReport(False, False, max_score_diff, max_density_diff, bound)
-    return CompletenessReport(
-        True, max_density_diff <= bound, max_score_diff, max_density_diff, bound
-    )

@@ -173,6 +173,36 @@ def test_compare_rejects_unknown_objective(ising2, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n", "1e3"), ("--seeds", "a..b"), ("--seeds", "1,,2"), ("--seeds", "3..1")],
+)
+def test_compare_rejects_malformed_counts(ising2, tmp_path, capsys, flag, value):
+    args = {"--n": "200", "--seeds": "1", flag: value}
+    out = tmp_path / "c.csv"
+    code = main(["compare", "--model", ising2, "--objectives", "pl",
+                 "--n", args["--n"], "--seeds", args["--seeds"], "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_bad_optimizer_flags_are_not_reported_as_a_fit_failure(
+    ising2, tmp_path, capsys, command
+):
+    out = str(tmp_path / "o")
+    if command == "fit":
+        args = ["fit", "--model", ising2, "--objective", "pl", "--data", "enumerate",
+                "--p-model", ising2, "--out", out]
+    else:
+        args = ["compare", "--model", ising2, "--objectives", "pl", "--n", "200",
+                "--seeds", "1", "--out", out]
+    assert main(args + ["--max-iters", "0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--max-iters" in err and "cannot" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -159,10 +159,6 @@ def test_population_fit_rejects_objective_without_population_form():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(backtrack=1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(armijo=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from scorematch.models import (
     Dataset,
     ModelKind,
     ParameterDomainError,
-    conditional_table,
     continuous_dataset,
     discrete_dataset,
     exact_normalize,
@@ -24,11 +23,11 @@ from scorematch.models import (
     model_to_json,
     one_hot,
     pairwise_adjoint,
+    pairwise_conditionals,
     pairwise_form,
     potts_model,
     read_dataset_csv,
     sample,
-    singleton_conditional,
     write_dataset_csv,
 )
 
@@ -156,27 +155,26 @@ def test_derivative_consistency_gen_gauss():
 # ---------------------------------------------------------------------------
 # Singleton conditionals
 
+def _conditional(model, x, i):
+    """q(. | x^{\\i}) for one state, read off the pairwise conditionals."""
+    return pairwise_conditionals(model, one_hot(model, x))[0, i]
+
+
 def test_singleton_conditional_uniform_ising():
     model = ising_model([0.0, 0.0], [0.0])
-    assert np.allclose(singleton_conditional(model, [0, 1], 0), [0.5, 0.5])
+    assert np.allclose(_conditional(model, [0, 1], 0), [0.5, 0.5])
 
 
 def test_singleton_conditional_coupled_ising_hand_value():
     model = ising_model([0.0, 0.0], [0.5])
-    cond = singleton_conditional(model, [0, 1], 0)  # neighbor spin +1
+    cond = _conditional(model, [0, 1], 0)  # neighbor spin +1
     assert cond[1] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-12)
     assert cond.sum() == pytest.approx(1.0)
 
 
 def test_singleton_conditional_uniform_potts():
     model = potts_model(np.zeros((2, 3)), [0.0])
-    assert np.allclose(singleton_conditional(model, [0, 2], 1), 1.0 / 3.0)
-
-
-def test_singleton_conditional_index_out_of_range():
-    model = ising_model([0.0, 0.0], [0.5])
-    with pytest.raises(IndexError):
-        singleton_conditional(model, [0, 1], 2)
+    assert np.allclose(_conditional(model, [0, 2], 1), 1.0 / 3.0)
 
 
 def test_singleton_conditional_matches_enumeration_marginal_ratio():
@@ -196,7 +194,7 @@ def test_singleton_conditional_matches_enumeration_marginal_ratio():
             idx = tuple(slice(None) if j == i else int(x[j]) for j in range(d))
             col = joint.probs[idx]
             want = col / col.sum()
-            got = singleton_conditional(model, x, i)
+            got = _conditional(model, x, i)
             assert np.abs(got - want).max() < 1e-12
 
 
@@ -222,7 +220,7 @@ def test_pairwise_form_reproduces_log_unnorm_and_adjoint_is_transpose():
 def test_conditional_table_shape_and_normalization():
     model = potts_model(np.zeros((2, 3)), [0.7])
     X = np.array([[0, 1], [2, 2]])
-    table = conditional_table(model, X)
+    table = pairwise_conditionals(model, one_hot(model, X))
     assert table.shape == (2, 2, 3)
     assert np.allclose(table.sum(axis=2), 1.0)
 
@@ -238,9 +236,9 @@ def test_exact_normalize_uniform_ising():
 def test_exact_normalize_coupled_ising_hand_values():
     joint = exact_normalize(ising_model([0.0, 0.0], [0.5]))
     z = 2 * np.exp(0.5) + 2 * np.exp(-0.5)
-    assert joint.prob((1, 1)) == pytest.approx(np.exp(0.5) / z, abs=1e-12)
-    assert joint.prob((1, 1)) == pytest.approx(0.365529, abs=1e-6)
-    assert joint.prob((0, 1)) == pytest.approx(np.exp(-0.5) / z, abs=1e-12)
+    assert joint.probs[1, 1] == pytest.approx(np.exp(0.5) / z, abs=1e-12)
+    assert joint.probs[1, 1] == pytest.approx(0.365529, abs=1e-6)
+    assert joint.probs[0, 1] == pytest.approx(np.exp(-0.5) / z, abs=1e-12)
     assert joint.probs.sum() == pytest.approx(1.0, abs=1e-10)
 
 

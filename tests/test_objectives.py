@@ -23,7 +23,6 @@ from scorematch.objectives import (
     gsm_discrete_objective,
     gsm_discrete_population,
     kl_exact,
-    objective_record,
     pseudo_likelihood_objective,
     pseudo_likelihood_population,
     ratio_matching_objective,
@@ -369,16 +368,6 @@ def test_pl_population_minimized_at_truth():
 
 def test_objective_kind_tags():
     assert {k.value for k in ObjectiveKind} == {"sm", "gsm", "rm", "pl", "mle"}
-
-
-def test_objective_record_shape():
-    model = gaussian_model([0.0], [[1.0]])
-    data = continuous_dataset([[0.0]])
-    res = sm_objective(model, model.params, data)
-    rec = objective_record(ObjectiveKind.SM_CONTINUOUS, model.params, res)
-    assert rec["objective"] == "sm"
-    assert rec["value"] == res.value
-    assert "grad" in rec
 
 
 def test_discrete_objectives_reject_mismatched_data():

@@ -4,21 +4,18 @@ telescoping joint reconstruction from singleton conditionals."""
 import numpy as np
 import pytest
 
-from scorematch.grids import gaussian_1d, log_values, quad, support_mask, uniform_axis
+from scorematch.grids import gaussian_1d, quad, support_mask, uniform_axis
 from scorematch.models import exact_normalize, ising_model
 from scorematch.objectives import fisher_exact
 from scorematch.operators import (
-    DiscreteJoint,
-    LinearOperatorKind,
     ZeroConditionalError,
-    adjoint_identity_residual,
-    apply_operator,
     brook_ratio,
     discrete_joint,
-    gradient_completeness_check,
+    gradient_adjoint_residual,
     grid_gradient,
     grid_laplacian,
     joint_conditionals,
+    marginalization_adjoint_residual,
     marginalize,
     reconstruct_joint,
 )
@@ -50,17 +47,6 @@ def test_marginalize_components_constant_along_own_axis():
     out = marginalize(table)
     for i in range(3):
         assert np.allclose(np.diff(out[i], axis=i), 0.0)
-
-
-def test_apply_operator_dispatch():
-    table = np.full((2, 2), 0.25)
-    out = apply_operator(LinearOperatorKind.MARGINALIZATION, table)
-    assert out.shape == (2, 2, 2)
-    ax = uniform_axis(-4.0, 4.0, 256)
-    grads = apply_operator(LinearOperatorKind.GRADIENT, np.exp(-(ax**2) / 2), (ax[1] - ax[0],))
-    assert len(grads) == 1
-    with pytest.raises(ValueError, match="spacing"):
-        apply_operator(LinearOperatorKind.GRADIENT, np.exp(-(ax**2) / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -104,35 +90,26 @@ def test_marginalization_adjoint_exact_on_random_pairs():
             for _ in range(100):
                 f = rng.random((m,) * d)
                 g = rng.standard_normal((d,) + (m,) * d)
-                res = adjoint_identity_residual(LinearOperatorKind.MARGINALIZATION, f, g)
+                res = marginalization_adjoint_residual(f, g)
                 assert res <= 1e-12
 
 
 def test_marginalization_adjoint_zero_table():
     g = np.random.default_rng(1).standard_normal((2, 3, 3))
-    assert adjoint_identity_residual(
-        LinearOperatorKind.MARGINALIZATION, np.zeros((3, 3)), g
-    ) == 0.0
+    assert marginalization_adjoint_residual(np.zeros((3, 3)), g) == 0.0
 
 
 def test_gradient_adjoint_small_for_compact_bumps():
     ax = uniform_axis(-8.0, 8.0, 1024)
     f = np.exp(-(ax**2) / 2.0)
     g = [ax * np.exp(-((ax - 1.0) ** 2) / 2.0)]
-    res = adjoint_identity_residual(LinearOperatorKind.GRADIENT, f, g, axes=(ax,))
+    res = gradient_adjoint_residual(f, g, (ax,))
     assert res <= 1e-6
-
-
-def test_gradient_adjoint_requires_axes():
-    with pytest.raises(ValueError, match="axes"):
-        adjoint_identity_residual(LinearOperatorKind.GRADIENT, np.ones(8), [np.ones(8)])
 
 
 def test_adjoint_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape"):
-        adjoint_identity_residual(
-            LinearOperatorKind.MARGINALIZATION, np.ones((2, 2)), np.ones((3, 2, 2))
-        )
+        marginalization_adjoint_residual(np.ones((2, 2)), np.ones((3, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +135,7 @@ def test_brook_ratio_matches_enumeration_oracle():
     for _ in range(20):
         a = tuple(rng.integers(0, 2, 3))
         b = tuple(rng.integers(0, 2, 3))
-        want = joint.prob(a) / joint.prob(b)
+        want = joint.probs[a] / joint.probs[b]
         assert brook_ratio(conds, a, b) == pytest.approx(want, abs=1e-10)
 
 
@@ -202,20 +179,7 @@ def test_reconstruct_ising_matches_exact_normalizer():
 
 
 # ---------------------------------------------------------------------------
-# DiscreteJoint serialization
-
-def test_discrete_joint_json_round_trip():
-    rng = np.random.default_rng(2)
-    joint = discrete_joint(rng.random((2, 2, 2)))
-    back = DiscreteJoint.from_json(joint.to_json())
-    assert back.m == joint.m and back.d == joint.d
-    assert np.allclose(back.probs, joint.probs)
-
-
-def test_discrete_joint_json_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown keys"):
-        DiscreteJoint.from_json('{"m": 2, "d": 1, "probs": [0.5, 0.5], "x": 1}')
-
+# DiscreteJoint
 
 def test_discrete_joint_rejects_non_cube_and_negative():
     with pytest.raises(ValueError, match="cube"):
@@ -231,37 +195,11 @@ def test_discrete_joint_flat_index_convention():
     flat = joint.probs.ravel()
     for x in np.ndindex(2, 2, 2):
         idx = x[0] * 4 + x[1] * 2 + x[2]
-        assert joint.prob(x) == flat[idx]
+        assert joint.probs[x] == flat[idx]
 
 
 # ---------------------------------------------------------------------------
-# Gradient completeness
-
-def test_completeness_identical_densities():
-    p = gaussian_1d(0.0, 1.0)
-    rep = gradient_completeness_check(p, p, eps=1e-9)
-    assert rep.applicable and rep.held
-    assert rep.max_score_diff == 0.0 and rep.max_density_diff == 0.0
-
-
-def test_completeness_scale_entered_differently():
-    # The same density entered via a rescaled unnormalized function has
-    # identical scores after renormalization.
-    ax = uniform_axis(-10.0, 10.0, 2048)
-    from scorematch.grids import grid_density
-
-    p = grid_density((ax,), np.exp(-(ax**2) / 2.0))
-    q = grid_density((ax,), 17.0 * np.exp(-(ax**2) / 2.0))
-    rep = gradient_completeness_check(p, q, eps=1e-9)
-    assert rep.applicable and rep.held
-
-
-def test_completeness_inapplicable_when_scores_differ():
-    p = gaussian_1d(0.0, 1.0)
-    q = gaussian_1d(0.3, 1.0)
-    rep = gradient_completeness_check(p, q, eps=0.1)
-    assert not rep.applicable  # score gap is 0.3 > eps everywhere
-
+# Generalized divergence
 
 def test_generalized_divergence_reduces_to_fisher():
     # D computed from the operator form (grad p / p vs grad q / q) must agree

@@ -10,10 +10,13 @@ from scorematch.models import (
     discrete_dataset,
     exact_normalize,
     gaussian_model,
+    gen_gauss_model,
     grad_x_log,
     ising_model,
     laplacian_x_log,
     log_unnorm,
+    model_from_json,
+    model_to_json,
     potts_model,
     sample,
 )
@@ -226,3 +229,43 @@ def test_sampling_reproducible(seed):
     a = sample(model, 50, seed=seed)
     b = sample(model, 50, seed=seed)
     assert np.array_equal(a.values, b.values)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _any_model(draw):
+    """A model of any kind with arbitrary finite parameters; discrete kinds
+    get a random edge multiset, or the default chain."""
+    kind = draw(st.sampled_from(["gaussian", "gen_gauss", "ising", "potts"]))
+    if kind == "gen_gauss":
+        return gen_gauss_model(draw(st.floats(0.0, exclude_min=True, allow_infinity=False)))
+    d = draw(st.integers(1, 5))
+    if kind == "gaussian":
+        mu = draw(st.lists(FINITE, min_size=d, max_size=d))
+        a = np.reshape(draw(st.lists(st.floats(-10.0, 10.0), min_size=d * d, max_size=d * d)), (d, d))
+        return gaussian_model(mu, a @ a.T + np.eye(d))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    edges = None
+    if pairs and draw(st.booleans()):
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=8))
+    n_edges = d - 1 if edges is None else len(edges)
+    couplings = draw(st.lists(FINITE, min_size=n_edges, max_size=n_edges))
+    if kind == "ising":
+        return ising_model(draw(st.lists(FINITE, min_size=d, max_size=d)), couplings, edges)
+    m = draw(st.integers(2, 4))
+    fields = draw(st.lists(FINITE, min_size=d * m, max_size=d * m))
+    return potts_model(np.reshape(fields, (d, m)), couplings, edges)
+
+
+@given(model=_any_model())
+@settings(deadline=None, max_examples=100)
+def test_model_json_round_trip_is_bit_exact(model):
+    text = model_to_json(model)
+    back = model_from_json(text)
+    assert back.kind is model.kind
+    assert (back.dim, back.alphabet_size, back.edges) == (model.dim, model.alphabet_size, model.edges)
+    assert np.array_equal(back.params, model.params)
+    assert back.params.tobytes() == model.params.tobytes()  # also keeps the sign of -0.0
+    assert model_to_json(back) == text
