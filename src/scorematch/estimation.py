@@ -6,11 +6,13 @@ finite-difference gradient oracles, and a multi-estimator comparison harness.
 start point.  The line search is fixed: a unit trial step scaled down by the
 gradient max-norm, halved until the Armijo condition with constant 1e-4 holds.
 
-Fits use the objectives' exact parameter gradients: Gaussian score matching
-and every empirical discrete objective (gsm, rm, pl, mle) provide them.
-Central finite differences, with step `FD_OPT_STEP`, remain only for score
-matching on the generalized Gaussian, exact MLE on the Gaussian, and
-population fits against an enumerated joint.
+Fits use the objectives' exact parameter gradients: Gaussian score matching,
+Gaussian exact MLE and every empirical discrete objective (gsm, rm, pl, mle)
+provide them.  Population fits against an enumerated joint keep the value-only
+oracle as their objective and take its gradient from the empirical form
+weighted by the joint over the full state cube.  Central finite differences,
+with step `FD_OPT_STEP`, remain only for score matching on the generalized
+Gaussian.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .models import (
     Model,
     ModelKind,
     ParameterDomainError,
+    discrete_dataset,
     exact_normalize,
     gaussian_model,
     sample,
@@ -119,11 +122,16 @@ _EMPIRICAL = {
     ObjectiveKind.EXACT_MLE: exact_mle_objective,
 }
 
+# Each population objective's value oracle, and the empirical form whose
+# gradient on the joint-weighted state cube is the oracle's gradient.  pl and
+# mle are the oracles' own sums; gsm differs from its divergence by a
+# theta-independent constant; rm's divergence equals gsm's for every alphabet
+# size, while the empirical rm is binary-only, so rm takes gsm's form.
 _POPULATION = {
-    ObjectiveKind.GSM_DISCRETE: gsm_discrete_population,
-    ObjectiveKind.RATIO_MATCHING: ratio_matching_population,
-    ObjectiveKind.PSEUDO_LIKELIHOOD: pseudo_likelihood_population,
-    ObjectiveKind.EXACT_MLE: exact_mle_population,
+    ObjectiveKind.GSM_DISCRETE: (gsm_discrete_population, gsm_discrete_objective),
+    ObjectiveKind.RATIO_MATCHING: (ratio_matching_population, gsm_discrete_objective),
+    ObjectiveKind.PSEUDO_LIKELIHOOD: (pseudo_likelihood_population, pseudo_likelihood_objective),
+    ObjectiveKind.EXACT_MLE: (exact_mle_population, exact_mle_objective),
 }
 
 
@@ -132,23 +140,31 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
 
     ``data`` is a Dataset (empirical objective) or a DiscreteJoint (population
     objective).  Empirical objectives give exact gradients, except score
-    matching on the generalized Gaussian and exact MLE on the Gaussian.
-    There, and for every population objective, the gradient callable is None
-    and the caller falls back to central finite differences.  Parameters
-    outside the model's domain (a non-PD Gaussian covariance, a non-positive
-    generalized-Gaussian exponent) evaluate to +inf so line searches back off.
+    matching on the generalized Gaussian: there the gradient callable is None
+    and the caller falls back to central finite differences.  A population
+    objective's value is its enumeration oracle; its exact gradient is that of
+    the matching empirical form evaluated once on the full state cube,
+    weighted by the joint's probabilities.  Parameters outside the model's
+    domain (a non-PD Gaussian covariance, a non-positive generalized-Gaussian
+    exponent) evaluate to +inf so line searches back off.
     """
     if isinstance(data, DiscreteJoint):
         if objective not in _POPULATION:
             raise ValueError(
                 f"{objective.value} has no population form over an enumerated joint"
             )
-        pop = _POPULATION[objective]
+        oracle, form = _POPULATION[objective]
+        m, d = data.m, data.d
+        cube = discrete_dataset(np.indices((m,) * d).reshape(d, -1).T, m)
+        weights = data.probs.ravel()
 
         def value(theta):
-            return pop(data, model, theta)
+            return oracle(data, model, theta)
 
-        return value, None
+        def grad(theta):
+            return form(model, theta, cube, weights=weights).grad_theta
+
+        return value, grad
     fn = _EMPIRICAL[objective]
     kwargs = {}
     if data.kind == "discrete" and objective is not ObjectiveKind.SM_CONTINUOUS:

@@ -134,6 +134,12 @@ def potts_model(fields, couplings, edges=None) -> Model:
 
 
 def gen_gauss_model(alpha: float) -> Model:
+    """1-D generalized Gaussian, log q~ = -(x^2 + eps^2)^(alpha/2).
+
+    Score matching (`objectives.sm_objective`) applies only for alpha > 1:
+    for alpha <= 1 the eps-smoothed cusp breaks Hyvarinen's regularity
+    condition and the sm estimate is biased.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return Model(ModelKind.GEN_GAUSS_1D, 1, None, np.array([float(alpha)]))

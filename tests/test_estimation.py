@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from scorematch import estimation
 from scorematch.estimation import (
     COMPARISON_HEADER,
     FitResult,
@@ -24,6 +25,7 @@ from scorematch.models import (
     gaussian_model,
     gen_gauss_model,
     ising_model,
+    potts_model,
     sample,
 )
 from scorematch.objectives import ObjectiveKind
@@ -140,6 +142,59 @@ def test_fit_gen_gauss_stays_in_alpha_domain():
     res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data, cfg)
     assert res.theta_hat[0] > 0
     assert not res.converged
+
+
+# Known limit, not a target: the eps-smoothed cusp breaks Hyvarinen's
+# regularity condition for alpha <= 1, so sm converges to a biased alpha.
+# These are the estimates measured when the limit was documented.
+@pytest.mark.parametrize(
+    "alpha, seed, alpha_hat",
+    [(0.5, 2, 1.001649906778908), (0.5, 3, 0.9924012403298978),
+     (0.8, 2, 1.1590960615383827), (0.8, 3, 1.0857974087573181)],
+)
+def test_fit_gen_gauss_sm_is_biased_for_alpha_at_most_one(alpha, seed, alpha_hat):
+    data = sample(gen_gauss_model(alpha), 5000, seed=seed)
+    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
+    assert res.converged
+    assert res.theta_hat[0] == pytest.approx(alpha_hat, abs=1e-9)
+    assert res.theta_hat[0] - alpha > 0.25
+
+
+def _no_fd(*args, **kwargs):
+    raise AssertionError("fit fell back to finite differences")
+
+
+def test_fit_gaussian_mle_takes_exact_gradient(monkeypatch):
+    monkeypatch.setattr(estimation, "fd_gradient", _no_fd)
+    data = sample(gaussian_model([0.7, -0.3], [[1.5, 0.4], [0.4, 0.9]]), 300, seed=2)
+    res = fit(gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.EXACT_MLE, data)
+    assert res.converged
+    assert np.abs(res.theta_hat - closed_form_gaussian_sm(data)).max() < 1e-6
+
+
+@pytest.mark.parametrize("objective", [
+    ObjectiveKind.GSM_DISCRETE, ObjectiveKind.RATIO_MATCHING,
+    ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE,
+])
+def test_population_fit_takes_no_finite_differences(monkeypatch, objective):
+    monkeypatch.setattr(estimation, "fd_gradient", _no_fd)
+    truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
+    res = fit(ising_model(np.zeros(3), np.zeros(2)), objective, exact_normalize(truth))
+    assert res.converged
+    assert np.abs(res.theta_hat - truth.params).max() < 1e-5
+
+
+def test_population_rm_fit_converges_on_potts():
+    truth = potts_model([[0.3, -0.2, 0.0], [0.0, 0.4, -0.1], [-0.3, 0.0, 0.2]], [0.6, -0.5])
+    joint = exact_normalize(truth)
+    model = potts_model(np.zeros((3, 3)), np.zeros(2))
+    res = fit(model, ObjectiveKind.RATIO_MATCHING, joint)
+    assert res.converged
+    assert res.objective_value < 1e-12
+    # Each site's fields are identified only up to a constant, so compare the
+    # fitted joint with the truth rather than the parameters.
+    fitted = exact_normalize(model.with_params(res.theta_hat))
+    assert np.abs(fitted.probs - joint.probs).max() < 1e-7
 
 
 def test_fit_result_converged_implies_grad_tol():

@@ -6,6 +6,7 @@ import pytest
 
 from scorematch.grids import gaussian_1d
 from scorematch.models import (
+    ParameterDomainError,
     discrete_dataset,
     continuous_dataset,
     exact_normalize,
@@ -342,6 +343,32 @@ def test_mle_gaussian_minimized_at_sample_moments():
         lambda t: exact_mle_objective(model, t, data).value, theta_ml, FD_CHECK_STEP
     )
     assert np.abs(g).max() < 1e-8
+    assert np.abs(exact_mle_objective(model, theta_ml, data).grad_theta).max() < 1e-12
+
+
+def test_mle_gaussian_gradient_matches_fd():
+    from scorematch.estimation import FD_CHECK_STEP, fd_gradient
+
+    rng = np.random.default_rng(8)
+    model = gaussian_model(np.zeros(3), np.eye(3))
+    data = sample(gaussian_model([0.5, -0.5, 0.0], np.diag([1.0, 0.8, 1.5])), 100, seed=1)
+    for _ in range(5):
+        a = rng.standard_normal((3, 3)) * 0.3
+        theta = gaussian_model(rng.standard_normal(3), a @ a.T + np.eye(3)).params
+        exact = exact_mle_objective(model, theta, data).grad_theta
+        numeric = fd_gradient(
+            lambda t: exact_mle_objective(model, t, data).value, theta, FD_CHECK_STEP
+        )
+        assert np.abs(exact - numeric).max() / max(1.0, np.abs(numeric).max()) < 1e-6
+
+
+def test_mle_gaussian_rejects_non_pd_covariance_as_domain_error():
+    model = gaussian_model([0.0, 0.0], np.eye(2))
+    data = sample(model, 10, seed=1)
+    # indefinite, and negative definite with a positive determinant
+    for cov_tril in ([1.0, 2.0, 1.0], [-1.0, 0.0, -1.0]):
+        with pytest.raises(ParameterDomainError, match="positive definite"):
+            exact_mle_objective(model, [0.0, 0.0] + cov_tril, data)
 
 
 def test_mle_population_is_cross_entropy():

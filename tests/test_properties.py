@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from scorematch.grids import gaussian_1d, mixture_1d
-from scorematch.estimation import FD_CHECK_STEP, fd_gradient
+from scorematch.estimation import FD_CHECK_STEP, fd_gradient, objective_functions
 from scorematch.models import (
     discrete_dataset,
     exact_normalize,
@@ -21,6 +21,7 @@ from scorematch.models import (
     sample,
 )
 from scorematch.objectives import (
+    ObjectiveKind,
     collapse_states,
     exact_mle_objective,
     gsm_discrete_objective,
@@ -93,10 +94,9 @@ def test_discrete_objectives_normalization_invariant(seed, c):
         assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
 
 
-@given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
-@settings(**SETTINGS)
-def test_discrete_objective_gradients_match_fd_and_ignore_shift(seed, c):
-    rng = np.random.default_rng(seed)
+def _random_pairwise(rng):
+    """An Ising or Potts model over a random d, m and edge set, with a random
+    theta in its parameter layout."""
     d, m = int(rng.integers(2, 5)), int(rng.integers(2, 4))
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     edges = [e for e in pairs if rng.random() < 0.5] or pairs[:1]
@@ -104,7 +104,14 @@ def test_discrete_objective_gradients_match_fd_and_ignore_shift(seed, c):
         model = ising_model(np.zeros(d), np.zeros(len(edges)), edges)
     else:
         model = potts_model(np.zeros((d, m)), np.zeros(len(edges)), edges)
-    theta = rng.uniform(-1, 1, model.n_params)
+    return model, d, m, rng.uniform(-1, 1, model.n_params)
+
+
+@given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
+@settings(**SETTINGS)
+def test_discrete_objective_gradients_match_fd_and_ignore_shift(seed, c):
+    rng = np.random.default_rng(seed)
+    model, d, m, theta = _random_pairwise(rng)
     data = discrete_dataset(rng.integers(0, m, (30, d)), m=m)
     objectives = [gsm_discrete_objective, pseudo_likelihood_objective, exact_mle_objective]
     if m == 2:
@@ -115,6 +122,20 @@ def test_discrete_objective_gradients_match_fd_and_ignore_shift(seed, c):
         assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
         moved = fn(model.shifted(c), theta, data).grad_theta
         assert np.abs(moved - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(**SETTINGS)
+def test_population_gradients_match_fd_of_the_oracle(seed):
+    # rm included at every m: its gradient comes from the gsm form
+    rng = np.random.default_rng(seed)
+    model, d, m, theta = _random_pairwise(rng)
+    joint = discrete_joint(rng.random((m,) * d) + 0.05)
+    for kind in (ObjectiveKind.GSM_DISCRETE, ObjectiveKind.RATIO_MATCHING,
+                 ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE):
+        value, grad = objective_functions(model, kind, joint)
+        numeric = fd_gradient(value, theta, FD_CHECK_STEP)
+        assert np.abs(grad(theta) - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
 
 
 @given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
