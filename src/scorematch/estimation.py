@@ -1,18 +1,17 @@
 """Deterministic estimators: gradient descent with a backtracking line search
-over any objective, the closed-form Gaussian score-matching solution,
-finite-difference gradient oracles, and a multi-estimator comparison harness.
+over any objective, the closed-form Gaussian score-matching solution, a
+central-difference gradient check, and a multi-estimator comparison harness.
 
 `OptimizerConfig` sets only the iteration cap, the gradient tolerance and the
 start point.  The line search is fixed: a unit trial step scaled down by the
 gradient max-norm, halved until the Armijo condition with constant 1e-4 holds.
 
-Fits use the objectives' exact parameter gradients: Gaussian score matching,
-Gaussian exact MLE and every empirical discrete objective (gsm, rm, pl, mle)
-provide them.  Population fits against an enumerated joint keep the value-only
-oracle as their objective and take its gradient from the empirical form
-weighted by the joint over the full state cube.  Central finite differences,
-with step `FD_OPT_STEP`, remain only for score matching on the generalized
-Gaussian.
+Every fit uses an exact parameter gradient: each empirical objective returns
+one with its value.  Population fits against an enumerated joint keep the
+value-only oracle as their objective and take its gradient from the empirical
+form weighted by the joint over the full state cube.  `fd_gradient` is the
+reference the verification suites and tests check those gradients against;
+no fit calls it.
 """
 
 from __future__ import annotations
@@ -47,9 +46,8 @@ from .objectives import (
 )
 from .operators import DiscreteJoint
 
-# Finite-difference steps: one for gradient checks, one for optimizer fallbacks.
+# Finite-difference step of the gradient checks.
 FD_CHECK_STEP = 1e-5
-FD_OPT_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -87,30 +85,20 @@ def default_init(model: Model) -> np.ndarray:
 
 
 def fd_gradient(fun, theta, step: float = FD_CHECK_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the parameters.
-
-    A coordinate whose probe on one side leaves the domain (a non-finite
-    value) takes the one-sided difference on the other side, so a point
-    within one step of the domain's edge still has a gradient.
-    """
+    """Central-difference gradient of a scalar function of the parameters,
+    the reference for checking exact gradients; every probe must be finite."""
     if step <= 0:
         raise ValueError("step must be positive")
     theta = np.asarray(theta, dtype=float)
     out = np.empty(theta.size)
-    f0 = None
     for k in range(theta.size):
         hi, lo = theta.copy(), theta.copy()
         hi[k] += step
         lo[k] -= step
         fp, fm = fun(hi), fun(lo)
-        if np.isfinite(fp) and np.isfinite(fm):
-            out[k] = (fp - fm) / (2.0 * step)
-            continue
-        if f0 is None:
-            f0 = fun(theta)
-        if not np.isfinite(f0) or not (np.isfinite(fp) or np.isfinite(fm)):
+        if not (np.isfinite(fp) and np.isfinite(fm)):
             raise ValueError(f"non-finite objective near coordinate {k}")
-        out[k] = (fp - f0) / step if np.isfinite(fp) else (f0 - fm) / step
+        out[k] = (fp - fm) / (2.0 * step)
     return out
 
 
@@ -136,17 +124,16 @@ _POPULATION = {
 
 
 def objective_functions(model: Model, objective: ObjectiveKind, data):
-    """Value and gradient callables of theta for the given objective.
+    """Value and exact-gradient callables of theta for the given objective.
 
     ``data`` is a Dataset (empirical objective) or a DiscreteJoint (population
-    objective).  Empirical objectives give exact gradients, except score
-    matching on the generalized Gaussian: there the gradient callable is None
-    and the caller falls back to central finite differences.  A population
-    objective's value is its enumeration oracle; its exact gradient is that of
-    the matching empirical form evaluated once on the full state cube,
-    weighted by the joint's probabilities.  Parameters outside the model's
-    domain (a non-PD Gaussian covariance, a non-positive generalized-Gaussian
-    exponent) evaluate to +inf so line searches back off.
+    objective).  An empirical objective returns its value and gradient from
+    one evaluation.  A population objective's value is its enumeration
+    oracle; its exact gradient is that of the matching empirical form
+    evaluated once on the full state cube, weighted by the joint's
+    probabilities.  Parameters outside the model's domain (a non-PD Gaussian
+    covariance, a non-positive generalized-Gaussian exponent) evaluate to +inf
+    so line searches back off.
     """
     if isinstance(data, DiscreteJoint):
         if objective not in _POPULATION:
@@ -191,20 +178,13 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
     def grad(theta):
         return evaluate(theta).grad_theta
 
-    probe = evaluate(default_init(model))
-    return value, (grad if probe.grad_theta is not None else None)
+    return value, grad
 
 
 def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | None = None) -> FitResult:
     """Gradient descent with a backtracking Armijo line search; deterministic."""
     cfg = cfg or OptimizerConfig()
-    value, analytic_grad = objective_functions(model, objective, data)
-
-    def grad(theta):
-        if analytic_grad is not None:
-            return analytic_grad(theta)
-        return fd_gradient(value, theta, FD_OPT_STEP)
-
+    value, grad = objective_functions(model, objective, data)
     theta = (
         np.asarray(cfg.init_theta, dtype=float)
         if cfg.init_theta is not None

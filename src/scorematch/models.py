@@ -78,7 +78,13 @@ class Model:
             raise ValueError("parameters must be finite")
         if self.kind is ModelKind.GEN_GAUSS_1D and theta[0] <= 0:
             raise ParameterDomainError(f"alpha must be positive, got {theta[0]}")
-        return replace(self, params=theta)
+        model = replace(self, params=theta)
+        if self.kind is ModelKind.GAUSSIAN:
+            try:
+                np.linalg.cholesky(gaussian_parts(model)[1])
+            except np.linalg.LinAlgError:
+                raise ParameterDomainError("covariance is not positive definite") from None
+        return model
 
 
 def chain_edges(d: int) -> tuple[tuple[int, int], ...]:

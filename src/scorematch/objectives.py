@@ -6,14 +6,17 @@ ratio-form objective, ratio matching, pseudo-likelihood, exact MLE) are the
 quantities the estimators minimize.  Every objective except exact MLE is
 partition-free: it only sees log q~ through derivatives or conditional ratios.
 
-The empirical discrete objectives (gsm, rm, pl, mle) return exact parameter
-gradients, taken through the pairwise one-hot form of Ising and Potts
-(`models.pairwise_form`); so do Gaussian score matching and Gaussian exact
-MLE.  The population objectives are value-only: they are the enumeration
-oracles the estimators are checked against, so they keep their own
-independent route through `log_unnorm`.  Population fits take their exact
-gradients from the empirical forms weighted by the joint over the full state
-cube (`estimation.objective_functions`).
+Every empirical objective returns its exact parameter gradient, built from the
+intermediates its value already computes.  The discrete ones (gsm, rm, pl,
+mle) go through the pairwise one-hot form of Ising and Potts
+(`models.pairwise_form`).  The Gaussian sm and mle see the data only through
+the sample mean and the scatter about mu, so both are closed forms in the
+precision and that scatter.  Generalized-Gaussian sm differentiates its own
+score and Laplacian terms in alpha.  The population objectives are value-only:
+they are the enumeration oracles the estimators are checked against, so they
+keep their own independent route through `log_unnorm`.  Population fits take
+their exact gradients from the empirical forms weighted by the joint over the
+full state cube (`estimation.objective_functions`).
 """
 
 from __future__ import annotations
@@ -22,20 +25,19 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-# Besides logsumexp, importing scipy keeps glibc from trimming and re-faulting
-# the heap between the sm fit's evaluations.  With no scipy module loaded, a
-# 20 s gauss-sm benchmark run took 1.1M minor page faults instead of 34k and
-# 25% more solve time.  Cut the fit's per-evaluation allocations before
-# removing this import.
+# The sm fit does not rely on this import to keep glibc from trimming and
+# re-faulting the heap: the Gaussian objectives allocate one (N, d) array per
+# evaluation, and an 8 s gauss-sm benchmark run takes 3.7k minor page faults
+# with no scipy module loaded (8.4k with scipy.special).
 from scipy.special import logsumexp
 
 from .grids import GridDensity, log_values, quad, require_same_geometry, support_mask
 from .operators import DiscreteJoint, grid_gradient, marginalize
 from .models import (
+    GENGAUSS_EPS,
     Dataset,
     Model,
     ModelKind,
-    ParameterDomainError,
     gaussian_parts,
     grad_x_log,
     laplacian_x_log,
@@ -57,7 +59,7 @@ class ObjectiveKind(Enum):
 @dataclass(frozen=True)
 class ObjectiveValue:
     value: float
-    grad_theta: np.ndarray | None = None
+    grad_theta: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -145,31 +147,39 @@ def _conditionals_from_table(table: np.ndarray, log_space: bool) -> np.ndarray:
 def sm_objective(model: Model, theta, data: Dataset) -> ObjectiveValue:
     """Mean of |grad_x log q~|^2 + 2 * laplacian_x log q~ over the samples.
 
-    On the generalized Gaussian this is consistent only for alpha > 1: at
-    alpha <= 1 the eps-smoothed cusp at 0 breaks Hyvarinen's regularity
-    condition, and the fit is biased (true 0.5 -> 1.00, 0.8 -> 1.16 at
-    N = 5e3).
+    For the Gaussian this is tr(P^2 M) - 2 tr P, with P the precision and M
+    the 1/N scatter about mu.  On the generalized Gaussian it is consistent
+    only for alpha > 1: at alpha <= 1 the eps-smoothed cusp at 0 breaks
+    Hyvarinen's regularity condition, and the fit is biased (true 0.5 -> 1.00,
+    0.8 -> 1.16 at N = 5e3).
     """
     _check_continuous_pair(model, data)
     mod = model.with_params(theta)
-    g = grad_x_log(mod, data.values)
-    lap = laplacian_x_log(mod, data.values)
-    value = float(np.mean(np.sum(g * g, axis=1) + 2.0 * lap))
-    grad = None
     if mod.kind is ModelKind.GAUSSIAN:
-        grad = _gaussian_sm_grad(mod, data.values)
+        P, r, M = _gaussian_scatter(mod, data.values)
+        PP = P @ P
+        B = PP @ M @ P
+        grad = np.concatenate([-2.0 * PP @ r, _tril_grad(2.0 * PP - B - B.T)])
+        return ObjectiveValue(float(np.sum(PP * M) - 2.0 * np.trace(P)), grad)
+    x = data.values[:, 0]
+    g = grad_x_log(mod, data.values)[:, 0]
+    lap = laplacian_x_log(mod, data.values)
+    value = float(np.mean(g * g + 2.0 * lap))
+    # g and lap both carry the factor alpha * u^(alpha/2), u = x^2 + eps^2,
+    # whose log-derivative in alpha is 1/alpha + log(u)/2; lap also has the
+    # term -alpha x^2 u^(alpha/2 - 2) = g x / u.
+    u = x * x + GENGAUSS_EPS**2
+    dlog = 1.0 / mod.params[0] + 0.5 * np.log(u)
+    grad = np.array([np.mean(2.0 * (g * g + lap) * dlog + 2.0 * g * x / u)])
     return ObjectiveValue(value, grad)
 
 
-def _gaussian_sm_grad(model: Model, X: np.ndarray) -> np.ndarray:
+def _gaussian_scatter(model: Model, X: np.ndarray):
+    """The precision P, xbar - mu and the 1/N scatter M about mu: all that the
+    Gaussian sm and mle objectives see of the data."""
     mu, cov = gaussian_parts(model)
-    P = np.linalg.inv(cov)
-    xbar = X.mean(axis=0)
     centered = X - mu
-    M = centered.T @ centered / X.shape[0]
-    grad_mu = -2.0 * P @ P @ (xbar - mu)
-    A = -(P @ P @ M @ P + P @ M @ P @ P) + 2.0 * P @ P
-    return np.concatenate([grad_mu, _tril_grad(A)])
+    return np.linalg.inv(cov), centered.mean(axis=0), centered.T @ centered / X.shape[0]
 
 
 def _tril_grad(A: np.ndarray) -> np.ndarray:
@@ -316,23 +326,14 @@ def exact_mle_objective(
     """
     mod = model.with_params(theta)
     if mod.kind is ModelKind.GAUSSIAN:
+        # (tr(P M) + d log 2 pi + log det Sigma) / 2, with gradients
+        # -P (xbar - mu) in mu and (P - P M P) / 2 in Sigma.
         _check_continuous_pair(model, data)
-        mu, cov = gaussian_parts(mod)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ParameterDomainError("covariance is not positive definite") from None
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        logq = np.asarray(log_unnorm(mod, data.values))
-        const = 0.5 * (mod.dim * np.log(2.0 * np.pi) + logdet)
-        # With S the 1/N scatter about mu: d/dmu = -P (xbar - mu) and
-        # d/dSigma = (P - P S P) / 2, P the precision.
-        P = np.linalg.inv(cov)
-        centered = data.values - mu
-        S = centered.T @ centered / data.n
-        grad_mu = -P @ centered.mean(axis=0)
-        grad = np.concatenate([grad_mu, _tril_grad(0.5 * (P - P @ S @ P))])
-        return ObjectiveValue(float(-np.mean(logq) + const), grad)
+        P, r, M = _gaussian_scatter(mod, data.values)
+        logdet = np.linalg.slogdet(gaussian_parts(mod)[1])[1]
+        value = 0.5 * (np.sum(P * M) + mod.dim * np.log(2.0 * np.pi) + logdet)
+        grad = np.concatenate([-P @ r, _tril_grad(0.5 * (P - P @ M @ P))])
+        return ObjectiveValue(float(value), grad)
     _check_discrete_pair(model, data)
     states, w = _weighted_states(data, weights)
     m, d = mod.alphabet_size, mod.dim

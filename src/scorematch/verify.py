@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids, operators, scalespace
-from .models import exact_normalize, gaussian_model, ising_model, potts_model, sample
+from .models import (
+    exact_normalize, gaussian_model, gen_gauss_model, ising_model, potts_model, sample,
+)
 from .objectives import (
     ObjectiveKind,
     exact_mle_objective,
@@ -213,6 +215,12 @@ def suite_gradcheck() -> list[Check]:
             exact_mle_objective(model, theta, data).grad_theta,
             lambda th: exact_mle_objective(model, th, data).value, theta))
     checks.append(Check("gaussian mle exact vs FD gradient (rel)", worst, 1e-6))
+    model = gen_gauss_model(1.0)
+    data = sample(gen_gauss_model(1.5), 200, seed=23)
+    worst = max(_rel_gap(sm_objective(model, [alpha], data).grad_theta,
+                         lambda th: sm_objective(model, th, data).value, [alpha])
+                for alpha in np.linspace(0.05, 4.0, 8))
+    checks.append(Check("gen-gauss SM exact vs FD gradient (rel)", worst, 1e-6))
     star = [(0, 1), (0, 2), (0, 3)]
     families = {
         "Ising star": ising_model(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), star),

@@ -11,7 +11,11 @@ from scorematch.models import (
     continuous_dataset,
     exact_normalize,
     gaussian_model,
+    gaussian_parts,
+    grad_x_log,
     ising_model,
+    laplacian_x_log,
+    log_unnorm,
     potts_model,
     sample,
 )
@@ -114,6 +118,30 @@ def test_sm_objective_normalization_invariant():
     base = sm_objective(model, model.params, data).value
     shifted = sm_objective(model.shifted(7.0), model.params, data).value
     assert shifted == pytest.approx(base, abs=1e-12)
+
+
+def test_sm_objective_rejects_indefinite_covariance():
+    model = gaussian_model([0.0, 0.0], np.eye(2))
+    data = sample(model, 10, seed=1)
+    with pytest.raises(ParameterDomainError, match="positive definite"):
+        sm_objective(model, [0.0, 0.0, 1.0, 0.0, -1.0], data)  # diag(1, -1)
+
+
+def test_gaussian_closed_forms_match_generic_definitions():
+    # sm: mean |grad_x log q~|^2 + 2 laplacian; mle: -mean log q~ + log Z
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 4):
+        model = gaussian_model(np.zeros(d), np.eye(d))
+        data = sample(gaussian_model(rng.standard_normal(d), 1.3 * np.eye(d)), 200, seed=d)
+        for _ in range(3):
+            a = rng.standard_normal((d, d)) * 0.4
+            mod = gaussian_model(rng.standard_normal(d), a @ a.T + 0.5 * np.eye(d))
+            g = grad_x_log(mod, data.values)
+            sm = np.mean(np.sum(g * g, axis=1) + 2.0 * laplacian_x_log(mod, data.values))
+            log_z = 0.5 * (d * np.log(2.0 * np.pi) + np.linalg.slogdet(gaussian_parts(mod)[1])[1])
+            mle = -np.mean(log_unnorm(mod, data.values)) + log_z
+            assert sm_objective(model, mod.params, data).value == pytest.approx(sm, rel=1e-12)
+            assert exact_mle_objective(model, mod.params, data).value == pytest.approx(mle, rel=1e-12)
 
 
 def test_sm_objective_rejects_discrete_model():

@@ -5,7 +5,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from scorematch.grids import gaussian_1d, mixture_1d
-from scorematch.estimation import FD_CHECK_STEP, fd_gradient, objective_functions
+from scorematch.estimation import (
+    FD_CHECK_STEP,
+    OptimizerConfig,
+    fd_gradient,
+    fit,
+    objective_functions,
+)
 from scorematch.models import (
     discrete_dataset,
     exact_normalize,
@@ -152,14 +158,46 @@ def test_sm_objective_normalization_invariant(seed, c):
 @given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
 @settings(**SETTINGS)
 def test_mle_objective_shift_cancels_in_partition(seed, c):
-    # the brute-force partition absorbs the constant, so even exact MLE is
-    # shift-stable under this implementation
+    # the brute-force partition absorbs the constant, and the Gaussian's
+    # closed form never sees it, so exact MLE is shift-stable
     rng = np.random.default_rng(seed)
-    model = ising_model(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1))
-    data = discrete_dataset(rng.integers(0, 2, (10, 2)), m=2)
-    base = exact_mle_objective(model, model.params, data).value
-    moved = exact_mle_objective(model.shifted(c), model.params, data).value
-    assert abs(moved - base) <= 1e-10 * max(1.0, abs(base))
+    ising = ising_model(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1))
+    gauss = gaussian_model(rng.uniform(-1, 1, 2), np.eye(2) * rng.uniform(0.5, 2.0))
+    for model, data in [
+        (ising, discrete_dataset(rng.integers(0, 2, (10, 2)), m=2)),
+        (gauss, sample(gauss, 10, seed=seed)),
+    ]:
+        base = exact_mle_objective(model, model.params, data).value
+        moved = exact_mle_objective(model.shifted(c), model.params, data).value
+        assert abs(moved - base) <= 1e-10 * max(1.0, abs(base))
+
+
+def _fit_case(family, rng):
+    """A model of the family and the objectives that can fit it."""
+    K = ObjectiveKind
+    if family == "gaussian":
+        a = rng.standard_normal((2, 2))
+        model = gaussian_model(rng.uniform(-1, 1, 2), a @ a.T + 0.1 * np.eye(2))
+        return model, (K.SM_CONTINUOUS, K.EXACT_MLE)
+    if family == "gengauss":
+        return gen_gauss_model(rng.uniform(1.2, 3.0)), (K.SM_CONTINUOUS,)
+    if family == "ising":
+        model = ising_model(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2))
+        return model, (K.GSM_DISCRETE, K.RATIO_MATCHING, K.PSEUDO_LIKELIHOOD, K.EXACT_MLE)
+    model = potts_model(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 2))
+    return model, (K.GSM_DISCRETE, K.PSEUDO_LIKELIHOOD, K.EXACT_MLE)
+
+
+@given(seed=st.integers(0, 10_000),
+       family=st.sampled_from(["gaussian", "gengauss", "ising", "potts"]))
+@settings(**SETTINGS)
+def test_fit_never_leaves_parameter_domain(seed, family):
+    rng = np.random.default_rng(seed)
+    model, objectives = _fit_case(family, rng)
+    data = sample(model, 30, seed=seed)
+    for objective in objectives:
+        res = fit(model, objective, data, OptimizerConfig(max_iters=20))
+        model.with_params(res.theta_hat)  # raises outside the domain
 
 
 @given(seed=st.integers(0, 10_000))
