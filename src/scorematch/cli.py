@@ -69,6 +69,16 @@ def _parse_t_spec(spec: str) -> np.ndarray:
     return np.round(np.arange(lo, hi + 1e-9, step), 12)
 
 
+def _parse_box(spec: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in spec.split(":"))
+    except ValueError:
+        raise CliError(f"bad --box spec {spec!r}, expected lo:hi") from None
+    if not hi > lo:
+        raise CliError(f"--box {spec!r} is not strictly increasing")
+    return lo, hi
+
+
 def _parse_density_spec(spec: str, box, n: int) -> grids.GridDensity:
     kind, _, rest = spec.partition(":")
     try:
@@ -189,9 +199,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scalespace(args) -> int:
-    lo, hi = (float(v) for v in args.box.split(":"))
-    p = _parse_density_spec(args.p, (lo, hi), args.grid_n)
-    q = _parse_density_spec(args.q, (lo, hi), args.grid_n)
+    box = _parse_box(args.box)
+    try:
+        grids.uniform_axis(*box, args.grid_n)
+    except ValueError as exc:
+        raise CliError(f"bad --grid-n {args.grid_n}: {exc}") from None
+    p = _parse_density_spec(args.p, box, args.grid_n)
+    q = _parse_density_spec(args.q, box, args.grid_n)
     curve = scalespace.divergence_curve(p, q, _parse_t_spec(args.t))
     buf = io.StringIO()
     curve.to_csv(buf)

@@ -34,6 +34,7 @@ from .models import (
 from .objectives import (
     ObjectiveKind,
     collapse_states,
+    discrete_objective,
     exact_mle_objective,
     exact_mle_population,
     gsm_discrete_objective,
@@ -116,10 +117,10 @@ _EMPIRICAL = {
 # theta-independent constant; rm's divergence equals gsm's for every alphabet
 # size, while the empirical rm is binary-only, so rm takes gsm's form.
 _POPULATION = {
-    ObjectiveKind.GSM_DISCRETE: (gsm_discrete_population, gsm_discrete_objective),
-    ObjectiveKind.RATIO_MATCHING: (ratio_matching_population, gsm_discrete_objective),
-    ObjectiveKind.PSEUDO_LIKELIHOOD: (pseudo_likelihood_population, pseudo_likelihood_objective),
-    ObjectiveKind.EXACT_MLE: (exact_mle_population, exact_mle_objective),
+    ObjectiveKind.GSM_DISCRETE: (gsm_discrete_population, ObjectiveKind.GSM_DISCRETE),
+    ObjectiveKind.RATIO_MATCHING: (ratio_matching_population, ObjectiveKind.GSM_DISCRETE),
+    ObjectiveKind.PSEUDO_LIKELIHOOD: (pseudo_likelihood_population, ObjectiveKind.PSEUDO_LIKELIHOOD),
+    ObjectiveKind.EXACT_MLE: (exact_mle_population, ObjectiveKind.EXACT_MLE),
 }
 
 
@@ -128,10 +129,14 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
 
     ``data`` is a Dataset (empirical objective) or a DiscreteJoint (population
     objective).  An empirical objective returns its value and gradient from
-    one evaluation.  A population objective's value is its enumeration
-    oracle; its exact gradient is that of the matching empirical form
-    evaluated once on the full state cube, weighted by the joint's
-    probabilities.  Parameters outside the model's domain (a non-PD Gaussian
+    one evaluation.  A discrete one builds its theta-free design once, here:
+    the dataset collapsed to its distinct states and their weights, their
+    one-hot rows and, for mle, the state cube and the data moment
+    (`objectives.discrete_objective`); every evaluation reuses it.  A
+    population objective's value is its enumeration oracle; its exact
+    gradient is that of the matching empirical form on the full state cube,
+    weighted by the joint's probabilities, over a design built once in the
+    same way.  Parameters outside the model's domain (a non-PD Gaussian
     covariance, a non-positive generalized-Gaussian exponent) evaluate to +inf
     so line searches back off.
     """
@@ -143,22 +148,27 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
         oracle, form = _POPULATION[objective]
         m, d = data.m, data.d
         cube = discrete_dataset(np.indices((m,) * d).reshape(d, -1).T, m)
-        weights = data.probs.ravel()
+        form_at = discrete_objective(model, form, cube, weights=data.probs.ravel())
 
         def value(theta):
             return oracle(data, model, theta)
 
         def grad(theta):
-            return form(model, theta, cube, weights=weights).grad_theta
+            return form_at(theta).grad_theta
 
         return value, grad
-    fn = _EMPIRICAL[objective]
-    kwargs = {}
     if data.kind == "discrete" and objective is not ObjectiveKind.SM_CONTINUOUS:
-        # Collapse to unique states once; re-deduplicating on every objective
-        # evaluation inside the optimizer dominates the runtime at large N.
+        # Collapse to unique states and build their one-hot rows once;
+        # redoing them on every objective evaluation inside the optimizer
+        # dominates the runtime at large N.
         data, w = collapse_states(data)
-        kwargs = {"weights": w}
+        objective_at = discrete_objective(model, objective, data, weights=w)
+    else:
+        fn = _EMPIRICAL[objective]
+
+        def objective_at(theta):
+            return fn(model, theta, data)
+
     # One evaluation gives both the value and the gradient; the optimizer asks
     # for the gradient at the point whose value it has just accepted.
     last = {}
@@ -166,7 +176,7 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
     def evaluate(theta):
         key = np.asarray(theta, dtype=float).tobytes()
         if last.get("key") != key:
-            last.update(key=key, result=fn(model, theta, data, **kwargs))
+            last.update(key=key, result=objective_at(theta))
         return last["result"]
 
     def value(theta):

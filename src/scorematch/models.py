@@ -320,6 +320,21 @@ def one_hot(model: Model, X) -> np.ndarray:
     return x1
 
 
+def fold_alphabet(ufunc, z: np.ndarray) -> np.ndarray:
+    """ufunc reduced over the last (alphabet) axis of z as m - 1 elementwise
+    passes, left to right.
+
+    The alphabet axis is short (m = 2 for Ising), and NumPy's axis reduction
+    costs far more per element there than one elementwise pass per symbol.
+    Equal to ufunc.reduce(z, axis=-1) bit for bit for maximum, and for add
+    while m < 8, where NumPy's pairwise summation starts to reassociate.
+    """
+    out = z[..., 0].copy()
+    for y in range(1, z.shape[-1]):
+        ufunc(out, z[..., y], out=out)
+    return out
+
+
 def pairwise_conditionals(model: Model, x1: np.ndarray) -> np.ndarray:
     """Singleton conditionals, shape (N, d, m), from one-hot rows x1.
 
@@ -331,9 +346,9 @@ def pairwise_conditionals(model: Model, x1: np.ndarray) -> np.ndarray:
     z = x1 @ C.T
     z += F
     z = z.reshape(x1.shape[0], model.dim, model.alphabet_size)
-    z -= z.max(axis=2, keepdims=True)
+    z -= fold_alphabet(np.maximum, z)[:, :, None]
     np.exp(z, out=z)
-    z /= z.sum(axis=2, keepdims=True)
+    z /= fold_alphabet(np.add, z)[:, :, None]
     return z
 
 

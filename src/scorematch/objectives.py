@@ -9,10 +9,16 @@ partition-free: it only sees log q~ through derivatives or conditional ratios.
 Every empirical objective returns its exact parameter gradient, built from the
 intermediates its value already computes.  The discrete ones (gsm, rm, pl,
 mle) go through the pairwise one-hot form of Ising and Potts
-(`models.pairwise_form`).  The Gaussian sm and mle see the data only through
-the sample mean and the scatter about mu, so both are closed forms in the
-precision and that scatter.  Generalized-Gaussian sm differentiates its own
-score and Laplacian terms in alpha.  The population objectives are value-only:
+(`models.pairwise_form`), in two parts (`discrete_objective`): a theta-free
+design of the weighted states, their one-hot rows and, for mle, the state
+cube and the data moment, built once per fit; and a per-theta evaluation that
+reuses it.  The public discrete objectives build the design and evaluate it
+once.  The exact-MLE partition uses a NumPy port of SciPy's `logsumexp`, so
+importing the package loads no SciPy module.  The Gaussian sm and mle see the
+data only through the sample mean and the scatter about mu, so both are closed
+forms in the precision and that scatter.  Generalized-Gaussian sm
+differentiates its own score and Laplacian terms in alpha.  The population
+objectives are value-only:
 they are the enumeration oracles the estimators are checked against, so they
 keep their own independent route through `log_unnorm`.  Population fits take
 their exact gradients from the empirical forms weighted by the joint over the
@@ -25,11 +31,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-# The sm fit does not rely on this import to keep glibc from trimming and
-# re-faulting the heap: the Gaussian objectives allocate one (N, d) array per
-# evaluation, and an 8 s gauss-sm benchmark run takes 3.7k minor page faults
-# with no scipy module loaded (8.4k with scipy.special).
-from scipy.special import logsumexp
 
 from .grids import GridDensity, log_values, quad, require_same_geometry, support_mask
 from .operators import DiscreteJoint, grid_gradient, marginalize
@@ -38,6 +39,7 @@ from .models import (
     Dataset,
     Model,
     ModelKind,
+    fold_alphabet,
     gaussian_parts,
     grad_x_log,
     laplacian_x_log,
@@ -100,6 +102,22 @@ def fisher_exact(p: GridDensity, q: GridDensity) -> float:
 
 # ---------------------------------------------------------------------------
 # Shared helpers
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over all entries of a finite array, computed as SciPy
+    1.17's `scipy.special.logsumexp` computes it, and equal to it bit for bit.
+
+    The maxima are taken out of the sum: with M the maximum and k the number of
+    entries equal to it, the result is log1p(s / k) + log k + M, where s sums
+    exp(a - M) over the other entries.
+    """
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    tied = a == top
+    k = float(np.count_nonzero(tied))
+    s = np.exp(np.where(tied, -np.inf, a) - top).sum()
+    return float(np.log1p(s / k) + np.log(k) + top)
+
 
 def _check_continuous_pair(model: Model, data: Dataset) -> None:
     if model.kind not in (ModelKind.GAUSSIAN, ModelKind.GEN_GAUSS_1D):
@@ -222,25 +240,63 @@ def _weighted_states(data: Dataset, weights) -> tuple[np.ndarray, np.ndarray]:
     return data.values, w / w.sum()
 
 
-def _pairwise_design(model: Model, theta, data: Dataset, weights):
-    """The model at theta, the weighted states, their one-hot rows x1 and the
-    singleton conditionals q."""
+@dataclass(frozen=True)
+class _Design:
+    """The theta-free part of a discrete empirical objective: the weights w of
+    the states and, for gsm, rm and pl, the states' one-hot rows x1; for mle,
+    the states, the state cube, its one-hot rows and the data moment
+    E_data[T]."""
+
+    w: np.ndarray
+    x1: np.ndarray | None = None
+    states: np.ndarray | None = None
+    cube: np.ndarray | None = None
+    cube_x1: np.ndarray | None = None
+    data_moment: np.ndarray | None = None
+
+
+def discrete_objective(model: Model, objective: ObjectiveKind, data: Dataset, weights=None):
+    """A discrete empirical objective (gsm, rm, pl or mle) as a function of
+    theta alone, returning its ObjectiveValue.
+
+    Everything that does not depend on theta is built here once: the weighted
+    states (collapsed to distinct ones when no weights are given), their
+    one-hot rows, and for mle the state cube, its one-hot rows and the data
+    moment.  A fit builds it once and evaluates it at every trial point; the
+    public objectives build it per call and evaluate it once.
+    """
     _check_discrete_pair(model, data)
+    if objective is ObjectiveKind.RATIO_MATCHING and model.alphabet_size != 2:
+        raise ValueError(
+            f"ratio matching needs binary data, got alphabet size "
+            f"{model.alphabet_size}; use gsm"
+        )
+    evaluate = _DISCRETE[objective]
     states, w = _weighted_states(data, weights)
-    mod = model.with_params(theta)
-    x1 = one_hot(mod, states)
-    return mod, states, w, x1, pairwise_conditionals(mod, x1)
+    if objective is ObjectiveKind.EXACT_MLE:
+        m, d = model.alphabet_size, model.dim
+        # The data moment comes first, so that the states' one-hot rows are
+        # freed before the cube's are built.
+        data_moment = _pair_moments(model, one_hot(model, states), w)
+        cube = np.indices((m,) * d).reshape(d, -1).T
+        design = _Design(
+            w, states=states, cube=cube, cube_x1=one_hot(model, cube), data_moment=data_moment
+        )
+    else:
+        design = _Design(w, x1=one_hot(model, states))
+    return lambda theta: evaluate(model.with_params(theta), design)
 
 
-def _observed(table: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """q(xi|x^{\\i}) at each sample's own symbol, shape (N, d)."""
-    return np.take_along_axis(table, states[:, :, None], axis=2)[:, :, 0]
+def _observed(q: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """q(xi|x^{\\i}) at each sample's own symbol, shape (N, d): the one-hot
+    rows pick it out exactly."""
+    return fold_alphabet(np.add, q * x1.reshape(q.shape))
 
 
 def _softmax_backward(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """dl/dZ = q * (g - <q, g>) from g = dl/dq through q = softmax(Z) over the
     last axis; overwrites g."""
-    g -= (q * g).sum(axis=2, keepdims=True)
+    g -= fold_alphabet(np.add, q * g)[:, :, None]
     g *= q
     return g
 
@@ -256,6 +312,48 @@ def _conditional_grad(model: Model, x1: np.ndarray, w: np.ndarray, dz: np.ndarra
     return pairwise_adjoint(model, g.sum(axis=0), g.T @ x1)
 
 
+def _gsm(mod: Model, design: _Design) -> ObjectiveValue:
+    x1, w = design.x1, design.w
+    q = pairwise_conditionals(mod, x1)
+    per_sample = (fold_alphabet(np.add, q**2) - 2.0 * _observed(q, x1)).sum(axis=1)
+    dz = _softmax_backward(q, 2.0 * (q - x1.reshape(q.shape)))
+    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
+
+
+def _rm(mod: Model, design: _Design) -> ObjectiveValue:
+    x1, w = design.x1, design.w
+    q = pairwise_conditionals(mod, x1)
+    miss = 1.0 - _observed(q, x1)
+    per_sample = (miss**2).sum(axis=1)
+    dz = _softmax_backward(q, -2.0 * miss[:, :, None] * x1.reshape(q.shape))
+    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
+
+
+def _pl(mod: Model, design: _Design) -> ObjectiveValue:
+    x1, w = design.x1, design.w
+    q = pairwise_conditionals(mod, x1)
+    per_sample = -np.log(np.maximum(_observed(q, x1), 1e-300)).sum(axis=1)
+    q -= x1.reshape(q.shape)  # dl/dZ of -log softmax at the observed symbol
+    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, q))
+
+
+def _mle(mod: Model, design: _Design) -> ObjectiveValue:
+    log_cube = np.asarray(log_unnorm(mod, design.cube))
+    log_z = logsumexp(log_cube)
+    logq = np.asarray(log_unnorm(mod, design.states))
+    grad = _pair_moments(mod, design.cube_x1, np.exp(log_cube - log_z))
+    grad -= design.data_moment
+    return ObjectiveValue(float(-(design.w @ logq) + log_z), grad)
+
+
+_DISCRETE = {
+    ObjectiveKind.GSM_DISCRETE: _gsm,
+    ObjectiveKind.RATIO_MATCHING: _rm,
+    ObjectiveKind.PSEUDO_LIKELIHOOD: _pl,
+    ObjectiveKind.EXACT_MLE: _mle,
+}
+
+
 def gsm_discrete_objective(
     model: Model, theta, data: Dataset, weights=None
 ) -> ObjectiveValue:
@@ -268,10 +366,7 @@ def gsm_discrete_objective(
     depend on theta.  That constant needs p and is not added: the value is the
     plain sample form (the Brier score of the singleton conditionals).
     """
-    mod, states, w, x1, q = _pairwise_design(model, theta, data, weights)
-    per_sample = ((q**2).sum(axis=2) - 2.0 * _observed(q, states)).sum(axis=1)
-    dz = _softmax_backward(q, 2.0 * (q - x1.reshape(q.shape)))
-    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
+    return discrete_objective(model, ObjectiveKind.GSM_DISCRETE, data, weights)(theta)
 
 
 def ratio_matching_objective(
@@ -286,27 +381,14 @@ def ratio_matching_objective(
     is no longer a constant away from that divergence, so such models are
     rejected; use gsm instead.
     """
-    _check_discrete_pair(model, data)
-    if model.alphabet_size != 2:
-        raise ValueError(
-            f"ratio matching needs binary data, got alphabet size "
-            f"{model.alphabet_size}; use gsm"
-        )
-    mod, states, w, x1, q = _pairwise_design(model, theta, data, weights)
-    miss = 1.0 - _observed(q, states)
-    per_sample = (miss**2).sum(axis=1)
-    dz = _softmax_backward(q, -2.0 * miss[:, :, None] * x1.reshape(q.shape))
-    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
+    return discrete_objective(model, ObjectiveKind.RATIO_MATCHING, data, weights)(theta)
 
 
 def pseudo_likelihood_objective(
     model: Model, theta, data: Dataset, weights=None
 ) -> ObjectiveValue:
     """Negative mean log product of singleton conditionals."""
-    mod, states, w, x1, q = _pairwise_design(model, theta, data, weights)
-    per_sample = -np.log(np.maximum(_observed(q, states), 1e-300)).sum(axis=1)
-    q -= x1.reshape(q.shape)  # dl/dZ of -log softmax at the observed symbol
-    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, q))
+    return discrete_objective(model, ObjectiveKind.PSEUDO_LIKELIHOOD, data, weights)(theta)
 
 
 def _pair_moments(model: Model, x1: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -324,26 +406,17 @@ def exact_mle_objective(
     For discrete models the gradient is E_q[T] - E_data[T] of the sufficient
     statistic T = dlog q~/dtheta, with E_q taken over the enumerated cube.
     """
+    if model.kind is not ModelKind.GAUSSIAN:
+        return discrete_objective(model, ObjectiveKind.EXACT_MLE, data, weights)(theta)
+    # (tr(P M) + d log 2 pi + log det Sigma) / 2, with gradients
+    # -P (xbar - mu) in mu and (P - P M P) / 2 in Sigma.
     mod = model.with_params(theta)
-    if mod.kind is ModelKind.GAUSSIAN:
-        # (tr(P M) + d log 2 pi + log det Sigma) / 2, with gradients
-        # -P (xbar - mu) in mu and (P - P M P) / 2 in Sigma.
-        _check_continuous_pair(model, data)
-        P, r, M = _gaussian_scatter(mod, data.values)
-        logdet = np.linalg.slogdet(gaussian_parts(mod)[1])[1]
-        value = 0.5 * (np.sum(P * M) + mod.dim * np.log(2.0 * np.pi) + logdet)
-        grad = np.concatenate([-P @ r, _tril_grad(0.5 * (P - P @ M @ P))])
-        return ObjectiveValue(float(value), grad)
-    _check_discrete_pair(model, data)
-    states, w = _weighted_states(data, weights)
-    m, d = mod.alphabet_size, mod.dim
-    cube = np.indices((m,) * d).reshape(d, -1).T
-    log_cube = np.asarray(log_unnorm(mod, cube))
-    log_z = float(logsumexp(log_cube))
-    logq = np.asarray(log_unnorm(mod, states))
-    grad = _pair_moments(mod, one_hot(mod, cube), np.exp(log_cube - log_z))
-    grad -= _pair_moments(mod, one_hot(mod, states), w)
-    return ObjectiveValue(float(-(w @ logq) + log_z), grad)
+    _check_continuous_pair(model, data)
+    P, r, M = _gaussian_scatter(mod, data.values)
+    logdet = np.linalg.slogdet(gaussian_parts(mod)[1])[1]
+    value = 0.5 * (np.sum(P * M) + mod.dim * np.log(2.0 * np.pi) + logdet)
+    grad = np.concatenate([-P @ r, _tril_grad(0.5 * (P - P @ M @ P))])
+    return ObjectiveValue(float(value), grad)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,21 @@ def test_scalespace_rejects_bad_specs(tmp_path):
                  "--t", "1:0:0.1", "--out", out]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--box", "foo"),
+    ("--box", "5:-5"),
+    ("--grid-n", "1"),
+])
+def test_scalespace_rejects_bad_grid_flags(tmp_path, capsys, flag, value):
+    code = main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:1", flag, value,
+                 "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "density spec" not in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 

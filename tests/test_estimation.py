@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from scorematch import estimation
+from scorematch import estimation, objectives
 from scorematch.estimation import (
     COMPARISON_HEADER,
     FitResult,
@@ -203,6 +203,45 @@ def test_population_rm_fit_converges_on_potts():
     # fitted joint with the truth rather than the parameters.
     fitted = exact_normalize(model.with_params(res.theta_hat))
     assert np.abs(fitted.probs - joint.probs).max() < 1e-7
+
+
+@pytest.mark.parametrize("objective, population, builds", [
+    (ObjectiveKind.PSEUDO_LIKELIHOOD, False, 1),  # the states' one-hot rows
+    (ObjectiveKind.EXACT_MLE, False, 2),  # the states' and the cube's
+    (ObjectiveKind.GSM_DISCRETE, True, 1),  # the cube's
+])
+def test_fit_builds_one_hot_rows_once(monkeypatch, objective, population, builds):
+    calls = []
+
+    def counted_one_hot(*args):
+        calls.append(1)
+        return one_hot(*args)
+
+    one_hot = objectives.one_hot
+    monkeypatch.setattr(objectives, "one_hot", counted_one_hot)
+    truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
+    data = exact_normalize(truth) if population else sample(truth, 500, seed=4)
+    value, grad = objective_functions(ising_model(np.zeros(3), np.zeros(2)), objective, data)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        theta = rng.standard_normal(truth.n_params)
+        value(theta)
+        grad(theta)
+    assert len(calls) == builds
+    res = fit(ising_model(np.zeros(3), np.zeros(2)), objective, data)
+    assert res.converged and res.iters > 1
+    assert len(calls) == 2 * builds
+
+
+def test_consecutive_fits_match_fits_run_alone():
+    truth = potts_model([[0.3, -0.2, 0.0], [0.0, 0.4, -0.1], [-0.3, 0.0, 0.2]], [0.6, -0.5])
+    model = potts_model(np.zeros((3, 3)), np.zeros(2))
+    datasets = [sample(truth, 400, seed=5), sample(truth, 900, seed=6)]
+    for objective in (ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE):
+        alone = [fit(model, objective, d).theta_hat.tobytes() for d in datasets]
+        assert alone[0] != alone[1]
+        backwards = [fit(model, objective, d).theta_hat.tobytes() for d in datasets[::-1]]
+        assert backwards[::-1] == alone
 
 
 def test_fit_result_converged_implies_grad_tol():

@@ -13,6 +13,7 @@ from scorematch.models import (
     continuous_dataset,
     discrete_dataset,
     exact_normalize,
+    fold_alphabet,
     gaussian_model,
     gen_gauss_model,
     grad_x_log,
@@ -223,6 +224,23 @@ def test_conditional_table_shape_and_normalization():
     table = pairwise_conditionals(model, one_hot(model, X))
     assert table.shape == (2, 2, 3)
     assert np.allclose(table.sum(axis=2), 1.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_fold_alphabet_equals_axis_reduction_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    z = rng.standard_normal((57, 5, m)) * np.array([1e-3, 1.0, 30.0])[rng.integers(0, 3, (57, 1, 1))]
+    z[0, 0] = 0.5  # ties
+    assert np.array_equal(fold_alphabet(np.maximum, z), z.max(axis=2))
+    assert np.array_equal(fold_alphabet(np.add, z), z.sum(axis=2))
+
+
+def test_fold_alphabet_sum_is_left_to_right_past_pairwise_blocks():
+    # From 8 symbols NumPy's pairwise summation reassociates, so the sums agree
+    # to roundoff only; the maximum is still exact.
+    z = np.random.default_rng(9).standard_normal((57, 5, 9))
+    assert np.array_equal(fold_alphabet(np.maximum, z), z.max(axis=2))
+    assert np.allclose(fold_alphabet(np.add, z), z.sum(axis=2), rtol=1e-15, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from scorematch.objectives import (
     gsm_discrete_objective,
     gsm_discrete_population,
     kl_exact,
+    logsumexp,
     pseudo_likelihood_objective,
     pseudo_likelihood_population,
     ratio_matching_objective,
@@ -228,6 +229,19 @@ def test_collapse_states_at_the_int64_code_limit(d):
     collapsed, w = collapse_states(data)
     assert np.array_equal(collapsed.values, np.array([zeros, mixed, ones]))
     assert np.array_equal(w, np.array([1, 2, 3]) / 6)
+
+
+def test_logsumexp_equals_scipy_bit_for_bit():
+    scipy_logsumexp = pytest.importorskip("scipy.special").logsumexp
+    rng = np.random.default_rng(41)
+    for k in range(2000):
+        shape = (1,) if k % 10 == 0 else tuple(rng.integers(1, 7, rng.integers(1, 4)))
+        a = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 50.0, 800.0])
+        if k % 3 == 0:  # tied maxima
+            a.flat[rng.integers(0, a.size, rng.integers(1, 4))] = a.max()
+        if k % 7 == 0:  # whole-number entries tie often
+            a = np.round(a)
+        assert logsumexp(a) == float(scipy_logsumexp(a))
 
 
 # ---------------------------------------------------------------------------
