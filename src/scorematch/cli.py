@@ -127,8 +127,8 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 def cmd_generate(args) -> int:
     model = _load_model(args.model)
-    if args.n < 1:
-        raise CliError("--n must be >= 1")
+    if args.n < 1 or args.seed < 0:
+        raise CliError(f"--n must be >= 1 and --seed >= 0, got {args.n} and {args.seed}")
     data = sample(model, args.n, args.seed)
     buf = io.StringIO()
     write_dataset_csv(buf, data)
@@ -145,6 +145,8 @@ def cmd_fit(args) -> int:
         if args.p_model is None:
             raise CliError("--data enumerate requires --p-model")
         truth = _load_model(args.p_model)
+        if truth.alphabet_size is None:
+            raise CliError(f"--p-model {args.p_model} is {truth.kind.value}, not enumerable")
         try:
             data = exact_normalize(truth)
         except ValueError as exc:

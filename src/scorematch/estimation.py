@@ -1,21 +1,20 @@
-"""Deterministic estimators: gradient descent with a backtracking line search
-over any objective, the closed-form Gaussian score-matching solution, a
-central-difference gradient check, and a multi-estimator comparison harness.
+"""Deterministic estimators: an L-BFGS fit over any objective, the
+closed-form Gaussian score-matching solution, a central-difference gradient
+check, and a multi-estimator comparison harness.
 
 `OptimizerConfig` sets only the iteration cap, the gradient tolerance and the
-start point.  The line search is fixed: a unit trial step scaled down by the
-gradient max-norm, halved until the Armijo condition with constant 1e-4 holds.
-
-Every fit uses an exact parameter gradient: each empirical objective returns
-one with its value.  Population fits against an enumerated joint keep the
-value-only oracle as their objective and take its gradient from the empirical
-form weighted by the joint over the full state cube.  `fd_gradient` is the
+start point.  The fit is L-BFGS (Nocedal 1980; Liu & Nocedal 1989) with a
+fixed line search: a unit trial step, scaled down by the gradient max-norm
+while no curvature pair is stored, halved until the Armijo condition with
+constant 1e-4 holds.  Every objective is one callable theta -> (value, exact
+gradient), so each trial point costs one evaluation.  `fd_gradient` is the
 reference the verification suites and tests check those gradients against;
 no fit calls it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .models import (
 )
 from .objectives import (
     ObjectiveKind,
-    collapse_states,
+    ObjectiveValue,
     discrete_objective,
     exact_mle_objective,
     exact_mle_population,
@@ -69,7 +68,6 @@ class FitResult:
     grad_norm: float
     iters: int
     converged: bool
-    objective: ObjectiveKind
 
 
 def default_init(model: Model) -> np.ndarray:
@@ -125,20 +123,15 @@ _POPULATION = {
 
 
 def objective_functions(model: Model, objective: ObjectiveKind, data):
-    """Value and exact-gradient callables of theta for the given objective.
+    """The objective as one callable theta -> (value, exact gradient).
 
     ``data`` is a Dataset (empirical objective) or a DiscreteJoint (population
-    objective).  An empirical objective returns its value and gradient from
-    one evaluation.  A discrete one builds its theta-free design once, here:
-    the dataset collapsed to its distinct states and their weights, their
-    one-hot rows and, for mle, the state cube and the data moment
-    (`objectives.discrete_objective`); every evaluation reuses it.  A
-    population objective's value is its enumeration oracle; its exact
-    gradient is that of the matching empirical form on the full state cube,
-    weighted by the joint's probabilities, over a design built once in the
-    same way.  Parameters outside the model's domain (a non-PD Gaussian
-    covariance, a non-positive generalized-Gaussian exponent) evaluate to +inf
-    so line searches back off.
+    objective).  A discrete empirical objective builds its theta-free design
+    once, here (`objectives.discrete_objective`).  A population objective's
+    value is its enumeration oracle; its gradient is that of the matching
+    empirical form on the full state cube, weighted by the joint.  Parameters
+    outside the model's domain (a non-PD Gaussian covariance, a non-positive
+    generalized-Gaussian exponent) evaluate to (+inf, None).
     """
     if isinstance(data, DiscreteJoint):
         if objective not in _POPULATION:
@@ -150,84 +143,71 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
         cube = discrete_dataset(np.indices((m,) * d).reshape(d, -1).T, m)
         form_at = discrete_objective(model, form, cube, weights=data.probs.ravel())
 
-        def value(theta):
-            return oracle(data, model, theta)
+        def objective_at(theta):
+            return ObjectiveValue(oracle(data, model, theta), form_at(theta).grad_theta)
 
-        def grad(theta):
-            return form_at(theta).grad_theta
-
-        return value, grad
-    if data.kind == "discrete" and objective is not ObjectiveKind.SM_CONTINUOUS:
-        # Collapse to unique states and build their one-hot rows once;
-        # redoing them on every objective evaluation inside the optimizer
-        # dominates the runtime at large N.
-        data, w = collapse_states(data)
-        objective_at = discrete_objective(model, objective, data, weights=w)
+    elif data.kind == "discrete" and objective is not ObjectiveKind.SM_CONTINUOUS:
+        objective_at = discrete_objective(model, objective, data)
     else:
         fn = _EMPIRICAL[objective]
 
         def objective_at(theta):
             return fn(model, theta, data)
 
-    # One evaluation gives both the value and the gradient; the optimizer asks
-    # for the gradient at the point whose value it has just accepted.
-    last = {}
-
-    def evaluate(theta):
-        key = np.asarray(theta, dtype=float).tobytes()
-        if last.get("key") != key:
-            last.update(key=key, result=objective_at(theta))
-        return last["result"]
-
-    def value(theta):
+    def value_and_grad(theta):
         try:
-            return evaluate(theta).value
+            out = objective_at(theta)
         except (np.linalg.LinAlgError, ParameterDomainError):
-            return np.inf
+            return np.inf, None
+        return out.value, out.grad_theta
 
-    def grad(theta):
-        return evaluate(theta).grad_theta
-
-    return value, grad
+    return value_and_grad
 
 
 def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | None = None) -> FitResult:
-    """Gradient descent with a backtracking Armijo line search; deterministic."""
+    """L-BFGS over the last 10 curvature pairs with a backtracking Armijo line
+    search; deterministic.  A trial point whose value or gradient is not
+    finite fails the Armijo test.  The fit stops at |g|_inf <= grad_tol, after
+    max_iters steps, or when the line search stalls below a step of 1e-20.
+    """
     cfg = cfg or OptimizerConfig()
-    value, grad = objective_functions(model, objective, data)
-    theta = (
-        np.asarray(cfg.init_theta, dtype=float)
-        if cfg.init_theta is not None
-        else default_init(model)
-    )
-    v = value(theta)
-    if not np.isfinite(v):
-        raise ValueError(f"objective is not finite at the initial point {theta}")
-    iters = 0
-    g = grad(theta)
-    for _ in range(cfg.max_iters):
-        gnorm = float(np.abs(g).max())
-        if gnorm <= cfg.grad_tol:
-            break
-        descent = -float(g @ g)
-        # Unit trial step clipped by the gradient max-norm: a raw unit step
-        # along a large early gradient can jump into a flat far-field valley
-        # that the Armijo test still accepts, stranding the iterate.
-        step = 1.0 / max(1.0, gnorm)
-        while True:
-            cand = theta - step * g
-            v_new = value(cand)
-            if np.isfinite(v_new) and v_new <= v + 1e-4 * step * descent:
+    value_and_grad = objective_functions(model, objective, data)
+    theta = default_init(model) if cfg.init_theta is None else np.asarray(cfg.init_theta, float)
+    # Trial points may overflow on the way to a non-finite value, which the
+    # line search rejects; the warning would say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, g = value_and_grad(theta)
+        if not np.isfinite(v):
+            raise ValueError(f"objective is not finite at the initial point {theta}")
+        pairs = deque(maxlen=10)  # curvature pairs (s, y, 1 / s'y), oldest first
+        iters = 0
+        while iters < cfg.max_iters:
+            gnorm = float(np.abs(g).max())
+            if gnorm <= cfg.grad_tol:
                 break
-            step *= 0.5
-            if step < 1e-20:
-                cand, v_new = theta, v  # line search stalled at roundoff
-                break
-        if cand is theta:
-            break
-        theta, v = cand, v_new
-        g = grad(theta)
-        iters += 1
+            direction = -_two_loop(g, pairs)
+            slope = float(g @ direction)
+            if not slope < 0:
+                direction, slope = -g, -float(g @ g)
+            # With no curvature yet, the unit step is clipped by the gradient
+            # max-norm: a raw unit step along a large early gradient can jump
+            # into a flat far-field valley that the Armijo test still accepts.
+            step = 1.0 if pairs else 1.0 / max(1.0, gnorm)
+            while step >= 1e-20:
+                cand = theta + step * direction
+                v_new, g_new = value_and_grad(cand)
+                armijo = np.isfinite(v_new) and v_new <= v + 1e-4 * step * slope
+                if armijo and np.all(np.isfinite(g_new)):
+                    break
+                step *= 0.5
+            else:
+                break  # the line search stalled at roundoff
+            s, y = cand - theta, g_new - g
+            sy = float(s @ y)
+            if sy > 1e-10 * float(y @ y):
+                pairs.append((s, y, 1.0 / sy))
+            theta, v, g = cand, v_new, g_new
+            iters += 1
     gnorm = float(np.abs(g).max())
     return FitResult(
         theta_hat=theta,
@@ -235,8 +215,24 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
         grad_norm=gnorm,
         iters=iters,
         converged=gnorm <= cfg.grad_tol,
-        objective=objective,
     )
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS inverse-Hessian approximation applied to g (Nocedal 1980),
+    with the initial matrix scaled by s'y / y'y of the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return q
 
 
 def closed_form_gaussian_sm(data: Dataset) -> np.ndarray:

@@ -11,18 +11,18 @@ intermediates its value already computes.  The discrete ones (gsm, rm, pl,
 mle) go through the pairwise one-hot form of Ising and Potts
 (`models.pairwise_form`), in two parts (`discrete_objective`): a theta-free
 design of the weighted states, their one-hot rows and, for mle, the state
-cube and the data moment, built once per fit; and a per-theta evaluation that
-reuses it.  The public discrete objectives build the design and evaluate it
-once.  The exact-MLE partition uses a NumPy port of SciPy's `logsumexp`, so
-importing the package loads no SciPy module.  The Gaussian sm and mle see the
-data only through the sample mean and the scatter about mu, so both are closed
-forms in the precision and that scatter.  Generalized-Gaussian sm
-differentiates its own score and Laplacian terms in alpha.  The population
-objectives are value-only:
-they are the enumeration oracles the estimators are checked against, so they
-keep their own independent route through `log_unnorm`.  Population fits take
-their exact gradients from the empirical forms weighted by the joint over the
-full state cube (`estimation.objective_functions`).
+cube's one-hot rows and the data moment, built once per fit; and a per-theta
+evaluation that reuses it.  The public discrete objectives build the design
+and evaluate it once.  The exact-MLE partition uses a NumPy port of SciPy's
+`logsumexp`, so importing the package loads no SciPy module.  The Gaussian sm
+and mle see the data only through the sample mean and the scatter about mu,
+so both are closed forms in the precision and that scatter.
+Generalized-Gaussian sm differentiates its own score and Laplacian terms in
+alpha.  The population objectives are value-only: they are the enumeration
+oracles the estimators are checked against, so they keep their own
+independent route through `log_unnorm`.  Population fits take their exact
+gradients from the empirical forms weighted by the joint over the full state
+cube (`estimation.objective_functions`).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .models import (
     one_hot,
     pairwise_adjoint,
     pairwise_conditionals,
+    pairwise_form,
 )
 
 
@@ -244,13 +245,10 @@ def _weighted_states(data: Dataset, weights) -> tuple[np.ndarray, np.ndarray]:
 class _Design:
     """The theta-free part of a discrete empirical objective: the weights w of
     the states and, for gsm, rm and pl, the states' one-hot rows x1; for mle,
-    the states, the state cube, its one-hot rows and the data moment
-    E_data[T]."""
+    the state cube's one-hot rows and the data moment E_data[T]."""
 
     w: np.ndarray
     x1: np.ndarray | None = None
-    states: np.ndarray | None = None
-    cube: np.ndarray | None = None
     cube_x1: np.ndarray | None = None
     data_moment: np.ndarray | None = None
 
@@ -261,7 +259,7 @@ def discrete_objective(model: Model, objective: ObjectiveKind, data: Dataset, we
 
     Everything that does not depend on theta is built here once: the weighted
     states (collapsed to distinct ones when no weights are given), their
-    one-hot rows, and for mle the state cube, its one-hot rows and the data
+    one-hot rows, and for mle the state cube's one-hot rows and the data
     moment.  A fit builds it once and evaluates it at every trial point; the
     public objectives build it per call and evaluate it once.
     """
@@ -279,9 +277,7 @@ def discrete_objective(model: Model, objective: ObjectiveKind, data: Dataset, we
         # freed before the cube's are built.
         data_moment = _pair_moments(model, one_hot(model, states), w)
         cube = np.indices((m,) * d).reshape(d, -1).T
-        design = _Design(
-            w, states=states, cube=cube, cube_x1=one_hot(model, cube), data_moment=data_moment
-        )
+        design = _Design(w, cube_x1=one_hot(model, cube), data_moment=data_moment)
     else:
         design = _Design(w, x1=one_hot(model, states))
     return lambda theta: evaluate(model.with_params(theta), design)
@@ -338,12 +334,15 @@ def _pl(mod: Model, design: _Design) -> ObjectiveValue:
 
 
 def _mle(mod: Model, design: _Design) -> ObjectiveValue:
-    log_cube = np.asarray(log_unnorm(mod, design.cube))
+    # log q~ = T(x) . theta = F . x1 + x1' C x1 / 2 on the cube, and the data
+    # term is E_data[T] . theta; log_shift cancels against log Z.
+    F, C = pairwise_form(mod)
+    x1 = design.cube_x1
+    log_cube = x1 @ F + 0.5 * ((x1 @ C) * x1).sum(axis=1)
     log_z = logsumexp(log_cube)
-    logq = np.asarray(log_unnorm(mod, design.states))
-    grad = _pair_moments(mod, design.cube_x1, np.exp(log_cube - log_z))
+    grad = _pair_moments(mod, x1, np.exp(log_cube - log_z))
     grad -= design.data_moment
-    return ObjectiveValue(float(-(design.w @ logq) + log_z), grad)
+    return ObjectiveValue(float(log_z - design.data_moment @ mod.params), grad)
 
 
 _DISCRETE = {

@@ -53,6 +53,13 @@ def test_generate_rejects_zero_n(ising2, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_generate_rejects_negative_seed(ising2, tmp_path, capsys):
+    code = main(["generate", "--model", ising2, "--n", "10", "--seed", "-1",
+                 "--out", str(tmp_path / "d.csv")])
+    assert code == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_generate_rejects_bad_model_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "wat"}')
@@ -121,6 +128,13 @@ def test_fit_enumerate_requires_p_model(ising2, tmp_path):
     code = main(["fit", "--model", ising2, "--objective", "gsm",
                  "--data", "enumerate", "--out", str(tmp_path / "f.json")])
     assert code == EXIT_USAGE
+
+
+def test_fit_enumerate_rejects_continuous_p_model(ising2, gauss1, tmp_path, capsys):
+    code = main(["fit", "--model", ising2, "--objective", "gsm", "--data", "enumerate",
+                 "--p-model", gauss1, "--out", str(tmp_path / "f.json")])
+    assert code == EXIT_USAGE
+    assert "--p-model" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

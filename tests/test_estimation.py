@@ -99,9 +99,9 @@ def test_fit_deterministic():
 def test_fit_never_increases_objective():
     data = sample(ising_model([0.3, -0.1], [0.4]), 400, seed=13)
     model = ising_model(np.zeros(2), np.zeros(1))
-    value, _ = objective_functions(model, ObjectiveKind.EXACT_MLE, data)
+    value_and_grad = objective_functions(model, ObjectiveKind.EXACT_MLE, data)
     res = fit(model, ObjectiveKind.EXACT_MLE, data)
-    assert res.objective_value <= value(default_init(model)) + 1e-15
+    assert res.objective_value <= value_and_grad(default_init(model))[0] + 1e-15
 
 
 def test_fit_respects_init_theta_override():
@@ -137,13 +137,23 @@ def test_fit_gen_gauss_stays_in_alpha_domain():
     assert not res.converged
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_overflowing_trials_without_warning():
+    # From alpha = 60 the objective is ~1e246 and the trial points overflow;
+    # the line search rejects them without a warning.
+    data = sample(gen_gauss_model(0.5), 2000, seed=1)
+    cfg = OptimizerConfig(init_theta=np.array([60.0]))
+    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data, cfg)
+    assert res.theta_hat[0] > 0 and not res.converged
+
+
 # Known limit, not a target: the eps-smoothed cusp breaks Hyvarinen's
 # regularity condition for alpha <= 1, so sm converges to a biased alpha.
-# These are the estimates measured when the limit was documented.
+# Each pin is the root of the exact alpha-gradient, found by bisection.
 @pytest.mark.parametrize(
     "alpha, seed, alpha_hat",
-    [(0.5, 2, 1.001649906778908), (0.5, 3, 0.9924012388088379),
-     (0.8, 2, 1.1590960615383827), (0.8, 3, 1.0857974087573181)],
+    [(0.5, 2, 1.001649907942177), (0.5, 3, 0.9924012413398351),
+     (0.8, 2, 1.159096065932557), (0.8, 3, 1.085797409040171)],
 )
 def test_fit_gen_gauss_sm_is_biased_for_alpha_at_most_one(alpha, seed, alpha_hat):
     data = sample(gen_gauss_model(alpha), 5000, seed=seed)
@@ -221,16 +231,53 @@ def test_fit_builds_one_hot_rows_once(monkeypatch, objective, population, builds
     monkeypatch.setattr(objectives, "one_hot", counted_one_hot)
     truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
     data = exact_normalize(truth) if population else sample(truth, 500, seed=4)
-    value, grad = objective_functions(ising_model(np.zeros(3), np.zeros(2)), objective, data)
+    value_and_grad = objective_functions(ising_model(np.zeros(3), np.zeros(2)), objective, data)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        theta = rng.standard_normal(truth.n_params)
-        value(theta)
-        grad(theta)
+        value_and_grad(rng.standard_normal(truth.n_params))
     assert len(calls) == builds
     res = fit(ising_model(np.zeros(3), np.zeros(2)), objective, data)
     assert res.converged and res.iters > 1
     assert len(calls) == 2 * builds
+
+
+@pytest.mark.parametrize("population", [False, True])
+def test_fit_never_evaluates_the_same_theta_twice(monkeypatch, population):
+    seen = []
+
+    def recording_objective_functions(*args):
+        value_and_grad = objective_functions(*args)
+
+        def recorded(theta):
+            seen.append(np.asarray(theta, dtype=float).tobytes())
+            return value_and_grad(theta)
+
+        return recorded
+
+    monkeypatch.setattr(estimation, "objective_functions", recording_objective_functions)
+    truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
+    data = exact_normalize(truth) if population else sample(truth, 500, seed=4)
+    objective = ObjectiveKind.GSM_DISCRETE if population else ObjectiveKind.PSEUDO_LIKELIHOOD
+    res = fit(ising_model(np.zeros(3), np.zeros(2)), objective, data)
+    assert res.converged and res.iters > 1
+    assert len(seen) > res.iters
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("objective", list(ObjectiveKind))
+def test_fit_matches_scipy_lbfgsb(objective):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    if objective is ObjectiveKind.SM_CONTINUOUS:
+        data = sample(gaussian_model([0.7, -0.3], [[1.5, 0.4], [0.4, 0.9]]), 300, seed=2)
+        model = gaussian_model(np.zeros(2), np.eye(2))
+    else:
+        data = sample(ising_model([0.2, -0.1, 0.3, 0.0], [0.5, -0.4, 0.3]), 10_000, seed=1)
+        model = ising_model(np.zeros(4), np.zeros(3))
+    res = fit(model, objective, data)
+    ref = minimize(objective_functions(model, objective, data), default_init(model), jac=True,
+                   method="L-BFGS-B", options={"gtol": 1e-10, "ftol": 1e-15, "maxiter": 1000})
+    assert res.converged and ref.success
+    assert np.abs(res.theta_hat - ref.x).max() < 1e-6
 
 
 def test_consecutive_fits_match_fits_run_alone():
