@@ -129,7 +129,10 @@ def cmd_generate(args) -> int:
     model = _load_model(args.model)
     if args.n < 1 or args.seed < 0:
         raise CliError(f"--n must be >= 1 and --seed >= 0, got {args.n} and {args.seed}")
-    data = sample(model, args.n, args.seed)
+    try:
+        data = sample(model, args.n, args.seed)
+    except ValueError as exc:
+        raise CliError(f"cannot sample from {args.model}: {exc}") from exc
     buf = io.StringIO()
     write_dataset_csv(buf, data)
     _atomic_write(args.out, buf.getvalue())

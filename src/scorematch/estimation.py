@@ -4,10 +4,12 @@ check, and a multi-estimator comparison harness.
 
 `OptimizerConfig` sets only the iteration cap, the gradient tolerance and the
 start point.  The fit is L-BFGS (Nocedal 1980; Liu & Nocedal 1989) with a
-fixed line search: a unit trial step, scaled down by the gradient max-norm
-while no curvature pair is stored, halved until the Armijo condition with
-constant 1e-4 holds.  Every objective is one callable theta -> (value, exact
-gradient), so each trial point costs one evaluation.  `fd_gradient` is the
+fixed line search: a unit trial step along the L-BFGS direction (along the
+negative gradient scaled to max-norm at most 1 while no curvature pair is
+stored), halved until the Armijo condition with constant 1e-4 holds.  Every
+objective is one callable theta -> (value, exact gradient), so each trial
+point costs one evaluation; a population fit calls its enumeration oracle
+once, for a theta-free offset, and no more.  `fd_gradient` is the
 reference the verification suites and tests check those gradients against;
 no fit calls it.
 """
@@ -24,7 +26,6 @@ from .models import (
     Model,
     ModelKind,
     ParameterDomainError,
-    discrete_dataset,
     exact_normalize,
     gaussian_model,
     sample,
@@ -32,7 +33,6 @@ from .models import (
 )
 from .objectives import (
     ObjectiveKind,
-    ObjectiveValue,
     discrete_objective,
     exact_mle_objective,
     exact_mle_population,
@@ -109,11 +109,12 @@ _EMPIRICAL = {
     ObjectiveKind.EXACT_MLE: exact_mle_objective,
 }
 
-# Each population objective's value oracle, and the empirical form whose
-# gradient on the joint-weighted state cube is the oracle's gradient.  pl and
-# mle are the oracles' own sums; gsm differs from its divergence by a
-# theta-independent constant; rm's divergence equals gsm's for every alphabet
-# size, while the empirical rm is binary-only, so rm takes gsm's form.
+# Each population objective's enumeration oracle, and the empirical form that
+# a population fit evaluates on the joint instead.  Each form differs from its
+# oracle by a theta-independent constant: zero for pl and mle, which are the
+# oracles' own sums; the p-only term of the expanded square for gsm; and for
+# rm, whose divergence equals gsm's at every alphabet size while the
+# empirical rm is binary-only, gsm's form and that same term.
 _POPULATION = {
     ObjectiveKind.GSM_DISCRETE: (gsm_discrete_population, ObjectiveKind.GSM_DISCRETE),
     ObjectiveKind.RATIO_MATCHING: (ratio_matching_population, ObjectiveKind.GSM_DISCRETE),
@@ -126,26 +127,24 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
     """The objective as one callable theta -> (value, exact gradient).
 
     ``data`` is a Dataset (empirical objective) or a DiscreteJoint (population
-    objective).  A discrete empirical objective builds its theta-free design
-    once, here (`objectives.discrete_objective`).  A population objective's
-    value is its enumeration oracle; its gradient is that of the matching
-    empirical form on the full state cube, weighted by the joint.  Parameters
-    outside the model's domain (a non-PD Gaussian covariance, a non-positive
-    generalized-Gaussian exponent) evaluate to (+inf, None).
+    objective).  A discrete objective builds its theta-free design once, here
+    (`objectives.discrete_objective`).  A population objective evaluates the
+    matching empirical form on the joint and adds one theta-free offset,
+    oracle - form at `default_init(model)`, so its value is the enumeration
+    oracle's divergence while each trial point costs one form evaluation.
+    Parameters outside the model's domain (a non-PD Gaussian covariance, a
+    non-positive generalized-Gaussian exponent) evaluate to (+inf, None).
     """
+    offset = 0.0
     if isinstance(data, DiscreteJoint):
         if objective not in _POPULATION:
             raise ValueError(
                 f"{objective.value} has no population form over an enumerated joint"
             )
         oracle, form = _POPULATION[objective]
-        m, d = data.m, data.d
-        cube = discrete_dataset(np.indices((m,) * d).reshape(d, -1).T, m)
-        form_at = discrete_objective(model, form, cube, weights=data.probs.ravel())
-
-        def objective_at(theta):
-            return ObjectiveValue(oracle(data, model, theta), form_at(theta).grad_theta)
-
+        objective_at = discrete_objective(model, form, data)
+        theta0 = default_init(model)
+        offset = oracle(data, model, theta0) - objective_at(theta0).value
     elif data.kind == "discrete" and objective is not ObjectiveKind.SM_CONTINUOUS:
         objective_at = discrete_objective(model, objective, data)
     else:
@@ -159,7 +158,7 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
             out = objective_at(theta)
         except (np.linalg.LinAlgError, ParameterDomainError):
             return np.inf, None
-        return out.value, out.grad_theta
+        return out.value + offset, out.grad_theta
 
     return value_and_grad
 
@@ -187,12 +186,15 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
                 break
             direction = -_two_loop(g, pairs)
             slope = float(g @ direction)
-            if not slope < 0:
-                direction, slope = -g, -float(g @ g)
-            # With no curvature yet, the unit step is clipped by the gradient
-            # max-norm: a raw unit step along a large early gradient can jump
-            # into a flat far-field valley that the Armijo test still accepts.
-            step = 1.0 if pairs else 1.0 / max(1.0, gnorm)
+            if not (pairs and slope < 0):
+                # With no curvature yet (or no descent direction), step along
+                # the gradient scaled to max-norm at most 1: a unit step along
+                # a large early gradient can jump into a flat far-field valley
+                # that the Armijo test still accepts.  Scaling the direction
+                # rather than the step keeps the slope free of overflow.
+                direction = -g * (1.0 / max(1.0, gnorm))
+                slope = float(g @ direction)
+            step = 1.0
             while step >= 1e-20:
                 cand = theta + step * direction
                 v_new, g_new = value_and_grad(cand)

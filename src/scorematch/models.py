@@ -352,6 +352,12 @@ def pairwise_conditionals(model: Model, x1: np.ndarray) -> np.ndarray:
     return z
 
 
+def state_cube(m: int, d: int) -> np.ndarray:
+    """All m**d states of {0..m-1}^d as rows, in C order (coordinate 0
+    slowest), the flattening order of a DiscreteJoint's table."""
+    return np.indices((m,) * d).reshape(d, -1).T
+
+
 def default_box(model: Model) -> tuple[float, float]:
     """A quadrature box wide enough that the density decays below 1e-12 peak."""
     _require_continuous(model)
@@ -375,8 +381,7 @@ def exact_normalize(model: Model, box=None, n: int | None = None):
         m, d = model.alphabet_size, model.dim
         if m**d > MAX_ENUM_STATES:
             raise ValueError(f"state space {m}**{d} too large to enumerate")
-        states = np.indices((m,) * d).reshape(d, -1).T
-        logs = log_unnorm(model, states)
+        logs = log_unnorm(model, state_cube(m, d))
         logs = logs - logs.max()
         probs = np.exp(logs)
         probs /= probs.sum()
@@ -543,26 +548,24 @@ def model_from_json(text: str) -> Model:
         if params.size != d + d * (d + 1) // 2:
             raise ValueError("bad Gaussian parameter length")
         model = Model(kind, d, None, params)
-        gaussian_parts(model)  # validate
-        np.linalg.cholesky(gaussian_parts(model)[1])
-        return model
-    if kind is ModelKind.GEN_GAUSS_1D:
-        if d != 1 or params.size != 1 or params[0] <= 0:
+    elif kind is ModelKind.GEN_GAUSS_1D:
+        if d != 1 or params.size != 1:
             raise ValueError("bad generalized-Gaussian parameters")
-        return Model(kind, 1, None, params)
-    m = int(obj["alphabet_size"])
-    edges = chain_edges(d)
-    if "edges" in obj:
-        edges = _check_edges(_int_pairs(obj["edges"]), d)
-    if kind is ModelKind.ISING:
-        if m != 2:
+        model = Model(kind, 1, None, params)
+    else:
+        m = int(obj["alphabet_size"])
+        edges = chain_edges(d)
+        if "edges" in obj:
+            edges = _check_edges(_int_pairs(obj["edges"]), d)
+        if kind is ModelKind.ISING and m != 2:
             raise ValueError("Ising alphabet size must be 2")
-        if params.size != d + len(edges):
-            raise ValueError("bad Ising parameter length")
-        return Model(kind, d, 2, params, edges)
-    if params.size != d * m + len(edges):
-        raise ValueError("bad Potts parameter length")
-    return Model(kind, d, m, params, edges)
+        n_fields = d if kind is ModelKind.ISING else d * m
+        if params.size != n_fields + len(edges):
+            raise ValueError(f"bad {kind.value} parameter length")
+        model = Model(kind, d, m, params, edges)
+    # Rejects non-finite values, alpha <= 0 and a covariance that is not
+    # positive definite.
+    return model.with_params(params)
 
 
 def _int_pairs(value) -> list[tuple[int, ...]]:

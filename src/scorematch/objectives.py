@@ -13,16 +13,18 @@ mle) go through the pairwise one-hot form of Ising and Potts
 design of the weighted states, their one-hot rows and, for mle, the state
 cube's one-hot rows and the data moment, built once per fit; and a per-theta
 evaluation that reuses it.  The public discrete objectives build the design
-and evaluate it once.  The exact-MLE partition uses a NumPy port of SciPy's
-`logsumexp`, so importing the package loads no SciPy module.  The Gaussian sm
-and mle see the data only through the sample mean and the scatter about mu,
-so both are closed forms in the precision and that scatter.
-Generalized-Gaussian sm differentiates its own score and Laplacian terms in
+and evaluate it once.  Their data is a discrete Dataset or a DiscreteJoint,
+which stands for its state cube weighted by its probabilities: on a joint
+they give the expectation of the sample form under it.  The exact-MLE
+partition uses a NumPy port of SciPy's `logsumexp`, so importing the package
+loads no SciPy module.  The Gaussian sm and mle see the data only through the
+sample mean and the scatter about mu, so both are closed forms in the
+precision and that scatter.  Generalized-Gaussian sm differentiates its own score and Laplacian terms in
 alpha.  The population objectives are value-only: they are the enumeration
 oracles the estimators are checked against, so they keep their own
-independent route through `log_unnorm`.  Population fits take their exact
-gradients from the empirical forms weighted by the joint over the full state
-cube (`estimation.objective_functions`).
+independent route through `log_unnorm`.  A population fit evaluates only the
+joint-weighted form, which differs from its oracle by a theta-independent
+constant, and adds that constant once (`estimation.objective_functions`).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .models import (
     pairwise_adjoint,
     pairwise_conditionals,
     pairwise_form,
+    state_cube,
 )
 
 
@@ -120,30 +123,32 @@ def logsumexp(a) -> float:
     return float(np.log1p(s / k) + np.log(k) + top)
 
 
-def _check_continuous_pair(model: Model, data: Dataset) -> None:
+def _check_continuous_pair(model: Model, data) -> None:
     if model.kind not in (ModelKind.GAUSSIAN, ModelKind.GEN_GAUSS_1D):
         raise ValueError("objective requires a continuous model")
-    if data.kind != "continuous" or data.dim != model.dim:
+    if not isinstance(data, Dataset) or data.kind != "continuous" or data.dim != model.dim:
         raise ValueError("dataset is not continuous data of matching dimension")
 
 
-def _check_discrete_pair(model: Model, data: Dataset) -> None:
+def _check_discrete_pair(model: Model, data) -> None:
+    """data is a discrete Dataset or a DiscreteJoint of the model's shape."""
     if model.alphabet_size is None:
         raise ValueError("objective requires a discrete model")
-    if (
-        data.kind != "discrete"
-        or data.dim != model.dim
-        or data.alphabet_size != model.alphabet_size
-    ):
-        raise ValueError("dataset is not discrete data of matching shape")
+    if isinstance(data, DiscreteJoint):
+        shape = (data.d, data.m)
+    elif data.kind == "discrete":
+        shape = (data.dim, data.alphabet_size)
+    else:
+        shape = None
+    if shape != (model.dim, model.alphabet_size):
+        raise ValueError("data is not discrete data of matching shape")
 
 
 def _log_table(model: Model, theta) -> np.ndarray:
     """log q~ on the full state cube, shape (m,)*d."""
     mod = model.with_params(theta)
     m, d = mod.alphabet_size, mod.dim
-    states = np.indices((m,) * d).reshape(d, -1).T
-    return np.asarray(log_unnorm(mod, states)).reshape((m,) * d)
+    return np.asarray(log_unnorm(mod, state_cube(m, d))).reshape((m,) * d)
 
 
 def _conditionals_from_table(table: np.ndarray, log_space: bool) -> np.ndarray:
@@ -231,37 +236,26 @@ def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
     return replace(data, values=states), counts / counts.sum()
 
 
-def _weighted_states(data: Dataset, weights) -> tuple[np.ndarray, np.ndarray]:
-    if weights is None:
-        data, w = collapse_states(data)
-        return data.values, w
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (data.n,):
-        raise ValueError("weights length does not match dataset")
-    return data.values, w / w.sum()
+def _weighted_states(data) -> tuple[np.ndarray, np.ndarray]:
+    """The states and their weights: a Dataset's distinct states with their
+    empirical frequencies, or a DiscreteJoint's state cube with its
+    probabilities."""
+    if isinstance(data, DiscreteJoint):
+        return state_cube(data.m, data.d), data.probs.ravel()
+    data, w = collapse_states(data)
+    return data.values, w
 
 
-@dataclass(frozen=True)
-class _Design:
-    """The theta-free part of a discrete empirical objective: the weights w of
-    the states and, for gsm, rm and pl, the states' one-hot rows x1; for mle,
-    the state cube's one-hot rows and the data moment E_data[T]."""
-
-    w: np.ndarray
-    x1: np.ndarray | None = None
-    cube_x1: np.ndarray | None = None
-    data_moment: np.ndarray | None = None
-
-
-def discrete_objective(model: Model, objective: ObjectiveKind, data: Dataset, weights=None):
+def discrete_objective(model: Model, objective: ObjectiveKind, data):
     """A discrete empirical objective (gsm, rm, pl or mle) as a function of
     theta alone, returning its ObjectiveValue.
 
-    Everything that does not depend on theta is built here once: the weighted
-    states (collapsed to distinct ones when no weights are given), their
-    one-hot rows, and for mle the state cube's one-hot rows and the data
-    moment.  A fit builds it once and evaluates it at every trial point; the
-    public objectives build it per call and evaluate it once.
+    data is a discrete Dataset, or a DiscreteJoint that stands for its state
+    cube weighted by its probabilities.  Everything that does not depend on
+    theta is built here once: the weighted states, their one-hot rows, and
+    for mle the state cube's one-hot rows and the data moment.  A fit builds
+    it once and evaluates it at every trial point; the public objectives
+    build it per call and evaluate it once.
     """
     _check_discrete_pair(model, data)
     if objective is ObjectiveKind.RATIO_MATCHING and model.alphabet_size != 2:
@@ -270,17 +264,15 @@ def discrete_objective(model: Model, objective: ObjectiveKind, data: Dataset, we
             f"{model.alphabet_size}; use gsm"
         )
     evaluate = _DISCRETE[objective]
-    states, w = _weighted_states(data, weights)
+    states, w = _weighted_states(data)
     if objective is ObjectiveKind.EXACT_MLE:
-        m, d = model.alphabet_size, model.dim
         # The data moment comes first, so that the states' one-hot rows are
         # freed before the cube's are built.
         data_moment = _pair_moments(model, one_hot(model, states), w)
-        cube = np.indices((m,) * d).reshape(d, -1).T
-        design = _Design(w, cube_x1=one_hot(model, cube), data_moment=data_moment)
-    else:
-        design = _Design(w, x1=one_hot(model, states))
-    return lambda theta: evaluate(model.with_params(theta), design)
+        cube_x1 = one_hot(model, state_cube(model.alphabet_size, model.dim))
+        return lambda theta: evaluate(model.with_params(theta), cube_x1, data_moment)
+    x1 = one_hot(model, states)
+    return lambda theta: evaluate(model.with_params(theta), x1, w)
 
 
 def _observed(q: np.ndarray, x1: np.ndarray) -> np.ndarray:
@@ -308,16 +300,14 @@ def _conditional_grad(model: Model, x1: np.ndarray, w: np.ndarray, dz: np.ndarra
     return pairwise_adjoint(model, g.sum(axis=0), g.T @ x1)
 
 
-def _gsm(mod: Model, design: _Design) -> ObjectiveValue:
-    x1, w = design.x1, design.w
+def _gsm(mod: Model, x1: np.ndarray, w: np.ndarray) -> ObjectiveValue:
     q = pairwise_conditionals(mod, x1)
     per_sample = (fold_alphabet(np.add, q**2) - 2.0 * _observed(q, x1)).sum(axis=1)
     dz = _softmax_backward(q, 2.0 * (q - x1.reshape(q.shape)))
     return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
 
 
-def _rm(mod: Model, design: _Design) -> ObjectiveValue:
-    x1, w = design.x1, design.w
+def _rm(mod: Model, x1: np.ndarray, w: np.ndarray) -> ObjectiveValue:
     q = pairwise_conditionals(mod, x1)
     miss = 1.0 - _observed(q, x1)
     per_sample = (miss**2).sum(axis=1)
@@ -325,24 +315,22 @@ def _rm(mod: Model, design: _Design) -> ObjectiveValue:
     return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
 
 
-def _pl(mod: Model, design: _Design) -> ObjectiveValue:
-    x1, w = design.x1, design.w
+def _pl(mod: Model, x1: np.ndarray, w: np.ndarray) -> ObjectiveValue:
     q = pairwise_conditionals(mod, x1)
     per_sample = -np.log(np.maximum(_observed(q, x1), 1e-300)).sum(axis=1)
     q -= x1.reshape(q.shape)  # dl/dZ of -log softmax at the observed symbol
     return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, q))
 
 
-def _mle(mod: Model, design: _Design) -> ObjectiveValue:
+def _mle(mod: Model, cube_x1: np.ndarray, data_moment: np.ndarray) -> ObjectiveValue:
     # log q~ = T(x) . theta = F . x1 + x1' C x1 / 2 on the cube, and the data
     # term is E_data[T] . theta; log_shift cancels against log Z.
     F, C = pairwise_form(mod)
-    x1 = design.cube_x1
-    log_cube = x1 @ F + 0.5 * ((x1 @ C) * x1).sum(axis=1)
+    log_cube = cube_x1 @ F + 0.5 * ((cube_x1 @ C) * cube_x1).sum(axis=1)
     log_z = logsumexp(log_cube)
-    grad = _pair_moments(mod, x1, np.exp(log_cube - log_z))
-    grad -= design.data_moment
-    return ObjectiveValue(float(log_z - design.data_moment @ mod.params), grad)
+    grad = _pair_moments(mod, cube_x1, np.exp(log_cube - log_z))
+    grad -= data_moment
+    return ObjectiveValue(float(log_z - data_moment @ mod.params), grad)
 
 
 _DISCRETE = {
@@ -353,9 +341,7 @@ _DISCRETE = {
 }
 
 
-def gsm_discrete_objective(
-    model: Model, theta, data: Dataset, weights=None
-) -> ObjectiveValue:
+def gsm_discrete_objective(model: Model, theta, data) -> ObjectiveValue:
     """Sample form of the squared-conditional-difference divergence: mean of
     sum_i [sum_y q(y|x^{\\i})^2 - 2 q(xi|x^{\\i})] over the samples.
 
@@ -363,14 +349,13 @@ def gsm_discrete_objective(
     sum_y p(y|x^{\\i}) q(y|x^{\\i}) averages to q at the observed symbol, so
     the two differ by sum_x p(x) sum_i sum_y p(y|x^{\\i})^2, which does not
     depend on theta.  That constant needs p and is not added: the value is the
-    plain sample form (the Brier score of the singleton conditionals).
+    plain sample form (the Brier score of the singleton conditionals), and on
+    a DiscreteJoint p its p-weighted mean.
     """
-    return discrete_objective(model, ObjectiveKind.GSM_DISCRETE, data, weights)(theta)
+    return discrete_objective(model, ObjectiveKind.GSM_DISCRETE, data)(theta)
 
 
-def ratio_matching_objective(
-    model: Model, theta, data: Dataset, weights=None
-) -> ObjectiveValue:
+def ratio_matching_objective(model: Model, theta, data) -> ObjectiveValue:
     """Hyvarinen's binary ratio matching: mean of sum_i (1 - q(xi|x^{\\i}))^2
     over the samples.
 
@@ -380,14 +365,12 @@ def ratio_matching_objective(
     is no longer a constant away from that divergence, so such models are
     rejected; use gsm instead.
     """
-    return discrete_objective(model, ObjectiveKind.RATIO_MATCHING, data, weights)(theta)
+    return discrete_objective(model, ObjectiveKind.RATIO_MATCHING, data)(theta)
 
 
-def pseudo_likelihood_objective(
-    model: Model, theta, data: Dataset, weights=None
-) -> ObjectiveValue:
+def pseudo_likelihood_objective(model: Model, theta, data) -> ObjectiveValue:
     """Negative mean log product of singleton conditionals."""
-    return discrete_objective(model, ObjectiveKind.PSEUDO_LIKELIHOOD, data, weights)(theta)
+    return discrete_objective(model, ObjectiveKind.PSEUDO_LIKELIHOOD, data)(theta)
 
 
 def _pair_moments(model: Model, x1: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -397,16 +380,14 @@ def _pair_moments(model: Model, x1: np.ndarray, w: np.ndarray) -> np.ndarray:
     return pairwise_adjoint(model, w @ x1, 0.5 * ((x1.T * w) @ x1))
 
 
-def exact_mle_objective(
-    model: Model, theta, data: Dataset, weights=None
-) -> ObjectiveValue:
+def exact_mle_objective(model: Model, theta, data) -> ObjectiveValue:
     """Negative mean log *normalized* likelihood (brute-force partition).
 
     For discrete models the gradient is E_q[T] - E_data[T] of the sufficient
     statistic T = dlog q~/dtheta, with E_q taken over the enumerated cube.
     """
     if model.kind is not ModelKind.GAUSSIAN:
-        return discrete_objective(model, ObjectiveKind.EXACT_MLE, data, weights)(theta)
+        return discrete_objective(model, ObjectiveKind.EXACT_MLE, data)(theta)
     # (tr(P M) + d log 2 pi + log det Sigma) / 2, with gradients
     # -P (xbar - mu) in mu and (P - P M P) / 2 in Sigma.
     mod = model.with_params(theta)
@@ -425,7 +406,7 @@ def gsm_discrete_population(p: DiscreteJoint, model: Model, theta) -> float:
     """Exact squared-conditional-difference divergence:
     sum_x p(x) sum_i sum_xi (p(xi|x^{\\i}) - q(xi|x^{\\i}))^2.
     """
-    _check_population(p, model)
+    _check_discrete_pair(model, p)
     pc = _conditionals_from_table(p.probs, log_space=False)
     qc = _conditionals_from_table(_log_table(model, theta), log_space=True)
     total = 0.0
@@ -440,7 +421,7 @@ def ratio_matching_population(p: DiscreteJoint, model: Model, theta) -> float:
     leave-one-out joint ratios; independent route to the same divergence as
     gsm_discrete_population.
     """
-    _check_population(p, model)
+    _check_discrete_pair(model, p)
     log_q = _log_table(model, theta)
     q_table = np.exp(log_q - log_q.max())
     total = 0.0
@@ -459,7 +440,7 @@ def _phi_of_ratios(table: np.ndarray):
 
 
 def pseudo_likelihood_population(p: DiscreteJoint, model: Model, theta) -> float:
-    _check_population(p, model)
+    _check_discrete_pair(model, p)
     qc = _conditionals_from_table(_log_table(model, theta), log_space=True)
     logs = np.log(np.maximum(qc, 1e-300)).sum(axis=0)
     return float(-np.sum(p.probs * logs))
@@ -467,13 +448,6 @@ def pseudo_likelihood_population(p: DiscreteJoint, model: Model, theta) -> float
 
 def exact_mle_population(p: DiscreteJoint, model: Model, theta) -> float:
     """Cross entropy of p against the exactly normalized model."""
-    _check_population(p, model)
+    _check_discrete_pair(model, p)
     table = _log_table(model, theta)
     return float(-np.sum(p.probs * (table - logsumexp(table))))
-
-
-def _check_population(p: DiscreteJoint, model: Model) -> None:
-    if model.alphabet_size is None:
-        raise ValueError("population objective requires a discrete model")
-    if p.m != model.alphabet_size or p.d != model.dim:
-        raise ValueError("joint shape does not match the model")

@@ -18,9 +18,11 @@ from .models import (
 from .objectives import (
     ObjectiveKind,
     exact_mle_objective,
+    exact_mle_population,
     gsm_discrete_objective,
     gsm_discrete_population,
     pseudo_likelihood_objective,
+    pseudo_likelihood_population,
     ratio_matching_objective,
     ratio_matching_population,
     sm_objective,
@@ -151,7 +153,7 @@ def suite_brook() -> list[Check]:
 
 def suite_eq16eq17() -> list[Check]:
     """Offset between the population divergence and the ratio-form objective
-    evaluated on the full enumeration, across random parameters.
+    weighted by the same joint, across random parameters.
 
     The claim under test is that the offset is independent of the model
     parameters; the measured residual is the spread of the offset.
@@ -161,16 +163,11 @@ def suite_eq16eq17() -> list[Check]:
     for d in range(2, 7):
         model = ising_model(np.zeros(d), np.zeros(d - 1))
         p = discrete_joint(rng.random((2,) * d) + 0.1)
-        states = np.indices((2,) * d).reshape(d, -1).T
-        from .models import discrete_dataset
-
-        data = discrete_dataset(states, 2)
-        weights = p.probs.ravel()
         offsets = []
         for _ in range(20):
             theta = rng.uniform(-1.0, 1.0, model.n_params)
             pop = gsm_discrete_population(p, model, theta)
-            emp = gsm_discrete_objective(model, theta, data, weights=weights).value
+            emp = gsm_discrete_objective(model, theta, p).value
             offsets.append(pop - emp)
         worst = max(worst, float(np.ptp(offsets)))
     return [Check("eq16/eq17 offset spread over theta", worst, 1e-10)]
@@ -241,13 +238,16 @@ def suite_gradcheck() -> list[Check]:
             gap = _rel_gap(fn(model, theta, data).grad_theta,
                            lambda th: fn(model, th, data).value, theta)
             checks.append(Check(f"{tag} exact vs FD gradient, {family} (rel)", gap, 1e-6))
-        # Population fits: the oracle's value against the gradient the
-        # optimizer takes with it; rm's comes from the gsm form, so Potts has one.
+        # Population fits: central differences of the enumeration oracle
+        # against the gradient the optimizer takes; rm's comes from the gsm
+        # form, so Potts has one.
         joint = exact_normalize(model)
-        for kind in (ObjectiveKind.GSM_DISCRETE, ObjectiveKind.RATIO_MATCHING,
-                     ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE):
+        for kind, oracle in ((ObjectiveKind.GSM_DISCRETE, gsm_discrete_population),
+                             (ObjectiveKind.RATIO_MATCHING, ratio_matching_population),
+                             (ObjectiveKind.PSEUDO_LIKELIHOOD, pseudo_likelihood_population),
+                             (ObjectiveKind.EXACT_MLE, exact_mle_population)):
             value_and_grad = objective_functions(model, kind, joint)
-            gap = _rel_gap(value_and_grad(theta)[1], lambda th: value_and_grad(th)[0], theta)
+            gap = _rel_gap(value_and_grad(theta)[1], lambda th: oracle(joint, model, th), theta)
             checks.append(Check(f"population {kind.value} exact vs FD gradient, {family} (rel)",
                                 gap, 1e-6))
     return checks

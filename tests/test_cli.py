@@ -68,6 +68,31 @@ def test_generate_rejects_bad_model_file(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("model, value", [
+    (ising_model([0.0, 0.0], [0.5]), float("nan")),  # a NaN field
+    (gaussian_model([0.0], [[1.0]]), float("inf")),  # an Infinity mean
+])
+def test_generate_rejects_non_finite_model_parameters(tmp_path, capsys, model, value):
+    obj = json.loads(model_to_json(model))
+    obj["params"][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))  # writes NaN and Infinity as bare tokens
+    out = tmp_path / "d.csv"
+    code = main(["generate", "--model", str(bad), "--n", "10", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_maps_a_sampling_error_to_usage(tmp_path, capsys):
+    chain = tmp_path / "ising25.json"
+    chain.write_text(model_to_json(ising_model(np.zeros(25), np.zeros(24))))
+    code = main(["generate", "--model", str(chain), "--n", "10",
+                 "--out", str(tmp_path / "d.csv")])
+    assert code == EXIT_USAGE
+    assert "too large to enumerate" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -485,8 +485,26 @@ def test_model_json_rejects_non_pd_gaussian():
 
     obj = {"kind": "gaussian", "dim": 1, "params": [0.0, -1.0],
            "layout": "mu,tril(sigma)"}
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(ParameterDomainError, match="positive definite"):
         model_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("model", [
+    gaussian_model([0.5, -0.5], [[2.0, 0.3], [0.3, 1.0]]),
+    ising_model([0.1, 0.2, 0.3], [0.5, -0.5]),
+    potts_model(np.arange(6.0).reshape(2, 3), [0.7]),
+    gen_gauss_model(1.5),
+], ids=lambda m: m.kind.value)
+def test_model_json_rejects_non_finite_params(model, bad):
+    import json
+
+    obj = json.loads(model_to_json(model))
+    obj["params"][0] = bad
+    text = json.dumps(obj)
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ValueError, match="finite"):
+        model_from_json(text)
 
 
 def test_model_kind_enum_values():

@@ -209,14 +209,17 @@ def test_gsm_normalization_invariant():
 
 
 def test_gsm_weighted_equals_duplicated_dataset():
+    # A joint on the 2x2 cube stands for its states weighted by their
+    # probabilities: 3/6, 2/6, 0 and 1/6 on 00, 01, 10 and 11.
     model = ising_model([0.1, 0.3], [0.5])
-    states = np.array([[0, 1], [1, 1], [0, 0]])
-    dup = discrete_dataset(np.repeat(states, [2, 1, 3], axis=0), m=2)
-    weighted = gsm_discrete_objective(
-        model, model.params, discrete_dataset(states, m=2), weights=[2.0, 1.0, 3.0]
-    )
-    plain = gsm_discrete_objective(model, model.params, dup)
-    assert weighted.value == pytest.approx(plain.value, abs=1e-12)
+    joint = discrete_joint(np.array([[3.0, 2.0], [0.0, 1.0]]) / 6.0)
+    dup = discrete_dataset([[0, 0]] * 3 + [[0, 1]] * 2 + [[1, 1]], m=2)
+    for fn in (gsm_discrete_objective, ratio_matching_objective,
+               pseudo_likelihood_objective, exact_mle_objective):
+        weighted = fn(model, model.params, joint)
+        plain = fn(model, model.params, dup)
+        assert weighted.value == pytest.approx(plain.value, abs=1e-12)
+        assert np.abs(weighted.grad_theta - plain.grad_theta).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d", [63, 64])
@@ -441,11 +444,19 @@ def test_objective_kind_tags():
 
 def test_discrete_objectives_reject_mismatched_data():
     model = ising_model([0.0, 0.0], [0.5])
+    gauss = gaussian_model([0.0, 0.0], np.eye(2))
     bad = discrete_dataset([[0, 1, 0]], m=2)
+    wide_joint = discrete_joint(np.full((2, 2, 2), 0.125))
+    ternary_joint = discrete_joint(np.full((3, 3), 1.0 / 9.0))
+    square_joint = discrete_joint(np.full((2, 2), 0.25))
     for fn in (gsm_discrete_objective, ratio_matching_objective,
                pseudo_likelihood_objective, exact_mle_objective):
+        for data in (bad, wide_joint, ternary_joint):
+            with pytest.raises(ValueError):
+                fn(model, model.params, data)
+        # a joint with a continuous model is a ValueError, not an AttributeError
         with pytest.raises(ValueError):
-            fn(model, model.params, bad)
+            fn(gauss, gauss.params, square_joint)
 
 
 def test_population_objectives_reject_shape_mismatch():

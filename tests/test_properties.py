@@ -30,10 +30,12 @@ from scorematch.objectives import (
     ObjectiveKind,
     collapse_states,
     exact_mle_objective,
+    exact_mle_population,
     gsm_discrete_objective,
     gsm_discrete_population,
     kl_exact,
     pseudo_likelihood_objective,
+    pseudo_likelihood_population,
     ratio_matching_objective,
     ratio_matching_population,
     sm_objective,
@@ -130,6 +132,14 @@ def test_discrete_objective_gradients_match_fd_and_ignore_shift(seed, c):
         assert np.abs(moved - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
 
 
+POPULATION_ORACLES = {
+    ObjectiveKind.GSM_DISCRETE: gsm_discrete_population,
+    ObjectiveKind.RATIO_MATCHING: ratio_matching_population,
+    ObjectiveKind.PSEUDO_LIKELIHOOD: pseudo_likelihood_population,
+    ObjectiveKind.EXACT_MLE: exact_mle_population,
+}
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(**SETTINGS)
 def test_population_gradients_match_fd_of_the_oracle(seed):
@@ -137,12 +147,31 @@ def test_population_gradients_match_fd_of_the_oracle(seed):
     rng = np.random.default_rng(seed)
     model, d, m, theta = _random_pairwise(rng)
     joint = discrete_joint(rng.random((m,) * d) + 0.05)
-    for kind in (ObjectiveKind.GSM_DISCRETE, ObjectiveKind.RATIO_MATCHING,
-                 ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE):
-        value_and_grad = objective_functions(model, kind, joint)
-        numeric = fd_gradient(lambda t: value_and_grad(t)[0], theta, FD_CHECK_STEP)
-        exact = value_and_grad(theta)[1]
+    for kind, oracle in POPULATION_ORACLES.items():
+        numeric = fd_gradient(lambda t: oracle(joint, model, t), theta, FD_CHECK_STEP)
+        exact = objective_functions(model, kind, joint)(theta)[1]
         assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
+
+
+@given(seed=st.integers(0, 10_000), potts=st.booleans())
+@settings(**SETTINGS)
+def test_population_value_is_the_oracle_at_every_theta(seed, potts):
+    # A population fit evaluates the joint-weighted form plus one offset taken
+    # at the start point; that is the oracle only if form and oracle differ by
+    # a theta-independent constant.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    if potts:
+        model = potts_model(np.zeros((d, 3)), np.zeros(d - 1))
+    else:
+        model = ising_model(np.zeros(d), np.zeros(d - 1))
+    joint = discrete_joint(rng.random((model.alphabet_size,) * d) + 0.05)
+    for kind, oracle in POPULATION_ORACLES.items():
+        value_and_grad = objective_functions(model, kind, joint)
+        for _ in range(3):
+            theta = rng.uniform(-2, 2, model.n_params)
+            value, want = value_and_grad(theta)[0], oracle(joint, model, theta)
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
