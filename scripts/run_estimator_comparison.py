@@ -7,7 +7,6 @@ the comparison CSV (population rows included) to the output path.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 import tempfile

@@ -211,7 +211,10 @@ def cmd_scalespace(args) -> int:
         raise CliError(f"bad --grid-n {args.grid_n}: {exc}") from None
     p = _parse_density_spec(args.p, box, args.grid_n)
     q = _parse_density_spec(args.q, box, args.grid_n)
-    curve = scalespace.divergence_curve(p, q, _parse_t_spec(args.t))
+    try:
+        curve = scalespace.divergence_curve(p, q, _parse_t_spec(args.t))
+    except ValueError as exc:
+        raise CliError(f"cannot smooth over --t {args.t!r}: {exc}") from exc
     buf = io.StringIO()
     curve.to_csv(buf)
     _atomic_write(args.out, buf.getvalue())

@@ -8,8 +8,9 @@ fixed line search: a unit trial step along the L-BFGS direction (along the
 negative gradient scaled to max-norm at most 1 while no curvature pair is
 stored), halved until the Armijo condition with constant 1e-4 holds.  Every
 objective is one callable theta -> (value, exact gradient), so each trial
-point costs one evaluation; a population fit calls its enumeration oracle
-once, for a theta-free offset, and no more.  `fd_gradient` is the
+point costs one evaluation: `objectives.empirical_objective` builds its
+theta-free design once per fit, and a population fit calls its enumeration
+oracle once, for a theta-free offset, and no more.  `fd_gradient` is the
 reference the verification suites and tests check those gradients against;
 no fit calls it.
 """
@@ -33,16 +34,11 @@ from .models import (
 )
 from .objectives import (
     ObjectiveKind,
-    discrete_objective,
-    exact_mle_objective,
+    empirical_objective,
     exact_mle_population,
-    gsm_discrete_objective,
     gsm_discrete_population,
-    pseudo_likelihood_objective,
     pseudo_likelihood_population,
-    ratio_matching_objective,
     ratio_matching_population,
-    sm_objective,
 )
 from .operators import DiscreteJoint
 
@@ -101,20 +97,13 @@ def fd_gradient(fun, theta, step: float = FD_CHECK_STEP) -> np.ndarray:
     return out
 
 
-_EMPIRICAL = {
-    ObjectiveKind.SM_CONTINUOUS: sm_objective,
-    ObjectiveKind.GSM_DISCRETE: gsm_discrete_objective,
-    ObjectiveKind.RATIO_MATCHING: ratio_matching_objective,
-    ObjectiveKind.PSEUDO_LIKELIHOOD: pseudo_likelihood_objective,
-    ObjectiveKind.EXACT_MLE: exact_mle_objective,
-}
-
 # Each population objective's enumeration oracle, and the empirical form that
-# a population fit evaluates on the joint instead.  Each form differs from its
-# oracle by a theta-independent constant: zero for pl and mle, which are the
-# oracles' own sums; the p-only term of the expanded square for gsm; and for
-# rm, whose divergence equals gsm's at every alphabet size while the
-# empirical rm is binary-only, gsm's form and that same term.
+# a population fit builds (`objectives.empirical_objective`) and evaluates on
+# the joint instead.  Each form differs from its oracle by a theta-independent
+# constant: zero for pl and mle, which are the oracles' own sums; the p-only
+# term of the expanded square for gsm; and for rm, whose divergence equals
+# gsm's at every alphabet size while the empirical rm is binary-only, gsm's
+# form and that same term.
 _POPULATION = {
     ObjectiveKind.GSM_DISCRETE: (gsm_discrete_population, ObjectiveKind.GSM_DISCRETE),
     ObjectiveKind.RATIO_MATCHING: (ratio_matching_population, ObjectiveKind.GSM_DISCRETE),
@@ -126,14 +115,15 @@ _POPULATION = {
 def objective_functions(model: Model, objective: ObjectiveKind, data):
     """The objective as one callable theta -> (value, exact gradient).
 
-    ``data`` is a Dataset (empirical objective) or a DiscreteJoint (population
-    objective).  A discrete objective builds its theta-free design once, here
-    (`objectives.discrete_objective`).  A population objective evaluates the
-    matching empirical form on the joint and adds one theta-free offset,
-    oracle - form at `default_init(model)`, so its value is the enumeration
-    oracle's divergence while each trial point costs one form evaluation.
-    Parameters outside the model's domain (a non-PD Gaussian covariance, a
-    non-positive generalized-Gaussian exponent) evaluate to (+inf, None).
+    There are two routes.  A Dataset goes to `objectives.empirical_objective`,
+    which checks it against the model and builds the objective's theta-free
+    design once per fit.  A DiscreteJoint makes a population objective: the
+    matching empirical form, built on the joint the same way, plus one
+    theta-free offset, oracle - form at `default_init(model)`, so its value is
+    the enumeration oracle's divergence while each trial point costs one form
+    evaluation.  Parameters outside the model's domain (a non-PD Gaussian
+    covariance, a non-positive generalized-Gaussian exponent) evaluate to
+    (+inf, None).
     """
     offset = 0.0
     if isinstance(data, DiscreteJoint):
@@ -142,16 +132,11 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
                 f"{objective.value} has no population form over an enumerated joint"
             )
         oracle, form = _POPULATION[objective]
-        objective_at = discrete_objective(model, form, data)
+        objective_at = empirical_objective(model, form, data)
         theta0 = default_init(model)
         offset = oracle(data, model, theta0) - objective_at(theta0).value
-    elif data.kind == "discrete" and objective is not ObjectiveKind.SM_CONTINUOUS:
-        objective_at = discrete_objective(model, objective, data)
     else:
-        fn = _EMPIRICAL[objective]
-
-        def objective_at(theta):
-            return fn(model, theta, data)
+        objective_at = empirical_objective(model, objective, data)
 
     def value_and_grad(theta):
         try:

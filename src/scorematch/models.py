@@ -142,9 +142,9 @@ def potts_model(fields, couplings, edges=None) -> Model:
 def gen_gauss_model(alpha: float) -> Model:
     """1-D generalized Gaussian, log q~ = -(x^2 + eps^2)^(alpha/2).
 
-    Score matching (`objectives.sm_objective`) applies only for alpha > 1:
-    for alpha <= 1 the eps-smoothed cusp breaks Hyvarinen's regularity
-    condition and the sm estimate is biased.
+    Score matching (`objectives.sm_objective`) is reliable only for
+    alpha > 1.5, where its per-sample Laplacian term has finite variance;
+    for alpha <= 1 the eps-smoothed cusp also biases the sm estimate.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")

@@ -7,24 +7,21 @@ quantities the estimators minimize.  Every objective except exact MLE is
 partition-free: it only sees log q~ through derivatives or conditional ratios.
 
 Every empirical objective returns its exact parameter gradient, built from the
-intermediates its value already computes.  The discrete ones (gsm, rm, pl,
-mle) go through the pairwise one-hot form of Ising and Potts
-(`models.pairwise_form`), in two parts (`discrete_objective`): a theta-free
-design of the weighted states, their one-hot rows and, for mle, the state
-cube's one-hot rows and the data moment, built once per fit; and a per-theta
-evaluation that reuses it.  The public discrete objectives build the design
-and evaluate it once.  Their data is a discrete Dataset or a DiscreteJoint,
-which stands for its state cube weighted by its probabilities: on a joint
-they give the expectation of the sample form under it.  The exact-MLE
-partition uses a NumPy port of SciPy's `logsumexp`, so importing the package
-loads no SciPy module.  The Gaussian sm and mle see the data only through the
-sample mean and the scatter about mu, so both are closed forms in the
-precision and that scatter.  Generalized-Gaussian sm differentiates its own score and Laplacian terms in
-alpha.  The population objectives are value-only: they are the enumeration
-oracles the estimators are checked against, so they keep their own
-independent route through `log_unnorm`.  A population fit evaluates only the
-joint-weighted form, which differs from its oracle by a theta-independent
-constant, and adds that constant once (`estimation.objective_functions`).
+intermediates its value already computes.  One builder, `empirical_objective`,
+checks the data against the model and builds the objective's theta-free
+design once; each evaluation at a theta reuses it.  The Gaussian sm and mle
+are closed forms in the precision and the sample scatter, generalized-Gaussian
+sm differentiates its own score and Laplacian terms in alpha, and the
+discrete gsm, rm, pl and mle go through the pairwise one-hot form of Ising
+and Potts (`models.pairwise_form`).  Discrete data is a Dataset or a
+DiscreteJoint, which stands for its state cube weighted by its
+probabilities.  The exact-MLE partition uses a NumPy port of SciPy's
+`logsumexp`, so importing the package loads no SciPy module.  The population
+objectives are value-only: they are the enumeration oracles the estimators
+are checked against, so they keep their own independent route through
+`log_unnorm`.  A population fit evaluates only the joint-weighted form, which
+differs from its oracle by a theta-independent constant, and adds that
+constant once (`estimation.objective_functions`).
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ import numpy as np
 from .grids import GridDensity, log_values, quad, require_same_geometry, support_mask
 from .operators import DiscreteJoint, grid_gradient, marginalize
 from .models import (
+    DISCRETE_KINDS,
     GENGAUSS_EPS,
     Dataset,
     Model,
@@ -123,25 +121,18 @@ def logsumexp(a) -> float:
     return float(np.log1p(s / k) + np.log(k) + top)
 
 
-def _check_continuous_pair(model: Model, data) -> None:
-    if model.kind not in (ModelKind.GAUSSIAN, ModelKind.GEN_GAUSS_1D):
-        raise ValueError("objective requires a continuous model")
-    if not isinstance(data, Dataset) or data.kind != "continuous" or data.dim != model.dim:
-        raise ValueError("dataset is not continuous data of matching dimension")
-
-
-def _check_discrete_pair(model: Model, data) -> None:
-    """data is a discrete Dataset or a DiscreteJoint of the model's shape."""
-    if model.alphabet_size is None:
-        raise ValueError("objective requires a discrete model")
+def _check_data(model: Model, data) -> None:
+    """data is a Dataset of the model's kind and shape or, for a discrete
+    model, a DiscreteJoint of its shape."""
     if isinstance(data, DiscreteJoint):
-        shape = (data.d, data.m)
-    elif data.kind == "discrete":
-        shape = (data.dim, data.alphabet_size)
+        got = ("discrete", data.d, data.m)
+    elif isinstance(data, Dataset):
+        got = (data.kind, data.dim, data.alphabet_size)
     else:
-        shape = None
-    if shape != (model.dim, model.alphabet_size):
-        raise ValueError("data is not discrete data of matching shape")
+        got = type(data).__name__
+    want = ("discrete" if model.alphabet_size else "continuous", model.dim, model.alphabet_size)
+    if got != want:
+        raise ValueError(f"the {model.kind.value} model needs data of shape {want}, got {got}")
 
 
 def _log_table(model: Model, theta) -> np.ndarray:
@@ -166,55 +157,57 @@ def _conditionals_from_table(table: np.ndarray, log_space: bool) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Continuous score matching (empirical)
+# Empirical objectives: one builder, one theta-free design per fit
 
-def sm_objective(model: Model, theta, data: Dataset) -> ObjectiveValue:
-    """Mean of |grad_x log q~|^2 + 2 * laplacian_x log q~ over the samples.
+def empirical_objective(model: Model, objective: ObjectiveKind, data):
+    """An empirical objective as a function of theta alone, returning its
+    ObjectiveValue.
 
-    For the Gaussian this is tr(P^2 M) - 2 tr P, with P the precision and M
-    the 1/N scatter about mu.  On the generalized Gaussian it is consistent
-    only for alpha > 1: at alpha <= 1 the eps-smoothed cusp at 0 breaks
-    Hyvarinen's regularity condition, and the fit is biased (true 0.5 -> 1.00,
-    0.8 -> 1.16 at N = 5e3).
+    data is a Dataset of the model's kind and shape or, for a discrete model,
+    a DiscreteJoint that stands for its state cube weighted by its
+    probabilities.  The design, everything that does not depend on theta, is
+    built here once: a fit evaluates it at every trial point, and the public
+    objectives build it per call and evaluate it once.
     """
-    _check_continuous_pair(model, data)
-    mod = model.with_params(theta)
-    if mod.kind is ModelKind.GAUSSIAN:
-        P, r, M = _gaussian_scatter(mod, data.values)
-        PP = P @ P
-        B = PP @ M @ P
-        grad = np.concatenate([-2.0 * PP @ r, _tril_grad(2.0 * PP - B - B.T)])
-        return ObjectiveValue(float(np.sum(PP * M) - 2.0 * np.trace(P)), grad)
-    x = data.values[:, 0]
-    g = grad_x_log(mod, data.values)[:, 0]
-    lap = laplacian_x_log(mod, data.values)
-    value = float(np.mean(g * g + 2.0 * lap))
-    # g and lap both carry the factor alpha * u^(alpha/2), u = x^2 + eps^2,
-    # whose log-derivative in alpha is 1/alpha + log(u)/2; lap also has the
-    # term -alpha x^2 u^(alpha/2 - 2) = g x / u.
-    u = x * x + GENGAUSS_EPS**2
-    dlog = 1.0 / mod.params[0] + 0.5 * np.log(u)
-    grad = np.array([np.mean(2.0 * (g * g + lap) * dlog + 2.0 * g * x / u)])
-    return ObjectiveValue(value, grad)
+    _check_data(model, data)
+    evaluate = _EVALUATE.get((model.kind, objective))
+    if evaluate is None:
+        raise ValueError(f"{objective.value} does not apply to the {model.kind.value} model; "
+                         "sm takes continuous models, gsm, rm and pl discrete ones, "
+                         "and mle discrete and Gaussian ones")
+    if model.kind is ModelKind.GAUSSIAN:
+        xbar = data.values.mean(axis=0)
+        centered = data.values - xbar
+        design = xbar, centered.T @ centered / data.n
+    elif model.kind is ModelKind.GEN_GAUSS_1D:
+        design = (data.values,)
+    else:
+        design = _discrete_design(model, objective, data)
+    return lambda theta: evaluate(model.with_params(theta), *design)
 
 
-def _gaussian_scatter(model: Model, X: np.ndarray):
-    """The precision P, xbar - mu and the 1/N scatter M about mu: all that the
-    Gaussian sm and mle objectives see of the data."""
-    mu, cov = gaussian_parts(model)
-    centered = X - mu
-    return np.linalg.inv(cov), centered.mean(axis=0), centered.T @ centered / X.shape[0]
+def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted states' one-hot rows and their weights, or for mle the
+    state cube's one-hot rows and the data moment."""
+    if objective is ObjectiveKind.RATIO_MATCHING and model.alphabet_size != 2:
+        raise ValueError(
+            f"ratio matching needs binary data, got alphabet size "
+            f"{model.alphabet_size}; use gsm"
+        )
+    if isinstance(data, DiscreteJoint):
+        states, w = state_cube(data.m, data.d), data.probs.ravel()
+    else:
+        states, w = collapse_states(data)
+        states = states.values
+    x1 = one_hot(model, states)
+    if objective is not ObjectiveKind.EXACT_MLE:
+        return x1, w
+    data_moment = _pair_moments(model, x1, w)
+    if isinstance(data, Dataset):
+        del x1  # free the states' rows before the cube's; a joint's states are the cube
+        x1 = one_hot(model, state_cube(model.alphabet_size, model.dim))
+    return x1, data_moment
 
-
-def _tril_grad(A: np.ndarray) -> np.ndarray:
-    """The gradient in the tril covariance layout from the symmetric dl/dSigma
-    = A: each off-diagonal parameter sets two entries of Sigma."""
-    rows, cols = np.tril_indices(A.shape[0])
-    return np.where(rows == cols, A[rows, cols], 2.0 * A[rows, cols])
-
-
-# ---------------------------------------------------------------------------
-# Discrete empirical objectives
 
 def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
     """A discrete dataset collapsed to its distinct states, with their
@@ -236,43 +229,108 @@ def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
     return replace(data, values=states), counts / counts.sum()
 
 
-def _weighted_states(data) -> tuple[np.ndarray, np.ndarray]:
-    """The states and their weights: a Dataset's distinct states with their
-    empirical frequencies, or a DiscreteJoint's state cube with its
-    probabilities."""
-    if isinstance(data, DiscreteJoint):
-        return state_cube(data.m, data.d), data.probs.ravel()
-    data, w = collapse_states(data)
-    return data.values, w
+def sm_objective(model: Model, theta, data: Dataset) -> ObjectiveValue:
+    """Mean of |grad_x log q~|^2 + 2 * laplacian_x log q~ over the samples.
 
-
-def discrete_objective(model: Model, objective: ObjectiveKind, data):
-    """A discrete empirical objective (gsm, rm, pl or mle) as a function of
-    theta alone, returning its ObjectiveValue.
-
-    data is a discrete Dataset, or a DiscreteJoint that stands for its state
-    cube weighted by its probabilities.  Everything that does not depend on
-    theta is built here once: the weighted states, their one-hot rows, and
-    for mle the state cube's one-hot rows and the data moment.  A fit builds
-    it once and evaluates it at every trial point; the public objectives
-    build it per call and evaluate it once.
+    For the Gaussian this is tr(P^2 M) - 2 tr P, with P the precision and M
+    the 1/N scatter about mu.  On the generalized Gaussian the per-sample
+    Laplacian term has finite variance only for alpha > 1.5; below that a few
+    samples near the cusp can decide the fit (alpha = 1.5, seed 1, N = 5e3
+    converges to 0.142), and at alpha <= 1 the eps-smoothed cusp biases it
+    (true 0.5 -> 1.00, 0.8 -> 1.16 at N = 5e3).
     """
-    _check_discrete_pair(model, data)
-    if objective is ObjectiveKind.RATIO_MATCHING and model.alphabet_size != 2:
-        raise ValueError(
-            f"ratio matching needs binary data, got alphabet size "
-            f"{model.alphabet_size}; use gsm"
-        )
-    evaluate = _DISCRETE[objective]
-    states, w = _weighted_states(data)
-    if objective is ObjectiveKind.EXACT_MLE:
-        # The data moment comes first, so that the states' one-hot rows are
-        # freed before the cube's are built.
-        data_moment = _pair_moments(model, one_hot(model, states), w)
-        cube_x1 = one_hot(model, state_cube(model.alphabet_size, model.dim))
-        return lambda theta: evaluate(model.with_params(theta), cube_x1, data_moment)
-    x1 = one_hot(model, states)
-    return lambda theta: evaluate(model.with_params(theta), x1, w)
+    return empirical_objective(model, ObjectiveKind.SM_CONTINUOUS, data)(theta)
+
+
+def gsm_discrete_objective(model: Model, theta, data) -> ObjectiveValue:
+    """Sample form of the squared-conditional-difference divergence: mean of
+    sum_i [sum_y q(y|x^{\\i})^2 - 2 q(xi|x^{\\i})] over the samples.
+
+    Expanding gsm_discrete_population, the p-weighted cross term
+    sum_y p(y|x^{\\i}) q(y|x^{\\i}) averages to q at the observed symbol, so
+    the two differ by sum_x p(x) sum_i sum_y p(y|x^{\\i})^2, which does not
+    depend on theta.  That constant needs p and is not added: the value is the
+    plain sample form (the Brier score of the singleton conditionals), and on
+    a DiscreteJoint p its p-weighted mean.
+    """
+    return empirical_objective(model, ObjectiveKind.GSM_DISCRETE, data)(theta)
+
+
+def ratio_matching_objective(model: Model, theta, data) -> ObjectiveValue:
+    """Hyvarinen's binary ratio matching: mean of sum_i (1 - q(xi|x^{\\i}))^2
+    over the samples.
+
+    For binary data this is (gsm_discrete_objective + d) / 2, so under p its
+    expectation is half of ratio_matching_population plus a theta-independent
+    constant, and both share a minimizer.  For m > 2 the observed-symbol form
+    is no longer a constant away from that divergence, so such models are
+    rejected; use gsm instead.
+    """
+    return empirical_objective(model, ObjectiveKind.RATIO_MATCHING, data)(theta)
+
+
+def pseudo_likelihood_objective(model: Model, theta, data) -> ObjectiveValue:
+    """Negative mean log product of singleton conditionals."""
+    return empirical_objective(model, ObjectiveKind.PSEUDO_LIKELIHOOD, data)(theta)
+
+
+def exact_mle_objective(model: Model, theta, data) -> ObjectiveValue:
+    """Negative mean log *normalized* likelihood (brute-force partition).
+
+    For discrete models the gradient is E_q[T] - E_data[T] of the sufficient
+    statistic T = dlog q~/dtheta, with E_q taken over the enumerated cube.
+    """
+    return empirical_objective(model, ObjectiveKind.EXACT_MLE, data)(theta)
+
+
+# ---------------------------------------------------------------------------
+# Per-theta evaluations of the designs
+
+def _gaussian_sm(mod: Model, xbar: np.ndarray, S: np.ndarray) -> ObjectiveValue:
+    P, r, M = _gaussian_scatter(mod, xbar, S)
+    PP = P @ P
+    B = PP @ M @ P
+    grad = np.concatenate([-2.0 * PP @ r, _tril_grad(2.0 * PP - B - B.T)])
+    return ObjectiveValue(float(np.sum(PP * M) - 2.0 * np.trace(P)), grad)
+
+
+def _gaussian_mle(mod: Model, xbar: np.ndarray, S: np.ndarray) -> ObjectiveValue:
+    # (tr(P M) + d log 2 pi + log det Sigma) / 2, with gradients
+    # -P (xbar - mu) in mu and (P - P M P) / 2 in Sigma.
+    P, r, M = _gaussian_scatter(mod, xbar, S)
+    logdet = np.linalg.slogdet(gaussian_parts(mod)[1])[1]
+    value = 0.5 * (np.sum(P * M) + mod.dim * np.log(2.0 * np.pi) + logdet)
+    grad = np.concatenate([-P @ r, _tril_grad(0.5 * (P - P @ M @ P))])
+    return ObjectiveValue(float(value), grad)
+
+
+def _gaussian_scatter(model: Model, xbar: np.ndarray, S: np.ndarray):
+    """The precision P, r = xbar - mu and the 1/N scatter about mu,
+    M = S + r r', from the sample mean and the scatter S about it."""
+    mu, cov = gaussian_parts(model)
+    r = xbar - mu
+    return np.linalg.inv(cov), r, S + np.outer(r, r)
+
+
+def _tril_grad(A: np.ndarray) -> np.ndarray:
+    """The gradient in the tril covariance layout from the symmetric dl/dSigma
+    = A: each off-diagonal parameter sets two entries of Sigma."""
+    rows, cols = np.tril_indices(A.shape[0])
+    return np.where(rows == cols, A[rows, cols], 2.0 * A[rows, cols])
+
+
+def _gen_gauss_sm(mod: Model, X: np.ndarray) -> ObjectiveValue:
+    x = X[:, 0]
+    g = grad_x_log(mod, X)[:, 0]
+    lap = laplacian_x_log(mod, X)
+    value = float(np.mean(g * g + 2.0 * lap))
+    # g and lap both carry the factor alpha * u^(alpha/2), u = x^2 + eps^2,
+    # whose log-derivative in alpha is 1/alpha + log(u)/2; lap also has the
+    # term -alpha x^2 u^(alpha/2 - 2) = g x / u.
+    u = x * x + GENGAUSS_EPS**2
+    dlog = 1.0 / mod.params[0] + 0.5 * np.log(u)
+    grad = np.array([np.mean(2.0 * (g * g + lap) * dlog + 2.0 * g * x / u)])
+    return ObjectiveValue(value, grad)
 
 
 def _observed(q: np.ndarray, x1: np.ndarray) -> np.ndarray:
@@ -322,6 +380,13 @@ def _pl(mod: Model, x1: np.ndarray, w: np.ndarray) -> ObjectiveValue:
     return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, q))
 
 
+def _pair_moments(model: Model, x1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The w-weighted sum of T(x) = dlog q~/dtheta over the one-hot rows x1:
+    log q~ = F . x1 + x1' C x1 / 2, so T is the adjoint of the pairwise form
+    applied to (x1, x1 x1' / 2)."""
+    return pairwise_adjoint(model, w @ x1, 0.5 * ((x1.T * w) @ x1))
+
+
 def _mle(mod: Model, cube_x1: np.ndarray, data_moment: np.ndarray) -> ObjectiveValue:
     # log q~ = T(x) . theta = F . x1 + x1' C x1 / 2 on the cube, and the data
     # term is E_data[T] . theta; log_shift cancels against log Z.
@@ -333,70 +398,15 @@ def _mle(mod: Model, cube_x1: np.ndarray, data_moment: np.ndarray) -> ObjectiveV
     return ObjectiveValue(float(log_z - data_moment @ mod.params), grad)
 
 
-_DISCRETE = {
-    ObjectiveKind.GSM_DISCRETE: _gsm,
-    ObjectiveKind.RATIO_MATCHING: _rm,
-    ObjectiveKind.PSEUDO_LIKELIHOOD: _pl,
-    ObjectiveKind.EXACT_MLE: _mle,
+# Each model kind's per-theta evaluation of each objective that applies to it.
+_EVALUATE = {
+    (ModelKind.GAUSSIAN, ObjectiveKind.SM_CONTINUOUS): _gaussian_sm,
+    (ModelKind.GAUSSIAN, ObjectiveKind.EXACT_MLE): _gaussian_mle,
+    (ModelKind.GEN_GAUSS_1D, ObjectiveKind.SM_CONTINUOUS): _gen_gauss_sm,
+    **{(kind, objective): evaluate for kind in DISCRETE_KINDS for objective, evaluate in (
+        (ObjectiveKind.GSM_DISCRETE, _gsm), (ObjectiveKind.RATIO_MATCHING, _rm),
+        (ObjectiveKind.PSEUDO_LIKELIHOOD, _pl), (ObjectiveKind.EXACT_MLE, _mle))},
 }
-
-
-def gsm_discrete_objective(model: Model, theta, data) -> ObjectiveValue:
-    """Sample form of the squared-conditional-difference divergence: mean of
-    sum_i [sum_y q(y|x^{\\i})^2 - 2 q(xi|x^{\\i})] over the samples.
-
-    Expanding gsm_discrete_population, the p-weighted cross term
-    sum_y p(y|x^{\\i}) q(y|x^{\\i}) averages to q at the observed symbol, so
-    the two differ by sum_x p(x) sum_i sum_y p(y|x^{\\i})^2, which does not
-    depend on theta.  That constant needs p and is not added: the value is the
-    plain sample form (the Brier score of the singleton conditionals), and on
-    a DiscreteJoint p its p-weighted mean.
-    """
-    return discrete_objective(model, ObjectiveKind.GSM_DISCRETE, data)(theta)
-
-
-def ratio_matching_objective(model: Model, theta, data) -> ObjectiveValue:
-    """Hyvarinen's binary ratio matching: mean of sum_i (1 - q(xi|x^{\\i}))^2
-    over the samples.
-
-    For binary data this is (gsm_discrete_objective + d) / 2, so under p its
-    expectation is half of ratio_matching_population plus a theta-independent
-    constant, and both share a minimizer.  For m > 2 the observed-symbol form
-    is no longer a constant away from that divergence, so such models are
-    rejected; use gsm instead.
-    """
-    return discrete_objective(model, ObjectiveKind.RATIO_MATCHING, data)(theta)
-
-
-def pseudo_likelihood_objective(model: Model, theta, data) -> ObjectiveValue:
-    """Negative mean log product of singleton conditionals."""
-    return discrete_objective(model, ObjectiveKind.PSEUDO_LIKELIHOOD, data)(theta)
-
-
-def _pair_moments(model: Model, x1: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The w-weighted sum of T(x) = dlog q~/dtheta over the one-hot rows x1:
-    log q~ = F . x1 + x1' C x1 / 2, so T is the adjoint of the pairwise form
-    applied to (x1, x1 x1' / 2)."""
-    return pairwise_adjoint(model, w @ x1, 0.5 * ((x1.T * w) @ x1))
-
-
-def exact_mle_objective(model: Model, theta, data) -> ObjectiveValue:
-    """Negative mean log *normalized* likelihood (brute-force partition).
-
-    For discrete models the gradient is E_q[T] - E_data[T] of the sufficient
-    statistic T = dlog q~/dtheta, with E_q taken over the enumerated cube.
-    """
-    if model.kind is not ModelKind.GAUSSIAN:
-        return discrete_objective(model, ObjectiveKind.EXACT_MLE, data)(theta)
-    # (tr(P M) + d log 2 pi + log det Sigma) / 2, with gradients
-    # -P (xbar - mu) in mu and (P - P M P) / 2 in Sigma.
-    mod = model.with_params(theta)
-    _check_continuous_pair(model, data)
-    P, r, M = _gaussian_scatter(mod, data.values)
-    logdet = np.linalg.slogdet(gaussian_parts(mod)[1])[1]
-    value = 0.5 * (np.sum(P * M) + mod.dim * np.log(2.0 * np.pi) + logdet)
-    grad = np.concatenate([-P @ r, _tril_grad(0.5 * (P - P @ M @ P))])
-    return ObjectiveValue(float(value), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +416,7 @@ def gsm_discrete_population(p: DiscreteJoint, model: Model, theta) -> float:
     """Exact squared-conditional-difference divergence:
     sum_x p(x) sum_i sum_xi (p(xi|x^{\\i}) - q(xi|x^{\\i}))^2.
     """
-    _check_discrete_pair(model, p)
+    _check_data(model, p)
     pc = _conditionals_from_table(p.probs, log_space=False)
     qc = _conditionals_from_table(_log_table(model, theta), log_space=True)
     total = 0.0
@@ -421,7 +431,7 @@ def ratio_matching_population(p: DiscreteJoint, model: Model, theta) -> float:
     leave-one-out joint ratios; independent route to the same divergence as
     gsm_discrete_population.
     """
-    _check_discrete_pair(model, p)
+    _check_data(model, p)
     log_q = _log_table(model, theta)
     q_table = np.exp(log_q - log_q.max())
     total = 0.0
@@ -440,7 +450,7 @@ def _phi_of_ratios(table: np.ndarray):
 
 
 def pseudo_likelihood_population(p: DiscreteJoint, model: Model, theta) -> float:
-    _check_discrete_pair(model, p)
+    _check_data(model, p)
     qc = _conditionals_from_table(_log_table(model, theta), log_space=True)
     logs = np.log(np.maximum(qc, 1e-300)).sum(axis=0)
     return float(-np.sum(p.probs * logs))
@@ -448,6 +458,6 @@ def pseudo_likelihood_population(p: DiscreteJoint, model: Model, theta) -> float
 
 def exact_mle_population(p: DiscreteJoint, model: Model, theta) -> float:
     """Cross entropy of p against the exactly normalized model."""
-    _check_discrete_pair(model, p)
+    _check_data(model, p)
     table = _log_table(model, theta)
     return float(-np.sum(p.probs * (table - logsumexp(table))))

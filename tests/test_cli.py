@@ -10,6 +10,7 @@ from scorematch.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from scorematch.estimation import closed_form_gaussian_sm
 from scorematch.models import (
     gaussian_model,
+    gen_gauss_model,
     ising_model,
     model_to_json,
     potts_model,
@@ -194,6 +195,20 @@ def test_scalespace_rejects_bad_specs(tmp_path):
                  "--t", "1:0:0.1", "--out", out]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("t, reason", [
+    ("-1:0.2:0.1", "nonnegative"),
+    ("1:30:1", "wider than half the box"),
+])
+def test_scalespace_maps_a_smoothing_error_to_usage(tmp_path, capsys, t, reason):
+    out = tmp_path / "c.csv"
+    code = main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:2", f"--t={t}",
+                 "--grid-n", "1024", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--t" in err and reason in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--box", "foo"),
     ("--box", "5:-5"),
@@ -219,6 +234,22 @@ def test_compare_row_count(ising2, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("objective,n,seed,")
     assert len(lines) == 1 + 2 + 2 * 1 * 2  # header + population + grid
+
+
+@pytest.mark.parametrize("model", [gaussian_model([0.0], [[1.0]]), gen_gauss_model(1.5)],
+                         ids=["gaussian-d1", "gengauss"])
+def test_compare_rejects_a_continuous_model_as_usage(tmp_path, capsys, model):
+    # The population row's truth normalizes to a grid density, which no
+    # objective takes as data.
+    path = tmp_path / "model.json"
+    path.write_text(model_to_json(model))
+    out = tmp_path / "c.csv"
+    code = main(["compare", "--model", str(path), "--objectives", "sm",
+                 "--n", "50", "--seeds", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert model.kind.value in err and "GridDensity" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_compare_rejects_unknown_objective(ising2, tmp_path):

@@ -35,6 +35,7 @@ from scorematch.objectives import (
     pseudo_likelihood_population,
     ratio_matching_population,
 )
+from scorematch.operators import discrete_joint
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +263,7 @@ def test_population_rm_fit_converges_on_potts():
     (ObjectiveKind.PSEUDO_LIKELIHOOD, False, 1),  # the states' one-hot rows
     (ObjectiveKind.EXACT_MLE, False, 2),  # the states' and the cube's
     (ObjectiveKind.GSM_DISCRETE, True, 1),  # the cube's
+    (ObjectiveKind.EXACT_MLE, True, 1),  # the cube's, for the data and the partition
 ])
 def test_fit_builds_one_hot_rows_once(monkeypatch, objective, population, builds):
     calls = []
@@ -282,6 +284,24 @@ def test_fit_builds_one_hot_rows_once(monkeypatch, objective, population, builds
     res = fit(ising_model(np.zeros(3), np.zeros(2)), objective, data)
     assert res.converged and res.iters > 1
     assert len(calls) == 2 * builds
+
+
+def test_population_mle_design_equals_the_dataset_route():
+    # A dataset that holds every state of the cube builds the data moment from
+    # its states' rows and the partition from the cube's; a joint with the same
+    # weights reuses its cube rows for both and must evaluate bit for bit alike.
+    model = ising_model(np.zeros(3), np.zeros(2))
+    counts = np.arange(1, 9)
+    data = discrete_dataset(np.repeat(np.indices((2,) * 3).reshape(3, -1).T, counts, axis=0), 2)
+    joint = discrete_joint((counts / counts.sum()).reshape((2,) * 3))
+    from_data = objectives.empirical_objective(model, ObjectiveKind.EXACT_MLE, data)
+    from_joint = objectives.empirical_objective(model, ObjectiveKind.EXACT_MLE, joint)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        theta = rng.standard_normal(model.n_params)
+        a, b = from_data(theta), from_joint(theta)
+        assert a.value == b.value
+        assert np.array_equal(a.grad_theta, b.grad_theta)
 
 
 @pytest.mark.parametrize("population", [False, True])

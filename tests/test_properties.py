@@ -13,6 +13,7 @@ from scorematch.estimation import (
     objective_functions,
 )
 from scorematch.models import (
+    continuous_dataset,
     discrete_dataset,
     exact_normalize,
     gaussian_model,
@@ -29,6 +30,7 @@ from scorematch.models import (
 from scorematch.objectives import (
     ObjectiveKind,
     collapse_states,
+    empirical_objective,
     exact_mle_objective,
     exact_mle_population,
     gsm_discrete_objective,
@@ -100,6 +102,46 @@ def test_discrete_objectives_normalization_invariant(seed, c):
         base = fn(model, model.params, data).value
         moved = fn(shifted, model.params, data).value
         assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(**SETTINGS)
+def test_a_built_objective_is_theta_free(seed):
+    # Built once and evaluated at theta1, theta2 and theta1 again, an objective
+    # gives the same theta1 result bit for bit: no evaluation may update the
+    # design it was built with.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+
+    def gaussian_theta():
+        a = rng.standard_normal((d, d)) * 0.4
+        return gaussian_model(rng.standard_normal(d), a @ a.T + np.eye(d)).params
+
+    gauss = gaussian_model(np.zeros(d), np.eye(d))
+    gauss_data = continuous_dataset(rng.standard_normal((40, d)) + 0.5)
+    cases = [(gauss, kind, gauss_data, gaussian_theta)
+             for kind in (ObjectiveKind.SM_CONTINUOUS, ObjectiveKind.EXACT_MLE)]
+    cases.append((gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS,
+                  continuous_dataset(rng.standard_normal((40, 1))),
+                  lambda: rng.uniform(0.5, 3.0, 1)))
+    k = d + 1
+    for model in (ising_model(np.zeros(k), np.zeros(k - 1)),
+                  potts_model(np.zeros((k, 3)), np.zeros(k - 1))):
+        truth = model.with_params(rng.uniform(-1, 1, model.n_params))
+        kinds = [ObjectiveKind.GSM_DISCRETE, ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE]
+        if model.alphabet_size == 2:
+            kinds.append(ObjectiveKind.RATIO_MATCHING)
+        for data in (sample(truth, 40, seed), exact_normalize(truth)):
+            cases += [(model, kind, data, lambda n=model.n_params: rng.uniform(-1, 1, n))
+                      for kind in kinds]
+    for model, kind, data, random_theta in cases:
+        evaluate = empirical_objective(model, kind, data)
+        theta1 = random_theta()
+        first = evaluate(theta1)
+        evaluate(random_theta())
+        again = evaluate(theta1)
+        assert again.value == first.value
+        assert np.array_equal(again.grad_theta, first.grad_theta)
 
 
 def _random_pairwise(rng):
