@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .grids import GridDensity, log_values, quad, require_same_geometry, support_mask
-from .operators import DiscreteJoint, grid_gradient, marginalize
+from .operators import DiscreteJoint, grid_gradient, marginalize, squared_norm
 from .models import (
     DISCRETE_KINDS,
     GENGAUSS_EPS,
@@ -75,8 +75,11 @@ def kl_exact(p, q) -> float:
         require_same_geometry(p, q)
         if np.any(q.values[p.values > 0] <= 0):
             raise ValueError("q vanishes where p is positive")
-        lp, lq = log_values(p), log_values(q)
-        integrand = np.where(p.values > 0, p.values * (lp - lq), 0.0)
+        # The log floor keeps log p - log q finite, so nodes where p is 0
+        # contribute 0 to the integrand.
+        integrand = log_values(p)
+        integrand -= log_values(q)
+        integrand *= p.values
         return quad(p, integrand)
     if isinstance(p, DiscreteJoint) and isinstance(q, DiscreteJoint):
         if p.m != q.m or p.d != q.d:
@@ -94,12 +97,12 @@ def fisher_exact(p: GridDensity, q: GridDensity) -> float:
     mask = support_mask(p)
     if np.any(q.values[mask] <= 0):
         raise ValueError("q vanishes on the support of p")
-    sp = grid_gradient(log_values(p), p.spacing)
-    sq = grid_gradient(log_values(q), q.spacing)
-    sq_dist = np.zeros_like(p.values)
-    for a, b in zip(sp, sq):
-        sq_dist += (a - b) ** 2
-    return quad(p, np.where(mask, p.values * sq_dist, 0.0))
+    log_ratio = log_values(p)
+    log_ratio -= log_values(q)
+    sq_dist = squared_norm(grid_gradient(log_ratio, p.spacing))
+    del log_ratio
+    sq_dist *= p.values
+    return quad(p, np.where(mask, sq_dist, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,20 @@ def grid_gradient(values: np.ndarray, spacing) -> list[np.ndarray]:
     ]
 
 
+def squared_norm(components: list[np.ndarray]) -> np.ndarray:
+    """Pointwise sum of squares of a vector field's components, in order.
+
+    Consumes the list: each component is squared in place and dropped once
+    it is added, so at most two component arrays are alive at a time.
+    """
+    out = components.pop(0)
+    np.square(out, out=out)
+    while components:
+        comp = components.pop(0)
+        out += np.square(comp, out=comp)
+    return out
+
+
 def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     f = np.moveaxis(values, axis, 0)
     out = np.empty_like(f)

@@ -6,16 +6,28 @@ set by their Fisher divergence, and the entropy of a smoothed density grows at
 half its Fisher information; the residual functions below measure how well the
 grid computations reproduce those identities.
 
-Smoothing sums each output point directly over the kernel taps (one BLAS dot
-product per point).  Every summand is nonnegative, so each smoothed value keeps
-full relative precision, down to tails 1e-30 and more below the peak.  An FFT
+Smoothing sums each output point directly over the taps of a sampled Gaussian
+cut at 8 standard deviations (one BLAS dot product per point).  Every summand
+is nonnegative, so rounding leaves each smoothed value within a few ulps of its
+sum over the cut kernel, down to tails 1e-30 and more below the peak.  An FFT
 convolution is not used: its absolute error (~1e-17 of the peak) would turn
 those tails negative or zero, so `kl_exact` would see q vanish where p is
 positive and the log-scores in the tails would be noise.
+
+The cut itself is not negligible in the tails, where most of a smoothed value
+comes from mass more than 8 sigma away.  Against the untruncated sampled
+convolution, `smooth` of a unit-variance Gaussian on a 4096-point grid over
+[-12, 12] is off by up to 4.9e-5 relative where the result exceeds 1e-12 of
+its peak (t <= 1), and by up to 8.1e-3 down to 1e-30 of the peak; a 2-D grid
+measured up to 8e-4 on the first region.  Divergence curves and de Bruijn
+sweeps step along the heat semigroup instead (`_heat_flow`), whose composed
+kernel is not cut at 8 sigma of the total t: on the same densities they stay
+within 5.2e-12 and 1.8e-10 relative of that convolution.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +35,14 @@ import numpy as np
 from .grids import GridDensity, grid_density, log_values, quad, support_mask
 from .models import write_text
 from .objectives import fisher_exact, kl_exact
-from .operators import grid_gradient, grid_laplacian
+from .operators import grid_gradient, grid_laplacian, squared_norm
 
 # Gaussian kernels are truncated at this many standard deviations.
 KERNEL_RADIUS_SIGMAS = 8.0
+# Sampled Gaussians compose only up to an aliasing error of about
+# exp(-pi^2 sigma^2 / (2 h^2)) (Lindeberg 1990), so the heat flow takes no
+# step whose sigma is below this many grid spacings h.
+ALIAS_FREE_STEPS = 5.0
 # Default t-grid for divergence curves.
 DEFAULT_T_GRID = np.round(np.arange(0.02, 1.0 + 1e-9, 0.02), 10)
 
@@ -51,16 +67,33 @@ class DivergenceCurve:
         write_text(path, "\n".join(lines) + "\n")
 
 
-def _kernel(t: float, h: float, half_extent: float) -> np.ndarray:
-    sigma = np.sqrt(t)
-    radius = int(np.ceil(KERNEL_RADIUS_SIGMAS * sigma / h))
+def _radius(t: float, h: float, half_extent: float) -> int:
+    """Taps on each side of the kernel of variance t; it may span at most
+    half the box."""
+    radius = int(np.ceil(KERNEL_RADIUS_SIGMAS * np.sqrt(t) / h))
     if radius * h > half_extent:
         raise ValueError(
             f"smoothing kernel (radius {radius * h:.3g}) wider than half the box"
         )
+    return radius
+
+
+def _kernel(t: float, h: float, half_extent: float) -> np.ndarray:
+    radius = _radius(t, h, half_extent)
     offsets = np.arange(-radius, radius + 1) * h
     k = np.exp(-(offsets**2) / (2.0 * t))
     return k / k.sum()
+
+
+def _convolve(values: np.ndarray, t: float, p: GridDensity) -> np.ndarray:
+    """Convolve values, laid out on p's grid or on that grid zero-padded,
+    along each axis with the sampled Gaussian of variance t."""
+    for ax, (h, (lo, hi)) in enumerate(zip(p.spacing, p.box)):
+        # _kernel's width check keeps k no longer than the axis, so "same"
+        # returns one output centred on each input point (zero padding).
+        k = _kernel(t, h, (hi - lo) / 2.0)
+        values = np.apply_along_axis(np.convolve, ax, values, k, mode="same")
+    return values
 
 
 def smooth(p: GridDensity, t: float) -> GridDensity:
@@ -69,13 +102,41 @@ def smooth(p: GridDensity, t: float) -> GridDensity:
         raise ValueError("scale factor must be nonnegative")
     if t == 0.0:
         return p
-    values = p.values
-    for ax, (h, (lo, hi)) in enumerate(zip(p.spacing, p.box)):
-        # _kernel's width check keeps k no longer than the axis, so "same"
-        # returns the n outputs centred on the grid points (zero padding).
-        k = _kernel(t, h, (hi - lo) / 2.0)
-        values = np.apply_along_axis(np.convolve, ax, values, k, mode="same")
-    return grid_density(p.axes, values, require_decay=False)
+    return grid_density(p.axes, _convolve(p.values, t, p), require_decay=False)
+
+
+def _heat_flow(p: GridDensity, t_grid) -> Iterator[GridDensity]:
+    """Yield p smoothed by each t of an increasing grid of scale factors.
+
+    Since p_(t+dt) = p_t * G_dt, each output takes one step of variance dt
+    from the one before instead of smoothing p by t again: a K-point sweep
+    to T then costs kernel taps in proportion to sqrt(T K) per grid point
+    rather than K^(3/2).  The state is p zero-padded on each axis by the
+    radius of the widest kernel, so the mass a step carries out of the box
+    comes back in on later steps as it does in the untruncated convolution.
+    The composed kernel is therefore not cut at 8 sigma of the total t, and
+    the outputs are closer than `smooth`'s to that convolution.
+
+    A step whose sigma is below ALIAS_FREE_STEPS grid spacings is not taken:
+    that output is `smooth(p, t)` (p itself at t = 0), and the state stays
+    put.
+
+    Each output is a view into a state that is never written again, so it
+    stays valid after the flow moves on.
+    """
+    if t_grid[0] < 0:
+        raise ValueError("scale factor must be nonnegative")
+    radii = [_radius(t_grid[-1], h, (hi - lo) / 2.0) for h, (lo, hi) in zip(p.spacing, p.box)]
+    crop = tuple(slice(r, r + n) for r, n in zip(radii, p.shape))
+    min_step = (ALIAS_FREE_STEPS * max(p.spacing)) ** 2
+    state, t_state = np.pad(p.values, [(r, r) for r in radii]), 0.0
+    for t in t_grid:
+        if t - t_state < min_step:
+            yield smooth(p, t)
+        else:
+            state, t_state = _convolve(state, t - t_state, p), t
+            state /= quad(p, state[crop])
+            yield GridDensity(axes=p.axes, values=state[crop])
 
 
 def entropy(p: GridDensity) -> float:
@@ -85,11 +146,9 @@ def entropy(p: GridDensity) -> float:
 
 def fisher_information(p: GridDensity) -> float:
     mask = support_mask(p)
-    score = grid_gradient(log_values(p), p.spacing)
-    sq = np.zeros_like(p.values)
-    for comp in score:
-        sq += comp**2
-    return quad(p, np.where(mask, p.values * sq, 0.0))
+    sq = squared_norm(grid_gradient(log_values(p), p.spacing))
+    sq *= p.values
+    return quad(p, np.where(mask, sq, 0.0))
 
 
 def heat_pde_residual(p: GridDensity, t: float, dt: float) -> float:
@@ -115,11 +174,7 @@ def lemma1_residual(f: GridDensity, support_frac: float = 1e-2) -> float:
     mask = vals >= support_frac * vals.max()
     lf = log_values(f)
     lhs = grid_laplacian(vals, f.spacing) / np.maximum(vals, 1e-300)
-    score = grid_gradient(lf, f.spacing)
-    sq = np.zeros_like(vals)
-    for comp in score:
-        sq += comp**2
-    rhs = grid_laplacian(lf, f.spacing) + sq
+    rhs = grid_laplacian(lf, f.spacing) + squared_norm(grid_gradient(lf, f.spacing))
     return float(np.abs(lhs - rhs)[mask].max())
 
 
@@ -131,10 +186,15 @@ def divergence_curve(p: GridDensity, q: GridDensity, t_grid=None) -> DivergenceC
         raise ValueError("t grid must be strictly increasing")
     kl = np.empty(t.size)
     fisher = np.empty(t.size)
-    for i, ti in enumerate(t):
-        pt, qt = smooth(p, ti), smooth(q, ti)
+    # Each output is a view that keeps its flow's padded state alive, so both
+    # are dropped before the flows step again; under enumerate(zip(...)),
+    # twice as many states were alive at the peak.
+    p_flow, q_flow = _heat_flow(p, t), _heat_flow(q, t)
+    for i in range(t.size):
+        pt, qt = next(p_flow), next(q_flow)
         kl[i] = kl_exact(pt, qt)
         fisher[i] = fisher_exact(pt, qt)
+        del pt, qt
     dkl = np.full(t.size, np.nan)
     if t.size >= 3:
         dkl[1:-1] = (kl[2:] - kl[:-2]) / (t[2:] - t[:-2])
@@ -158,8 +218,7 @@ def debruijn_residual(p: GridDensity, t_grid) -> float:
         raise ValueError("t grid must be strictly increasing with >= 3 points")
     H = np.empty(t.size)
     J = np.empty(t.size)
-    for i, ti in enumerate(t):
-        pt = smooth(p, ti)
+    for i, pt in enumerate(_heat_flow(p, t)):
         H[i] = entropy(pt)
         J[i] = fisher_information(pt)
     dh = (H[2:] - H[:-2]) / (t[2:] - t[:-2])

@@ -18,6 +18,7 @@ from scorematch.operators import (
     marginalization_adjoint_residual,
     marginalize,
     reconstruct_joint,
+    squared_norm,
 )
 
 
@@ -78,6 +79,17 @@ def test_grid_laplacian_2d_additivity():
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
     lap = grid_laplacian(xx**2 + 3.0 * yy**2, ax[1] - ax[0])
     assert np.abs(lap - 8.0).max() < 1e-7
+
+
+def test_squared_norm_sums_squares_in_order_and_consumes_the_list():
+    rng = np.random.default_rng(0)
+    comps = [rng.normal(size=(5, 4)) for _ in range(3)]
+    want = np.zeros((5, 4))
+    for c in comps:
+        want += c**2
+    given = [c.copy() for c in comps]
+    assert np.array_equal(squared_norm(given), want)
+    assert given == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ arbitrary inputs, not just the hand-picked fixtures."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from scorematch.grids import gaussian_1d, mixture_1d
+from scorematch.grids import mixture_1d
 from scorematch.estimation import (
     FD_CHECK_STEP,
     OptimizerConfig,

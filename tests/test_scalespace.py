@@ -10,6 +10,7 @@ from scipy.ndimage import convolve1d
 from scorematch.grids import gaussian_1d, grid_density, mixture_1d, uniform_axis
 from scorematch.scalespace import (
     DivergenceCurve,
+    _heat_flow,
     _kernel,
     debruijn_residual,
     divergence_curve,
@@ -84,12 +85,15 @@ def test_smooth_keeps_relative_precision_in_1d_tails():
         _assert_tail_precision(p, (0.02, 0.3, 1.0))
 
 
-def test_smooth_keeps_relative_precision_in_2d_tails():
+def _anisotropic_2d():
     x, y = uniform_axis(-12.0, 12.0, 257), uniform_axis(-10.0, 10.0, 193)
     xx, yy = np.meshgrid(x, y, indexing="ij")
     vals = np.exp(-((xx - 1.0) ** 2) / 0.8 - (yy + 0.5) ** 2 / 0.6)
-    p = grid_density((x, y), vals, require_decay=False)
-    _assert_tail_precision(p, (0.02, 0.5, 1.5))
+    return grid_density((x, y), vals, require_decay=False)
+
+
+def test_smooth_keeps_relative_precision_in_2d_tails():
+    _assert_tail_precision(_anisotropic_2d(), (0.02, 0.5, 1.5))
 
 
 def test_smooth_rejects_negative_t_and_wide_kernel():
@@ -99,6 +103,90 @@ def test_smooth_rejects_negative_t_and_wide_kernel():
         smooth(p, -0.1)
     with pytest.raises(ValueError, match="kernel"):
         smooth(p, 4.0)  # 8 sigma = 16 > half-box
+
+
+# ---------------------------------------------------------------------------
+# Heat flow
+
+def _untruncated_smooth(p, t):
+    """Direct zero-padded convolution with the sampled Gaussian cut only where
+    its taps underflow to 0 (or at the grid's width), normalized like `smooth`."""
+    values = p.values
+    for ax, h in enumerate(p.spacing):
+        n = values.shape[ax]
+        r = min(n - 1, int(np.ceil(np.sqrt(2.0 * 746.0 * t) / h)))
+        offsets = np.arange(-r, r + 1) * h
+        k = np.exp(-(offsets**2) / (2.0 * t))
+        k /= k.sum()
+        values = np.apply_along_axis(
+            lambda v: np.convolve(v, k, mode="full")[r : r + n], ax, values
+        )
+    return grid_density(p.axes, values, require_decay=False).values
+
+
+def _workload_densities():
+    return (
+        _gauss(0.0, 1.0),
+        _gauss(0.0, 2.0),
+        _gauss(0.5, 1.0),
+        mixture_1d([(0.5, -2.0, 1.0), (0.5, 2.0, 1.0)], box=BOX, n=4096),
+    )
+
+
+def _max_rel_err(got, ref, frac):
+    region = ref > frac * ref.max()
+    return float((np.abs(got - ref) / ref)[region].max())
+
+
+def test_heat_flow_matches_the_untruncated_convolution():
+    t_grid = np.round(np.arange(0.02, 1.0 + 1e-9, 0.02), 12)
+    for p in _workload_densities():
+        for t, pt in zip(t_grid, _heat_flow(p, t_grid)):
+            ref = _untruncated_smooth(p, t)
+            assert _max_rel_err(pt.values, ref, 1e-12) <= 1e-10, t
+            assert _max_rel_err(pt.values, ref, 1e-30) <= 1e-9, t
+
+
+def test_heat_flow_is_never_further_than_smooth_in_2d():
+    # Spacings ~0.1: steps below 0.27 restart from p, so this grid mixes
+    # restarts, single steps and composed steps.
+    p = _anisotropic_2d()
+    t_grid = np.round(np.arange(0.1, 1.5 + 1e-9, 0.1), 12)
+    for t, pt in zip(t_grid, _heat_flow(p, t_grid)):
+        ref, direct = _untruncated_smooth(p, t), smooth(p, t).values
+        for frac in (1e-12, 1e-30):
+            # 1e-13: rounding slack where flow and smooth take the same taps.
+            assert _max_rel_err(pt.values, ref, frac) <= _max_rel_err(direct, ref, frac) + 1e-13, t
+
+
+def test_heat_flow_restarts_narrow_steps_from_p():
+    p = _workload_densities()[-1]
+    t_grid = [0.1, 0.10001, 0.10002, 0.3]
+    outs = [pt.values.copy() for pt in _heat_flow(p, t_grid)]
+    for t, got in zip(t_grid[:3], outs):
+        want = smooth(p, t).values
+        assert np.all(np.abs(got - want) <= 1e-14 * want), t
+    # The restarts left the state at t = 0.1, so the last output is one step.
+    last = list(_heat_flow(p, [0.1, 0.3]))[-1].values
+    assert np.array_equal(outs[-1], last)
+
+
+def test_heat_flow_yields_p_at_t_zero():
+    p = _gauss(0.0, 1.0)
+    assert next(_heat_flow(p, [0.0, 0.5])) is p
+
+
+@pytest.mark.parametrize("t, match", [
+    ([-0.1, 0.1, 0.2], "scale factor must be nonnegative"),
+    ([0.5, 1.0, 4.0], r"smoothing kernel \(radius [0-9.]+\) wider than half the box"),
+])
+def test_heat_flow_errors_reach_both_sweeps(t, match):
+    ax = uniform_axis(-4.0, 4.0, 512)
+    p = grid_density((ax,), np.exp(-(ax**2) * 2.0), require_decay=False)
+    with pytest.raises(ValueError, match=match):
+        divergence_curve(p, p, t)
+    with pytest.raises(ValueError, match=match):
+        debruijn_residual(p, t)
 
 
 # ---------------------------------------------------------------------------
