@@ -6,6 +6,7 @@ from .models import (
     Model,
     ModelKind,
     continuous_dataset,
+    dataset_to_csv,
     discrete_dataset,
     exact_normalize,
     gaussian_model,
@@ -19,7 +20,7 @@ from .models import (
     potts_model,
     read_dataset_csv,
     sample,
-    write_dataset_csv,
+    zero_sum_gauge,
 )
 from .objectives import (
     ObjectiveKind,

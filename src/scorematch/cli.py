@@ -4,7 +4,6 @@ comparison, scale-space curves, and the numerical verification suites."""
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
@@ -14,13 +13,13 @@ import tempfile
 import numpy as np
 
 from . import grids, scalespace, verify
-from .estimation import OptimizerConfig, compare_estimators, fit, write_comparison_csv
+from .estimation import OptimizerConfig, comparison_to_csv, compare_estimators, fit
 from .models import (
+    dataset_to_csv,
     exact_normalize,
     model_from_json,
     read_dataset_csv,
     sample,
-    write_dataset_csv,
 )
 from .objectives import ObjectiveKind
 
@@ -133,9 +132,7 @@ def cmd_generate(args) -> int:
         data = sample(model, args.n, args.seed)
     except ValueError as exc:
         raise CliError(f"cannot sample from {args.model}: {exc}") from exc
-    buf = io.StringIO()
-    write_dataset_csv(buf, data)
-    _atomic_write(args.out, buf.getvalue())
+    _atomic_write(args.out, dataset_to_csv(data))
     print(f"seed={args.seed}")
     return EXIT_OK
 
@@ -154,13 +151,11 @@ def cmd_fit(args) -> int:
             data = exact_normalize(truth)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        seed_of_data = 0
     else:
         try:
             data = read_dataset_csv(args.data, alphabet_size=model.alphabet_size)
         except (OSError, ValueError) as exc:
             raise CliError(f"bad data file {args.data}: {exc}") from exc
-        seed_of_data = data.seed
     try:
         result = fit(model, objective, data, cfg)
     except ValueError as exc:
@@ -175,7 +170,6 @@ def cmd_fit(args) -> int:
         "grad_norm": result.grad_norm,
         "iters": result.iters,
         "converged": result.converged,
-        "seed_of_data": seed_of_data,
     }
     _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -197,9 +191,7 @@ def cmd_compare(args) -> int:
         raise CliError(
             f"cannot compare on model kind {model.kind.value!r}: {exc}"
         ) from exc
-    buf = io.StringIO()
-    write_comparison_csv(buf, rows)
-    _atomic_write(args.out, buf.getvalue())
+    _atomic_write(args.out, comparison_to_csv(rows))
     return EXIT_OK
 
 
@@ -215,9 +207,7 @@ def cmd_scalespace(args) -> int:
         curve = scalespace.divergence_curve(p, q, _parse_t_spec(args.t))
     except ValueError as exc:
         raise CliError(f"cannot smooth over --t {args.t!r}: {exc}") from exc
-    buf = io.StringIO()
-    curve.to_csv(buf)
-    _atomic_write(args.out, buf.getvalue())
+    _atomic_write(args.out, curve.to_csv())
     return EXIT_OK
 
 

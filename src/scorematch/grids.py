@@ -122,8 +122,8 @@ def quad(g: GridDensity, integrand: np.ndarray) -> float:
     return float(np.sum(quad_weights(g.axes) * integrand))
 
 
-def support_mask(g: GridDensity, frac: float = SUPPORT_FRAC) -> np.ndarray:
-    return g.values > frac * g.values.max()
+def support_mask(g: GridDensity) -> np.ndarray:
+    return g.values > SUPPORT_FRAC * g.values.max()
 
 
 def log_values(g: GridDensity) -> np.ndarray:

@@ -8,6 +8,11 @@ Ising and Potts are both written once as a pairwise model over one-hot
 symbols (`pairwise_form`): their parameters enter linearly through a field
 table and a coupling matrix, which gives every singleton conditional from one
 matrix product and the parameter gradients by the chain rule.
+
+The Potts layout is overcomplete (Wainwright & Jordan 2008): adding c to all
+of one site's fields adds c to log q~ at every state, so the distribution
+fixes the fields only up to one constant per site.  `zero_sum_gauge` picks the
+representative whose field rows sum to zero.
 """
 
 from __future__ import annotations
@@ -57,16 +62,10 @@ class Model:
     alphabet_size: int | None
     params: np.ndarray
     edges: tuple[tuple[int, int], ...] | None = None
-    # Additive constant on log q~; partition-free objectives must ignore it.
-    log_shift: float = 0.0
 
     @property
     def n_params(self) -> int:
         return self.params.size
-
-    def shifted(self, c: float) -> "Model":
-        """Same model with log q~ shifted by the constant c."""
-        return replace(self, log_shift=self.log_shift + float(c))
 
     def with_params(self, theta) -> "Model":
         theta = np.asarray(theta, dtype=float)
@@ -173,6 +172,19 @@ def potts_parts(model: Model) -> tuple[np.ndarray, np.ndarray]:
     return model.params[: d * m].reshape(d, m), model.params[d * m:]
 
 
+def zero_sum_gauge(model: Model, theta) -> np.ndarray:
+    """theta with each Potts site's field mean subtracted from its fields, the
+    representative of its gauge class whose field rows sum to zero; theta
+    itself for every other kind, whose layouts have no gauge freedom."""
+    if model.kind is not ModelKind.POTTS:
+        return theta
+    d, m = model.dim, model.alphabet_size
+    theta = np.array(theta, dtype=float)
+    fields = theta[: d * m].reshape(d, m)
+    fields -= fields.mean(axis=1, keepdims=True)
+    return theta
+
+
 # ---------------------------------------------------------------------------
 # Core operations
 
@@ -218,7 +230,6 @@ def log_unnorm(model: Model, x) -> float | np.ndarray:
             out = out + coup[k] * (pts[:, i] == pts[:, j])
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {model.kind}")
-    out = out + model.log_shift
     return float(out[0]) if single else out
 
 
@@ -280,7 +291,7 @@ def _edge_pattern(model: Model):
 def pairwise_form(model: Model) -> tuple[np.ndarray, np.ndarray]:
     """The pairwise form of a discrete model: a field vector F (d*m,) and a
     coupling matrix C (d*m, d*m) with log q~(x) = F . x1 + x1' C x1 / 2 for
-    the one-hot row x1 of x (see `one_hot`), up to log_shift.
+    the one-hot row x1 of x (see `one_hot`).
 
     (F, C) is a fixed linear map B of the parameters that depends only on the
     kind, d, m and the edges; `pairwise_adjoint` is its transpose.  Ising:
@@ -371,8 +382,9 @@ def default_box(model: Model) -> tuple[float, float]:
     return -half, half
 
 
-def exact_normalize(model: Model, box=None, n: int | None = None):
-    """Brute-force normalization: full enumeration (discrete) or quadrature.
+def exact_normalize(model: Model, n: int | None = None):
+    """Brute-force normalization: full enumeration (discrete) or quadrature
+    on n points per axis of `default_box`.
 
     Returns a DiscreteJoint for discrete kinds and a GridDensity for
     continuous 1-D/2-D kinds.
@@ -388,8 +400,7 @@ def exact_normalize(model: Model, box=None, n: int | None = None):
         return discrete_joint(probs.reshape((m,) * d))
     if model.dim > 2:
         raise ValueError("continuous quadrature supported in 1-D and 2-D only")
-    if box is None:
-        box = default_box(model)
+    box = default_box(model)
     if n is None:
         n = 4096 if model.dim == 1 else 256
     if model.dim == 1:
@@ -403,9 +414,7 @@ def exact_normalize(model: Model, box=None, n: int | None = None):
         logs = log_unnorm(model, pts)
         return np.exp(logs - logs.max()).reshape(xx.shape)
 
-    if np.isscalar(box[0]):
-        box = (box, box)
-    return from_function(fn2, box, n)
+    return from_function(fn2, (box, box), n)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +427,6 @@ class Dataset:
     values: np.ndarray
     kind: str  # "continuous" | "discrete"
     alphabet_size: int | None
-    seed: int = 0
 
     @property
     def n(self) -> int:
@@ -429,21 +437,21 @@ class Dataset:
         return self.values.shape[1]
 
 
-def continuous_dataset(values, seed: int = 0) -> Dataset:
+def continuous_dataset(values) -> Dataset:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] < 1:
         raise ValueError("dataset needs at least one sample")
-    return Dataset(values, "continuous", None, seed)
+    return Dataset(values, "continuous", None)
 
 
-def discrete_dataset(values, m: int, seed: int = 0) -> Dataset:
+def discrete_dataset(values, m: int) -> Dataset:
     values = np.atleast_2d(np.asarray(values))
     sym = values.astype(int)
     if np.any(sym != values) or np.any(sym < 0) or np.any(sym >= m):
         raise ValueError(f"discrete entries must lie in 0..{m - 1}")
     if sym.shape[0] < 1:
         raise ValueError("dataset needs at least one sample")
-    return Dataset(sym, "discrete", m, seed)
+    return Dataset(sym, "discrete", m)
 
 
 def sample(model: Model, n: int, seed: int) -> Dataset:
@@ -455,12 +463,12 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
         mu, cov = gaussian_parts(model)
         chol = np.linalg.cholesky(cov)
         vals = rng.standard_normal((n, model.dim)) @ chol.T + mu
-        return continuous_dataset(vals, seed)
+        return continuous_dataset(vals)
     if model.kind in DISCRETE_KINDS:
         joint = exact_normalize(model)
         flat = rng.choice(joint.probs.size, size=n, p=joint.probs.ravel())
         states = np.column_stack(np.unravel_index(flat, joint.probs.shape))
-        return discrete_dataset(states, model.alphabet_size, seed)
+        return discrete_dataset(states, model.alphabet_size)
     # 1-D inverse CDF on a fine quadrature grid
     grid = exact_normalize(model, n=1 << 16)
     x = grid.axes[0]
@@ -469,22 +477,13 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
     cdf /= cdf[-1]
     u = rng.random(n)
     vals = np.interp(u, cdf, x)[:, None]
-    return continuous_dataset(vals, seed)
+    return continuous_dataset(vals)
 
 
 # ---------------------------------------------------------------------------
 # File formats
 
-def write_text(path, text: str) -> None:
-    """Write text to a path, or to an open file-like object with a write method."""
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def write_dataset_csv(path, data: Dataset) -> None:
+def dataset_to_csv(data: Dataset) -> str:
     header = ",".join(f"x{i}" for i in range(data.dim))
     lines = [header]
     if data.kind == "discrete":
@@ -493,7 +492,7 @@ def write_dataset_csv(path, data: Dataset) -> None:
     else:
         for row in data.values:
             lines.append(",".join(f"{v:.17g}" for v in row))
-    write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def read_dataset_csv(path, alphabet_size: int | None = None) -> Dataset:
@@ -507,8 +506,8 @@ def read_dataset_csv(path, alphabet_size: int | None = None) -> Dataset:
     if body.shape[1] != len(cols):
         raise ValueError("row width does not match header")
     if alphabet_size is not None:
-        return discrete_dataset(body, alphabet_size, seed=0)
-    return continuous_dataset(body, seed=0)
+        return discrete_dataset(body, alphabet_size)
+    return continuous_dataset(body)
 
 
 def model_to_json(model: Model) -> str:
@@ -540,7 +539,7 @@ def model_from_json(text: str) -> Model:
         raise ValueError(
             f"layout {obj.get('layout')!r} does not match kind {kind.value!r}"
         )
-    d = int(obj["dim"])
+    d = _file_int(obj, "dim", 1)
     params = np.asarray(obj["params"], dtype=float)
     if kind in CONTINUOUS_KINDS and "edges" in obj:
         raise ValueError(f"{kind.value} models have no edges")
@@ -553,7 +552,7 @@ def model_from_json(text: str) -> Model:
             raise ValueError("bad generalized-Gaussian parameters")
         model = Model(kind, 1, None, params)
     else:
-        m = int(obj["alphabet_size"])
+        m = _file_int(obj, "alphabet_size", 2)
         edges = chain_edges(d)
         if "edges" in obj:
             edges = _check_edges(_int_pairs(obj["edges"]), d)
@@ -566,6 +565,13 @@ def model_from_json(text: str) -> Model:
     # Rejects non-finite values, alpha <= 0 and a covariance that is not
     # positive definite.
     return model.with_params(params)
+
+
+def _file_int(obj: dict, key: str, lowest: int) -> int:
+    value = obj[key]
+    if type(value) is not int or value < lowest:
+        raise ValueError(f"{key} must be an integer >= {lowest}, got {value!r}")
+    return value
 
 
 def _int_pairs(value) -> list[tuple[int, ...]]:

@@ -392,7 +392,7 @@ def _pair_moments(model: Model, x1: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _mle(mod: Model, cube_x1: np.ndarray, data_moment: np.ndarray) -> ObjectiveValue:
     # log q~ = T(x) . theta = F . x1 + x1' C x1 / 2 on the cube, and the data
-    # term is E_data[T] . theta; log_shift cancels against log Z.
+    # term is E_data[T] . theta.
     F, C = pairwise_form(mod)
     log_cube = cube_x1 @ F + 0.5 * ((cube_x1 @ C) * cube_x1).sum(axis=1)
     log_z = logsumexp(log_cube)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridDensity, grid_density, log_values, quad, support_mask
-from .models import write_text
 from .objectives import fisher_exact, kl_exact
 from .operators import grid_gradient, grid_laplacian, squared_norm
 
@@ -43,8 +42,8 @@ KERNEL_RADIUS_SIGMAS = 8.0
 # exp(-pi^2 sigma^2 / (2 h^2)) (Lindeberg 1990), so the heat flow takes no
 # step whose sigma is below this many grid spacings h.
 ALIAS_FREE_STEPS = 5.0
-# Default t-grid for divergence curves.
-DEFAULT_T_GRID = np.round(np.arange(0.02, 1.0 + 1e-9, 0.02), 10)
+# Relative density floor of the region `lemma1_residual` measures.
+LEMMA1_SUPPORT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,12 @@ class DivergenceCurve:
     def interior(self) -> np.ndarray:
         return ~np.isnan(self.dkl_dt)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self) -> str:
         lines = ["t,kl,fisher,dkl_dt"]
         for i in range(self.t.size):
             dk = "" if np.isnan(self.dkl_dt[i]) else f"{self.dkl_dt[i]:.17g}"
             lines.append(f"{self.t[i]:.17g},{self.kl[i]:.17g},{self.fisher[i]:.17g},{dk}")
-        write_text(path, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
 
 
 def _radius(t: float, h: float, half_extent: float) -> int:
@@ -161,27 +160,27 @@ def heat_pde_residual(p: GridDensity, t: float, dt: float) -> float:
     return float(np.abs(ddt - 0.5 * lap).max())
 
 
-def lemma1_residual(f: GridDensity, support_frac: float = 1e-2) -> float:
+def lemma1_residual(f: GridDensity) -> float:
     """Max-norm residual of lap(f)/f = lap(log f) + |grad log f|^2 on the grid.
 
-    Measured only where f >= support_frac * max(f): in the far tails the
+    Measured only where f >= LEMMA1_SUPPORT * max(f): in the far tails the
     relative stencil error of lap(f)/f grows like the fourth log-derivative
     and would swamp the O(h^2) interior behavior.
     """
     vals = f.values
     if np.any(vals[support_mask(f)] <= 0):
         raise ValueError("density must be positive on its support")
-    mask = vals >= support_frac * vals.max()
+    mask = vals >= LEMMA1_SUPPORT * vals.max()
     lf = log_values(f)
     lhs = grid_laplacian(vals, f.spacing) / np.maximum(vals, 1e-300)
     rhs = grid_laplacian(lf, f.spacing) + squared_norm(grid_gradient(lf, f.spacing))
     return float(np.abs(lhs - rhs)[mask].max())
 
 
-def divergence_curve(p: GridDensity, q: GridDensity, t_grid=None) -> DivergenceCurve:
+def divergence_curve(p: GridDensity, q: GridDensity, t_grid) -> DivergenceCurve:
     """KL and Fisher divergences of the smoothed pair along a grid of scale
     factors, with centrally differenced dKL/dt (absent at the endpoints)."""
-    t = DEFAULT_T_GRID.copy() if t_grid is None else np.asarray(t_grid, dtype=float)
+    t = np.asarray(t_grid, dtype=float)
     if t.size < 1 or np.any(np.diff(t) <= 0):
         raise ValueError("t grid must be strictly increasing")
     kl = np.empty(t.size)

@@ -9,7 +9,6 @@ import pytest
 
 from scorematch import verify
 from scorematch.estimation import (
-    FD_CHECK_STEP,
     closed_form_gaussian_sm,
     compare_estimators,
     fd_gradient,
@@ -102,7 +101,7 @@ def test_criterion_06_population_optimum_agreement():
         model = ising_model(np.full(d, 0.1), np.full(d - 1, 0.5))
         p = exact_normalize(model)
         for pop in (gsm_discrete_population, ratio_matching_population):
-            g = fd_gradient(lambda t: pop(p, model, t), model.params, FD_CHECK_STEP)
+            g = fd_gradient(lambda t: pop(p, model, t), model.params)
             worst = max(worst, float(np.abs(g).max()))
     ok = worst < 1e-8
     _report(6, "population optimum", ok, f"worst grad max-norm {worst:.3e} (tol 1e-08)")

@@ -85,6 +85,28 @@ def test_generate_rejects_non_finite_model_parameters(tmp_path, capsys, model, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"kind": "potts", "dim": 2, "alphabet_size": 1, "params": [0.0, 0.0, 0.5]}, "alphabet_size"),
+    ({"kind": "potts", "dim": 2, "alphabet_size": 0, "params": [0.5]}, "alphabet_size"),
+    ({"kind": "potts", "dim": 2, "alphabet_size": 2.7, "params": [0.0] * 4 + [0.5]},
+     "alphabet_size"),
+    ({"kind": "gaussian", "dim": 1.5, "params": [0.0, 1.0]}, "dim"),
+    ({"kind": "gaussian", "dim": 0, "params": []}, "dim"),
+    ({"kind": "ising", "dim": 0, "alphabet_size": 2, "params": []}, "dim"),
+], ids=["potts-m1", "potts-m0", "potts-m2.7", "dim-1.5", "gaussian-dim0", "ising-dim0"])
+def test_generate_rejects_a_model_file_with_a_bad_size(tmp_path, capsys, obj, field):
+    layouts = {"potts": "fields(d*m),edge_couplings", "gaussian": "mu,tril(sigma)",
+               "ising": "h,edge_couplings"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**obj, "layout": layouts[obj["kind"]]}))
+    out = tmp_path / "d.csv"
+    code = main(["generate", "--model", str(bad), "--n", "10", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_maps_a_sampling_error_to_usage(tmp_path, capsys):
     chain = tmp_path / "ising25.json"
     chain.write_text(model_to_json(ising_model(np.zeros(25), np.zeros(24))))
@@ -250,6 +272,21 @@ def test_compare_rejects_a_continuous_model_as_usage(tmp_path, capsys, model):
     err = capsys.readouterr().err
     assert model.kind.value in err and "GridDensity" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_compare_reports_potts_errors_in_the_zero_sum_gauge(tmp_path):
+    # Field rows that do not sum to zero: the population fits recover the
+    # distribution, and its zero-sum representative is what they are scored on.
+    path = tmp_path / "potts3.json"
+    truth = potts_model([[0.5, 0.0, -0.2], [0.3, 0.3, 0.0], [0.0, 0.1, 0.4]], [0.4, -0.3])
+    path.write_text(model_to_json(truth))
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--model", str(path), "--objectives", "gsm,pl,mle",
+                 "--n", "200", "--seeds", "1", "--out", str(out)]) == EXIT_OK
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    population = [dict(zip(header, r)) for r in rows if r[header.index("n")] == "inf"]
+    assert [r["objective"] for r in population] == ["gsm", "pl", "mle"]
+    assert all(float(r["linf_error"]) <= 1e-5 for r in population)
 
 
 def test_compare_rejects_unknown_objective(ising2, tmp_path):

@@ -1,8 +1,6 @@
 """Model families: log densities, analytic derivatives, conditionals, exact
 normalizers, samplers, and the file formats."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from scorematch.models import (
     ModelKind,
     ParameterDomainError,
     continuous_dataset,
+    dataset_to_csv,
     discrete_dataset,
     exact_normalize,
     fold_alphabet,
@@ -29,7 +28,8 @@ from scorematch.models import (
     potts_model,
     read_dataset_csv,
     sample,
-    write_dataset_csv,
+    state_cube,
+    zero_sum_gauge,
 )
 
 E = np.e
@@ -68,10 +68,20 @@ def test_log_unnorm_rejects_bad_symbols_and_dimension():
         log_unnorm(model, [0, 0, 0])
 
 
-def test_log_shift_adds_constant():
-    model = ising_model([0.1, -0.3], [0.5])
-    shifted = model.shifted(7.0)
-    assert log_unnorm(shifted, [1, 0]) == pytest.approx(log_unnorm(model, [1, 0]) + 7.0)
+def _gauge_moved(model, site, c):
+    """The Potts model with c added to all of one site's fields."""
+    theta = model.params.copy()
+    m = model.alphabet_size
+    theta[site * m:(site + 1) * m] += c
+    return model.with_params(theta)
+
+
+def test_potts_gauge_shift_adds_constant():
+    # Dyadic parameters keep every sum exact, so the move is c bit for bit.
+    model = potts_model([[0.5, -0.25, 0.0], [0.75, 0.0, -1.5], [0.0, 0.125, 0.25]], [0.75, -0.5])
+    states = state_cube(3, 3)
+    moved = log_unnorm(_gauge_moved(model, 1, 3.0), states) - log_unnorm(model, states)
+    assert np.all(moved == 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +271,7 @@ def test_exact_normalize_coupled_ising_hand_values():
 
 
 def test_exact_normalize_gaussian_grid_matches_pdf():
-    grid = exact_normalize(gaussian_model([0.0], [[1.0]]), box=(-8.0, 8.0), n=4096)
+    grid = exact_normalize(gaussian_model([0.0], [[1.0]]), n=4096)  # default_box: -8..8
     x = grid.axes[0]
     ref = np.exp(-(x**2) / 2.0) / np.sqrt(2 * np.pi)
     assert np.abs(grid.values - ref).max() < 1e-6
@@ -273,10 +283,22 @@ def test_exact_normalize_rejects_huge_state_space():
 
 
 def test_exact_normalize_shift_invariant():
-    model = ising_model([0.2, -0.1], [0.5])
+    model = potts_model([[0.2, -0.1, 0.4], [0.0, 0.3, -0.2]], [0.5])
     a = exact_normalize(model)
-    b = exact_normalize(model.shifted(3.0))
+    b = exact_normalize(_gauge_moved(model, 0, 3.0))
     assert np.abs(a.probs - b.probs).max() < 1e-14
+
+
+def test_zero_sum_gauge_centres_potts_fields_and_keeps_others():
+    potts = potts_model([[0.5, 0.0, -0.2], [0.3, 0.3, 0.0]], [0.4])
+    gauged = zero_sum_gauge(potts, potts.params)
+    assert np.abs(gauged[:6].reshape(2, 3).sum(axis=1)).max() <= 1e-15
+    assert gauged[6] == 0.4
+    assert np.abs(exact_normalize(potts.with_params(gauged)).probs
+                  - exact_normalize(potts).probs).max() <= 1e-15
+    assert potts.params[0] == 0.5  # the input is not modified
+    ising = ising_model([0.1, -0.3], [0.5])
+    assert zero_sum_gauge(ising, ising.params) is ising.params
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +340,13 @@ def test_sample_single_point_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-def test_sample_reproducible_and_seed_recorded():
+def test_sample_reproducible_per_seed():
     model = ising_model([0.0, 0.0, 0.0], [0.5, 0.5])
     a = sample(model, 500, seed=11)
     b = sample(model, 500, seed=11)
     c = sample(model, 500, seed=12)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    assert a.seed == 11
 
 
 def test_sample_gen_gauss_alpha2_matches_gaussian_moments():
@@ -385,36 +406,23 @@ def test_dataset_validation():
 # ---------------------------------------------------------------------------
 # File formats
 
-def test_dataset_csv_round_trip_continuous():
+def test_dataset_csv_round_trip_continuous(tmp_path):
     data = sample(gaussian_model([0.5], [[2.0]]), 50, seed=1)
-    buf = io.StringIO()
-    write_dataset_csv(buf, data)
-    buf.seek(0)
-    text = buf.getvalue()
+    text = dataset_to_csv(data)
     assert text.splitlines()[0] == "x0"
-    path = io.StringIO(text)
-    # read_dataset_csv takes a path; exercise via tmp file
-    import tempfile, os
-
-    with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as fh:
-        fh.write(text)
-        name = fh.name
-    try:
-        back = read_dataset_csv(name)
-    finally:
-        os.unlink(name)
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    back = read_dataset_csv(str(path))
     assert np.array_equal(back.values, data.values)  # 17 significant digits
 
 
 def test_dataset_csv_round_trip_discrete(tmp_path):
     data = sample(ising_model([0.0, 0.0, 0.0], [0.3, 0.3]), 40, seed=2)
     path = tmp_path / "d.csv"
-    write_dataset_csv(str(path), data)
-    text = path.read_text()
-    assert text.splitlines()[0] == "x0,x1,x2"
+    path.write_text(dataset_to_csv(data))
+    assert path.read_text().splitlines()[0] == "x0,x1,x2"
     back = read_dataset_csv(str(path), alphabet_size=2)
     assert np.array_equal(back.values, data.values)
-    assert back.seed == 0  # externally loaded
 
 
 def test_dataset_csv_rejects_bad_header(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from scorematch.grids import mixture_1d
 from scorematch.estimation import (
-    FD_CHECK_STEP,
     OptimizerConfig,
     fd_gradient,
     fit,
@@ -26,6 +25,7 @@ from scorematch.models import (
     model_to_json,
     potts_model,
     sample,
+    zero_sum_gauge,
 )
 from scorematch.objectives import (
     ObjectiveKind,
@@ -40,7 +40,6 @@ from scorematch.objectives import (
     pseudo_likelihood_population,
     ratio_matching_objective,
     ratio_matching_population,
-    sm_objective,
 )
 from scorematch.operators import (
     brook_ratio,
@@ -88,20 +87,6 @@ def test_reconstruction_round_trip(seed):
     joint = _random_joint(seed)
     rebuilt = reconstruct_joint(joint_conditionals(joint), joint.m, joint.d)
     assert np.abs(rebuilt.probs - joint.probs).max() <= 1e-10
-
-
-@given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
-@settings(**SETTINGS)
-def test_discrete_objectives_normalization_invariant(seed, c):
-    rng = np.random.default_rng(seed)
-    model = ising_model(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2))
-    data = discrete_dataset(rng.integers(0, 2, (20, 3)), m=2)
-    shifted = model.shifted(c)
-    for fn in (gsm_discrete_objective, ratio_matching_objective,
-               pseudo_likelihood_objective):
-        base = fn(model, model.params, data).value
-        moved = fn(shifted, model.params, data).value
-        assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -157,9 +142,9 @@ def _random_pairwise(rng):
     return model, d, m, rng.uniform(-1, 1, model.n_params)
 
 
-@given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
+@given(seed=st.integers(0, 10_000))
 @settings(**SETTINGS)
-def test_discrete_objective_gradients_match_fd_and_ignore_shift(seed, c):
+def test_discrete_objective_gradients_match_fd(seed):
     rng = np.random.default_rng(seed)
     model, d, m, theta = _random_pairwise(rng)
     data = discrete_dataset(rng.integers(0, m, (30, d)), m=m)
@@ -168,10 +153,8 @@ def test_discrete_objective_gradients_match_fd_and_ignore_shift(seed, c):
         objectives.append(ratio_matching_objective)
     for fn in objectives:
         exact = fn(model, theta, data).grad_theta
-        numeric = fd_gradient(lambda t: fn(model, t, data).value, theta, FD_CHECK_STEP)
+        numeric = fd_gradient(lambda t: fn(model, t, data).value, theta)
         assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
-        moved = fn(model.shifted(c), theta, data).grad_theta
-        assert np.abs(moved - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
 
 
 POPULATION_ORACLES = {
@@ -190,7 +173,7 @@ def test_population_gradients_match_fd_of_the_oracle(seed):
     model, d, m, theta = _random_pairwise(rng)
     joint = discrete_joint(rng.random((m,) * d) + 0.05)
     for kind, oracle in POPULATION_ORACLES.items():
-        numeric = fd_gradient(lambda t: oracle(joint, model, t), theta, FD_CHECK_STEP)
+        numeric = fd_gradient(lambda t: oracle(joint, model, t), theta)
         exact = objective_functions(model, kind, joint)(theta)[1]
         assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
 
@@ -216,32 +199,44 @@ def test_population_value_is_the_oracle_at_every_theta(seed, potts):
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
 
 
-@given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
+@given(seed=st.integers(0, 10_000), m=st.sampled_from([2, 3]), d=st.integers(2, 3),
+       c=st.floats(-5.0, 5.0))
 @settings(**SETTINGS)
-def test_sm_objective_normalization_invariant(seed, c):
+def test_discrete_objectives_normalization_invariant(seed, m, d, c):
+    # Adding c to all of one Potts site's fields adds c to log q~ at every
+    # state, which reaches every evaluation.  A partition-free objective must
+    # not move, on either route of a fit and in every population oracle, and
+    # its gradient must have no component along any site's gauge direction:
+    # each field row of the gradient sums to zero.
     rng = np.random.default_rng(seed)
-    model = gaussian_model(rng.uniform(-1, 1, 2), np.eye(2) * rng.uniform(0.5, 2.0))
-    data = sample(model, 20, seed=seed)
-    base = sm_objective(model, model.params, data).value
-    moved = sm_objective(model.shifted(c), model.params, data).value
-    assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
+    model = potts_model(np.zeros((d, m)), np.zeros(d - 1))
+    theta = rng.uniform(-1, 1, model.n_params)
+    site = int(rng.integers(d))
+    moved = theta.copy()
+    moved[site * m:(site + 1) * m] += c
+    gauge_points = (moved, zero_sum_gauge(model, theta))
+    truth = model.with_params(theta)
+    joint = exact_normalize(truth)
 
+    def assert_same(base, value):
+        assert abs(value - base) <= 1e-12 * max(1.0, abs(base))
 
-@given(seed=st.integers(0, 10_000), c=st.floats(-5.0, 5.0))
-@settings(**SETTINGS)
-def test_mle_objective_shift_cancels_in_partition(seed, c):
-    # the brute-force partition absorbs the constant, and the Gaussian's
-    # closed form never sees it, so exact MLE is shift-stable
-    rng = np.random.default_rng(seed)
-    ising = ising_model(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1))
-    gauss = gaussian_model(rng.uniform(-1, 1, 2), np.eye(2) * rng.uniform(0.5, 2.0))
-    for model, data in [
-        (ising, discrete_dataset(rng.integers(0, 2, (10, 2)), m=2)),
-        (gauss, sample(gauss, 10, seed=seed)),
-    ]:
-        base = exact_mle_objective(model, model.params, data).value
-        moved = exact_mle_objective(model.shifted(c), model.params, data).value
-        assert abs(moved - base) <= 1e-10 * max(1.0, abs(base))
+    kinds = [ObjectiveKind.GSM_DISCRETE, ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE]
+    if m == 2:
+        kinds.append(ObjectiveKind.RATIO_MATCHING)
+    for data in (sample(truth, 30, seed), joint):
+        for kind in kinds:
+            value_and_grad = objective_functions(model, kind, data)
+            base = value_and_grad(theta)[0]
+            for point in (theta, *gauge_points):
+                value, grad = value_and_grad(point)
+                assert_same(base, value)
+                row_sums = grad[: d * m].reshape(d, m).sum(axis=1)
+                assert np.abs(row_sums).max() <= 1e-12 * max(1.0, np.abs(grad).max())
+    for oracle in POPULATION_ORACLES.values():
+        base = oracle(joint, model, theta)
+        for point in gauge_points:
+            assert_same(base, oracle(joint, model, point))
 
 
 def _fit_case(family, rng):

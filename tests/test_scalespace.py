@@ -1,8 +1,6 @@
 """Heat smoothing, entropy/Fisher-information quadrature, and the divergence
 curves over the scale factor."""
 
-import io
-
 import numpy as np
 import pytest
 from scipy.ndimage import convolve1d
@@ -305,9 +303,7 @@ def test_curve_csv_format():
         fisher=np.array([2.0, 1.0, 0.5]),
         dkl_dt=np.array([np.nan, -1.0, np.nan]),
     )
-    buf = io.StringIO()
-    curve.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = curve.to_csv().splitlines()
     assert lines[0] == "t,kl,fisher,dkl_dt"
     assert lines[1].endswith(",")  # empty dkl_dt field at the first endpoint
     assert lines[2].split(",")[3] == "-1"
