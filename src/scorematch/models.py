@@ -7,7 +7,8 @@ are integers 0..m-1; Ising spins use the fixed map {0 -> -1, 1 -> +1}.
 Ising and Potts are both written once as a pairwise model over one-hot
 symbols (`pairwise_form`): their parameters enter linearly through a field
 table and a coupling matrix, which gives every singleton conditional from one
-matrix product and the parameter gradients by the chain rule.
+matrix product and the parameter gradients by the chain rule.  Their
+sufficient statistic T (`sufficient_statistics`) gives log q~ = T(x) . theta.
 
 The Potts layout is overcomplete (Wainwright & Jordan 2008): adding c to all
 of one site's fields adds c to log q~ at every state, so the distribution
@@ -331,6 +332,26 @@ def one_hot(model: Model, X) -> np.ndarray:
     return x1
 
 
+def sufficient_statistics(model: Model, X) -> np.ndarray:
+    """T(x) = dlog q~/dtheta of an Ising or Potts model at discrete points, as
+    C-ordered rows (N, p) with log q~(x) = T(x) . theta: the spin s_{x_i}
+    (Ising) or the one-hot symbol (Potts) per site, and pair[x_a, x_b] of
+    `_edge_pattern` per edge, filled one column at a time."""
+    i, j, pair = _edge_pattern(model)
+    pts = _check_points(model, np.atleast_2d(X))
+    m, n_fields = model.alphabet_size, model.n_params - len(i)
+    T = np.empty((pts.shape[0], model.n_params))
+    for a in range(model.dim):
+        if model.kind is ModelKind.ISING:
+            T[:, a] = _SPIN[pts[:, a]]
+        else:
+            for y in range(m):
+                T[:, a * m + y] = pts[:, a] == y
+    for k in range(len(i)):
+        T[:, n_fields + k] = pair[pts[:, i[k]], pts[:, j[k]]]
+    return T
+
+
 def fold_alphabet(ufunc, z: np.ndarray) -> np.ndarray:
     """ufunc reduced over the last (alphabet) axis of z as m - 1 elementwise
     passes, left to right.
@@ -357,9 +378,13 @@ def pairwise_conditionals(model: Model, x1: np.ndarray) -> np.ndarray:
     z = x1 @ C.T
     z += F
     z = z.reshape(x1.shape[0], model.dim, model.alphabet_size)
-    z -= fold_alphabet(np.maximum, z)[:, :, None]
+    top = fold_alphabet(np.maximum, z)
+    for y in range(model.alphabet_size):
+        z[..., y] -= top
     np.exp(z, out=z)
-    z /= fold_alphabet(np.add, z)[:, :, None]
+    total = fold_alphabet(np.add, z)
+    for y in range(model.alphabet_size):
+        z[..., y] /= total
     return z
 
 
@@ -541,8 +566,9 @@ def model_from_json(text: str) -> Model:
         )
     d = _file_int(obj, "dim", 1)
     params = np.asarray(obj["params"], dtype=float)
-    if kind in CONTINUOUS_KINDS and "edges" in obj:
-        raise ValueError(f"{kind.value} models have no edges")
+    for key in ("alphabet_size", "edges"):
+        if kind in CONTINUOUS_KINDS and key in obj:
+            raise ValueError(f"{kind.value} models have no {key}")
     if kind is ModelKind.GAUSSIAN:
         if params.size != d + d * (d + 1) // 2:
             raise ValueError("bad Gaussian parameter length")

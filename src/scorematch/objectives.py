@@ -11,10 +11,11 @@ intermediates its value already computes.  One builder, `empirical_objective`,
 checks the data against the model and builds the objective's theta-free
 design once; each evaluation at a theta reuses it.  The Gaussian sm and mle
 are closed forms in the precision and the sample scatter, generalized-Gaussian
-sm differentiates its own score and Laplacian terms in alpha, and the
-discrete gsm, rm, pl and mle go through the pairwise one-hot form of Ising
-and Potts (`models.pairwise_form`).  Discrete data is a Dataset or a
-DiscreteJoint, which stands for its state cube weighted by its
+sm differentiates its own score and Laplacian terms in alpha, the discrete
+gsm, rm and pl go through the pairwise one-hot form of Ising and Potts
+(`models.pairwise_form`), and discrete mle through their sufficient statistic
+(`models.sufficient_statistics`) on the state cube.  Discrete data is a
+Dataset or a DiscreteJoint, which stands for its state cube weighted by its
 probabilities.  The exact-MLE partition uses a NumPy port of SciPy's
 `logsumexp`, so importing the package loads no SciPy module.  The population
 objectives are value-only: they are the enumeration oracles the estimators
@@ -47,8 +48,8 @@ from .models import (
     one_hot,
     pairwise_adjoint,
     pairwise_conditionals,
-    pairwise_form,
     state_cube,
+    sufficient_statistics,
 )
 
 
@@ -191,7 +192,7 @@ def empirical_objective(model: Model, objective: ObjectiveKind, data):
 
 def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.ndarray, np.ndarray]:
     """The weighted states' one-hot rows and their weights, or for mle the
-    state cube's one-hot rows and the data moment."""
+    state cube's sufficient statistics T and the data moment E_data[T]."""
     if objective is ObjectiveKind.RATIO_MATCHING and model.alphabet_size != 2:
         raise ValueError(
             f"ratio matching needs binary data, got alphabet size "
@@ -202,14 +203,14 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
     else:
         states, w = collapse_states(data)
         states = states.values
-    x1 = one_hot(model, states)
     if objective is not ObjectiveKind.EXACT_MLE:
-        return x1, w
-    data_moment = _pair_moments(model, x1, w)
+        return one_hot(model, states), w
+    T = sufficient_statistics(model, states)
+    data_moment = w @ T
     if isinstance(data, Dataset):
-        del x1  # free the states' rows before the cube's; a joint's states are the cube
-        x1 = one_hot(model, state_cube(model.alphabet_size, model.dim))
-    return x1, data_moment
+        del T  # free the states' rows before the cube's; a joint's states are the cube
+        T = sufficient_statistics(model, state_cube(model.alphabet_size, model.dim))
+    return T, data_moment
 
 
 def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
@@ -223,10 +224,12 @@ def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
     m, d = int(data.alphabet_size), data.dim
     if m**d - 1 <= np.iinfo(np.int64).max:
         # Base-m codes with the first coordinate most significant sort like the
-        # rows, so the states come out in np.unique(axis=0)'s order.
+        # rows: the sorted distinct codes decode to np.unique(axis=0)'s rows.
         codes = values @ (m ** np.arange(d - 1, -1, -1, dtype=np.int64))
-        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-        states = values[first]
+        codes, counts = np.unique(codes, return_counts=True)
+        states = np.empty((codes.size, d), dtype=values.dtype)
+        for k in range(d - 1, -1, -1):
+            codes, states[:, k] = np.divmod(codes, m)
     else:
         states, counts = np.unique(values, axis=0, return_counts=True)
     return replace(data, values=states), counts / counts.sum()
@@ -345,7 +348,9 @@ def _observed(q: np.ndarray, x1: np.ndarray) -> np.ndarray:
 def _softmax_backward(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """dl/dZ = q * (g - <q, g>) from g = dl/dq through q = softmax(Z) over the
     last axis; overwrites g."""
-    g -= fold_alphabet(np.add, q * g)[:, :, None]
+    inner = fold_alphabet(np.add, q * g)
+    for y in range(g.shape[-1]):
+        g[..., y] -= inner
     g *= q
     return g
 
@@ -383,20 +388,12 @@ def _pl(mod: Model, x1: np.ndarray, w: np.ndarray) -> ObjectiveValue:
     return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, q))
 
 
-def _pair_moments(model: Model, x1: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The w-weighted sum of T(x) = dlog q~/dtheta over the one-hot rows x1:
-    log q~ = F . x1 + x1' C x1 / 2, so T is the adjoint of the pairwise form
-    applied to (x1, x1 x1' / 2)."""
-    return pairwise_adjoint(model, w @ x1, 0.5 * ((x1.T * w) @ x1))
-
-
-def _mle(mod: Model, cube_x1: np.ndarray, data_moment: np.ndarray) -> ObjectiveValue:
-    # log q~ = T(x) . theta = F . x1 + x1' C x1 / 2 on the cube, and the data
-    # term is E_data[T] . theta.
-    F, C = pairwise_form(mod)
-    log_cube = cube_x1 @ F + 0.5 * ((cube_x1 @ C) * cube_x1).sum(axis=1)
+def _mle(mod: Model, T_cube: np.ndarray, data_moment: np.ndarray) -> ObjectiveValue:
+    # log q~ = T(x) . theta on the cube, the data term is E_data[T] . theta,
+    # and the gradient is E_q[T] - E_data[T].
+    log_cube = T_cube @ mod.params
     log_z = logsumexp(log_cube)
-    grad = _pair_moments(mod, cube_x1, np.exp(log_cube - log_z))
+    grad = np.exp(log_cube - log_z) @ T_cube
     grad -= data_moment
     return ObjectiveValue(float(log_z - data_moment @ mod.params), grad)
 

@@ -93,10 +93,14 @@ def test_generate_rejects_non_finite_model_parameters(tmp_path, capsys, model, v
     ({"kind": "gaussian", "dim": 1.5, "params": [0.0, 1.0]}, "dim"),
     ({"kind": "gaussian", "dim": 0, "params": []}, "dim"),
     ({"kind": "ising", "dim": 0, "alphabet_size": 2, "params": []}, "dim"),
-], ids=["potts-m1", "potts-m0", "potts-m2.7", "dim-1.5", "gaussian-dim0", "ising-dim0"])
+    ({"kind": "gaussian", "dim": 1, "alphabet_size": 7, "params": [0.0, 1.0]}, "alphabet_size"),
+    ({"kind": "gengauss1d", "dim": 1, "alphabet_size": "x", "params": [1.5]}, "alphabet_size"),
+], ids=["potts-m1", "potts-m0", "potts-m2.7", "dim-1.5", "gaussian-dim0", "ising-dim0",
+        "gaussian-m7", "gengauss-mx"])
 def test_generate_rejects_a_model_file_with_a_bad_size(tmp_path, capsys, obj, field):
+    # A continuous model has no alphabet, so any alphabet_size is a bad size.
     layouts = {"potts": "fields(d*m),edge_couplings", "gaussian": "mu,tril(sigma)",
-               "ising": "h,edge_couplings"}
+               "ising": "h,edge_couplings", "gengauss1d": "alpha"}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**obj, "layout": layouts[obj["kind"]]}))
     out = tmp_path / "d.csv"

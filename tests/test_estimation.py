@@ -257,29 +257,31 @@ def test_population_rm_fit_converges_on_potts():
 
 @pytest.mark.parametrize("objective, population, builds", [
     (ObjectiveKind.PSEUDO_LIKELIHOOD, False, 1),  # the states' one-hot rows
-    (ObjectiveKind.EXACT_MLE, False, 2),  # the states' and the cube's
-    (ObjectiveKind.GSM_DISCRETE, True, 1),  # the cube's
+    (ObjectiveKind.GSM_DISCRETE, False, 1),
+    (ObjectiveKind.RATIO_MATCHING, False, 1),
+    (ObjectiveKind.EXACT_MLE, False, 2),  # the states' and the cube's statistics
+    (ObjectiveKind.GSM_DISCRETE, True, 1),  # the cube's one-hot rows
     (ObjectiveKind.EXACT_MLE, True, 1),  # the cube's, for the data and the partition
 ])
 def test_fit_builds_one_hot_rows_once(monkeypatch, objective, population, builds):
+    # Each fit builds its design once: one-hot rows for gsm, rm and pl, and
+    # sufficient statistics T(x) for mle, which builds no one-hot rows.
     calls = []
-
-    def counted_one_hot(*args):
-        calls.append(1)
-        return one_hot(*args)
-
-    one_hot = objectives.one_hot
-    monkeypatch.setattr(objectives, "one_hot", counted_one_hot)
+    for name in ("one_hot", "sufficient_statistics"):
+        build = getattr(objectives, name)
+        monkeypatch.setattr(objectives, name, lambda *args, name=name, build=build: (
+            calls.append(name) or build(*args)))
+    built = "sufficient_statistics" if objective is ObjectiveKind.EXACT_MLE else "one_hot"
     truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
     data = exact_normalize(truth) if population else sample(truth, 500, seed=4)
     value_and_grad = objective_functions(ising_model(np.zeros(3), np.zeros(2)), objective, data)
     rng = np.random.default_rng(0)
     for _ in range(5):
         value_and_grad(rng.standard_normal(truth.n_params))
-    assert len(calls) == builds
+    assert calls == [built] * builds
     res = fit(ising_model(np.zeros(3), np.zeros(2)), objective, data)
     assert res.converged and res.iters > 1
-    assert len(calls) == 2 * builds
+    assert calls == [built] * (2 * builds)
 
 
 def test_population_mle_design_equals_the_dataset_route():

@@ -377,6 +377,28 @@ def test_mle_binary_uniform_closed_form():
     )
 
 
+def test_mle_on_a_loopy_ising_model_matches_the_oracle_and_fd():
+    # On a 6-cycle the cube's statistics must carry the closing edge too. A
+    # dataset is compared with the oracle on its empirical joint.
+    from scorematch.estimation import fd_gradient
+
+    rng = np.random.default_rng(12)
+    edges = [(i, i + 1) for i in range(5)] + [(0, 5)]
+    truth = ising_model(rng.uniform(-0.5, 0.5, 6), rng.uniform(-1.0, 1.0, 6), edges)
+    data = sample(truth, 400, seed=3)
+    counts = np.zeros((2,) * 6)
+    np.add.at(counts, tuple(data.values.T), 1.0)
+    for observed, joint in ((data, discrete_joint(counts / counts.sum())),
+                            (exact_normalize(truth),) * 2):
+        for _ in range(3):
+            theta = rng.uniform(-1.0, 1.0, truth.n_params)
+            got = exact_mle_objective(truth, theta, observed)
+            want = exact_mle_population(joint, truth, theta)
+            assert got.value == pytest.approx(want, rel=1e-12)
+            numeric = fd_gradient(lambda t: exact_mle_population(joint, truth, t), theta)
+            assert np.abs(got.grad_theta - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
+
+
 def test_mle_gaussian_minimized_at_sample_moments():
     from scorematch.estimation import fd_gradient, closed_form_gaussian_sm
 

@@ -25,6 +25,8 @@ from scorematch.models import (
     model_to_json,
     potts_model,
     sample,
+    state_cube,
+    sufficient_statistics,
     zero_sum_gauge,
 )
 from scorematch.objectives import (
@@ -155,6 +157,32 @@ def test_discrete_objective_gradients_match_fd(seed):
         exact = fn(model, theta, data).grad_theta
         numeric = fd_gradient(lambda t: fn(model, t, data).value, theta)
         assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
+
+
+GRAPHS = {
+    "chain": [(0, 1), (1, 2), (2, 3)],
+    "star": [(0, 1), (0, 2), (0, 3)],
+    "4-cycle": [(0, 1), (1, 2), (2, 3), (0, 3)],
+}
+
+
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(["ising", "potts"]),
+       m=st.sampled_from([2, 3]), graph=st.sampled_from(sorted(GRAPHS)), cube=st.booleans())
+@settings(**SETTINGS)
+def test_sufficient_statistics_reproduce_log_unnorm(seed, kind, m, graph, cube):
+    # The cube's rows come as an F-ordered view; T must be C-ordered anyway.
+    rng = np.random.default_rng(seed)
+    edges = GRAPHS[graph]
+    if kind == "ising":
+        model = ising_model(rng.uniform(-2, 2, 4), rng.uniform(-2, 2, len(edges)), edges)
+    else:
+        model = potts_model(rng.uniform(-2, 2, (4, m)), rng.uniform(-2, 2, len(edges)), edges)
+    m = model.alphabet_size
+    X = state_cube(m, 4) if cube else rng.integers(0, m, (int(rng.integers(1, 60)), 4))
+    T = sufficient_statistics(model, X)
+    assert T.shape == (X.shape[0], model.n_params) and T.flags.c_contiguous
+    want = log_unnorm(model, X)
+    assert np.all(np.abs(T @ model.params - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 POPULATION_ORACLES = {
