@@ -23,6 +23,7 @@ from .models import (
     zero_sum_gauge,
 )
 from .objectives import (
+    GaussianMoments,
     ObjectiveKind,
     ObjectiveValue,
     exact_mle_objective,

@@ -1,18 +1,27 @@
-"""Deterministic estimators: an L-BFGS fit over any objective, the
-closed-form Gaussian score-matching solution, a central-difference gradient
-check, and a multi-estimator comparison harness.
+"""Deterministic estimators: an L-BFGS fit over any objective, an exact
+linear solve for Gaussian score matching, the closed-form Gaussian
+score-matching solution, a central-difference gradient check, and a
+multi-estimator comparison harness.
 
-`OptimizerConfig` sets only the iteration cap, the gradient tolerance and the
-start point.  The fit is L-BFGS (Nocedal 1980; Liu & Nocedal 1989) with a
+Gaussian sm is quadratic in the natural parameters (vech P, P mu), so `fit`
+minimizes it with one solve of its normal equations
+(`objectives.gaussian_sm_normal_equations`), maps the solution back to the
+(mu, tril Sigma) layout and evaluates the objective once there: no
+iterations, and neither the iteration cap nor the start point applies.
+`closed_form_gaussian_sm` is the independent moment formula that solve is
+checked against, and no fit calls it.
+
+Every other fit is L-BFGS (Nocedal 1980; Liu & Nocedal 1989) with a
 fixed line search: a unit trial step along the L-BFGS direction (along the
 negative gradient scaled to max-norm at most 1 while no curvature pair is
-stored), halved until the Armijo condition with constant 1e-4 holds.  Every
-objective is one callable theta -> (value, exact gradient), so each trial
-point costs one evaluation: `objectives.empirical_objective` builds its
-theta-free design once per fit, and a population fit calls its enumeration
-oracle once, for a theta-free offset, and no more.  `fd_gradient` is the
-reference the verification suites and tests check those gradients against;
-no fit calls it.
+stored), halved until the Armijo condition with constant 1e-4 holds.
+`OptimizerConfig` sets only its iteration cap, the gradient tolerance and
+its start point.  Every objective is one callable theta -> (value, exact
+gradient), so each trial point costs one evaluation:
+`objectives.empirical_objective` builds its theta-free design once per fit,
+and a population fit calls its enumeration oracle once, for a theta-free
+offset, and no more.  `fd_gradient` is the reference the verification suites
+and tests check those gradients against; no fit calls it.
 """
 
 from __future__ import annotations
@@ -29,13 +38,17 @@ from .models import (
     ParameterDomainError,
     exact_normalize,
     gaussian_model,
+    gaussian_parts,
     sample,
     zero_sum_gauge,
 )
 from .objectives import (
+    GaussianMoments,
     ObjectiveKind,
     empirical_objective,
     exact_mle_population,
+    gaussian_moments,
+    gaussian_sm_normal_equations,
     gsm_discrete_population,
     pseudo_likelihood_population,
     ratio_matching_population,
@@ -114,15 +127,16 @@ _POPULATION = {
 def objective_functions(model: Model, objective: ObjectiveKind, data):
     """The objective as one callable theta -> (value, exact gradient).
 
-    There are two routes.  A Dataset goes to `objectives.empirical_objective`,
-    which checks it against the model and builds the objective's theta-free
-    design once per fit.  A DiscreteJoint makes a population objective: the
-    matching empirical form, built on the joint the same way, plus one
-    theta-free offset, oracle - form at `default_init(model)`, so its value is
-    the enumeration oracle's divergence while each trial point costs one form
-    evaluation.  Parameters outside the model's domain (a non-PD Gaussian
-    covariance, a non-positive generalized-Gaussian exponent) evaluate to
-    (+inf, None).
+    There are two routes.  A Dataset, or for a Gaussian model GaussianMoments
+    (which may stand for its population), goes to
+    `objectives.empirical_objective`, which checks it against the model and
+    builds the objective's theta-free design once per fit.  A DiscreteJoint
+    makes a population objective: the matching empirical form, built on the
+    joint the same way, plus one theta-free offset, oracle - form at
+    `default_init(model)`, so its value is the enumeration oracle's
+    divergence while each trial point costs one form evaluation.  Parameters
+    outside the model's domain (a non-PD Gaussian covariance, a non-positive
+    generalized-Gaussian exponent) evaluate to (+inf, None).
     """
     offset = 0.0
     if isinstance(data, DiscreteJoint):
@@ -152,8 +166,13 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
     search; deterministic.  A trial point whose value or gradient is not
     finite fails the Armijo test.  The fit stops at |g|_inf <= grad_tol, after
     max_iters steps, or when the line search stalls below a step of 1e-20.
+
+    Gaussian sm is instead solved exactly (`_solve_gaussian_sm`), with 0
+    iterations.
     """
     cfg = cfg or OptimizerConfig()
+    if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.SM_CONTINUOUS:
+        return _solve_gaussian_sm(model, data, cfg.grad_tol)
     value_and_grad = objective_functions(model, objective, data)
     theta = default_init(model) if cfg.init_theta is None else np.asarray(cfg.init_theta, float)
     # Trial points may overflow on the way to a non-finite value, which the
@@ -204,6 +223,38 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
     )
 
 
+def _solve_gaussian_sm(model: Model, data, grad_tol: float) -> FitResult:
+    """The exact minimizer of the Gaussian sm objective: one solve of its
+    normal equations in the natural parameters (vech P, h = P mu), mapped back
+    by Sigma = P^-1 and mu = Sigma h.  The objective is evaluated once there,
+    in the model's layout, and the fit is converged only if that gradient
+    passes grad_tol.  A singular design (a singular scatter, as from N <= d
+    samples) or a precision that is not positive definite raises ValueError.
+    """
+    if isinstance(data, Dataset):
+        data = gaussian_moments(model, data)  # once, for the solve and the evaluation
+    value_and_grad = objective_functions(model, ObjectiveKind.SM_CONTINUOUS, data)
+    A, b = gaussian_sm_normal_equations(model, data)
+    if np.linalg.matrix_rank(A) < A.shape[0]:
+        raise ValueError("the sm normal equations are singular: "
+                         "the data's scatter about its mean is singular")
+    eta = np.linalg.solve(A, -b)
+    d = model.dim
+    P = np.zeros((d, d))
+    P[np.tril_indices(d)] = eta[:-d]
+    P += np.tril(P, -1).T
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        raise ValueError("the sm solution's precision is not positive definite") from None
+    cov = np.linalg.inv(P)
+    theta = gaussian_model(cov @ eta[-d:], (cov + cov.T) / 2).params
+    v, g = value_and_grad(theta)
+    gnorm = float(np.abs(g).max())
+    return FitResult(theta_hat=theta, objective_value=float(v), grad_norm=gnorm, iters=0,
+                     converged=gnorm <= grad_tol)
+
+
 def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     """The L-BFGS inverse-Hessian approximation applied to g (Nocedal 1980),
     with the initial matrix scaled by s'y / y'y of the newest pair."""
@@ -246,18 +297,27 @@ def compare_estimators(
 ) -> list[dict]:
     """Sample/fit grid over (objective, N, seed), plus population rows.
 
-    Population rows fit against the exactly enumerated joint of the true
-    parameters and are marked n = "inf" with an empty seed field.  Errors
-    compare estimate and truth in the zero-sum gauge (`models.zero_sum_gauge`),
-    since a Potts distribution fixes its fields only up to a constant per site.
+    Population rows fit against the true distribution and are marked
+    n = "inf" with an empty seed field: a discrete model's exactly enumerated
+    joint, or a Gaussian's own mean and covariance as its GaussianMoments,
+    the design its sample objectives build from data.  Other continuous
+    models get no population rows.  Errors compare estimate and truth in the
+    zero-sum gauge (`models.zero_sum_gauge`), since a Potts distribution
+    fixes its fields only up to a constant per site.
     """
     theta_star = np.asarray(theta_star, dtype=float)
     truth = model.with_params(theta_star)
-    joint = exact_normalize(truth)
+    if model.alphabet_size:
+        population = exact_normalize(truth)
+    elif model.kind is ModelKind.GAUSSIAN:
+        population = GaussianMoments(*gaussian_parts(truth))
+    else:
+        population = None
     rows = []
-    for objective in objectives:
-        res = fit(model, objective, joint, cfg)
-        rows.append(_row(model, objective, "inf", "", res, theta_star))
+    if population is not None:
+        for objective in objectives:
+            res = fit(model, objective, population, cfg)
+            rows.append(_row(model, objective, "inf", "", res, theta_star))
     for objective in objectives:
         for n in n_list:
             for seed in seeds:

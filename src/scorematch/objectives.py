@@ -10,19 +10,23 @@ Every empirical objective returns its exact parameter gradient, built from the
 intermediates its value already computes.  One builder, `empirical_objective`,
 checks the data against the model and builds the objective's theta-free
 design once; each evaluation at a theta reuses it.  The Gaussian sm and mle
-are closed forms in the precision and the sample scatter, generalized-Gaussian
-sm differentiates its own score and Laplacian terms in alpha, the discrete
-gsm, rm and pl go through the pairwise one-hot form of Ising and Potts
-(`models.pairwise_form`), and discrete mle through their sufficient statistic
-(`models.sufficient_statistics`) on the state cube.  Discrete data is a
-Dataset or a DiscreteJoint, which stands for its state cube weighted by its
-probabilities.  The exact-MLE partition uses a NumPy port of SciPy's
-`logsumexp`, so importing the package loads no SciPy module.  The population
-objectives are value-only: they are the enumeration oracles the estimators
-are checked against, so they keep their own independent route through
-`log_unnorm`.  A population fit evaluates only the joint-weighted form, which
-differs from its oracle by a theta-independent constant, and adds that
-constant once (`estimation.objective_functions`).
+are closed forms in the precision and the sample scatter, and Gaussian sm is
+also exactly quadratic in its natural parameters, whose normal equations
+`gaussian_sm_normal_equations` builds from the same moments.
+Generalized-Gaussian sm differentiates its own score and Laplacian terms in
+alpha, the discrete gsm, rm and pl go through the pairwise one-hot form of
+Ising and Potts (`models.pairwise_form`), and discrete mle through their
+sufficient statistic (`models.sufficient_statistics`) on the state cube.
+Discrete data is a Dataset or a DiscreteJoint, which stands for its state
+cube weighted by its probabilities; Gaussian data is a Dataset or
+GaussianMoments, which may stand for a Gaussian population.  The exact-MLE
+partition uses a NumPy port of SciPy's `logsumexp`, so importing the package
+loads no SciPy module.  The population objectives are value-only: they are
+the enumeration oracles the estimators are checked against, so they keep
+their own independent route through `log_unnorm`.  A population fit
+evaluates only the joint-weighted form, which differs from its oracle by a
+theta-independent constant, and adds that constant once
+(`estimation.objective_functions`).
 """
 
 from __future__ import annotations
@@ -65,6 +69,16 @@ class ObjectiveKind(Enum):
 class ObjectiveValue:
     value: float
     grad_theta: np.ndarray
+
+
+@dataclass(frozen=True)
+class GaussianMoments:
+    """A mean and the scatter about it, all that the Gaussian objectives see
+    of their data: a dataset's sample mean and 1/N scatter, or a Gaussian's
+    own mean and covariance, which stand for its population."""
+
+    mean: np.ndarray
+    scatter: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +141,12 @@ def logsumexp(a) -> float:
 
 def _check_data(model: Model, data) -> None:
     """data is a Dataset of the model's kind and shape or, for a discrete
-    model, a DiscreteJoint of its shape."""
+    model, a DiscreteJoint of its shape or, for a Gaussian model,
+    GaussianMoments of its dimension."""
     if isinstance(data, DiscreteJoint):
         got = ("discrete", data.d, data.m)
+    elif isinstance(data, GaussianMoments) and model.kind is ModelKind.GAUSSIAN:
+        got = ("continuous", data.mean.size, None)
     elif isinstance(data, Dataset):
         got = (data.kind, data.dim, data.alphabet_size)
     else:
@@ -169,9 +186,10 @@ def empirical_objective(model: Model, objective: ObjectiveKind, data):
 
     data is a Dataset of the model's kind and shape or, for a discrete model,
     a DiscreteJoint that stands for its state cube weighted by its
-    probabilities.  The design, everything that does not depend on theta, is
-    built here once: a fit evaluates it at every trial point, and the public
-    objectives build it per call and evaluate it once.
+    probabilities or, for a Gaussian model, GaussianMoments, which may stand
+    for a Gaussian population.  The design, everything that does not depend
+    on theta, is built here once: a fit evaluates it at every trial point,
+    and the public objectives build it per call and evaluate it once.
     """
     _check_data(model, data)
     evaluate = _EVALUATE.get((model.kind, objective))
@@ -180,14 +198,55 @@ def empirical_objective(model: Model, objective: ObjectiveKind, data):
                          "sm takes continuous models, gsm, rm and pl discrete ones, "
                          "and mle discrete and Gaussian ones")
     if model.kind is ModelKind.GAUSSIAN:
-        xbar = data.values.mean(axis=0)
-        centered = data.values - xbar
-        design = xbar, centered.T @ centered / data.n
+        moments = gaussian_moments(model, data)
+        design = moments.mean, moments.scatter
     elif model.kind is ModelKind.GEN_GAUSS_1D:
         design = (data.values,)
     else:
         design = _discrete_design(model, objective, data)
     return lambda theta: evaluate(model.with_params(theta), *design)
+
+
+def gaussian_moments(model: Model, data) -> GaussianMoments:
+    """data checked against the Gaussian model, as its GaussianMoments: a
+    Dataset's sample mean and 1/N scatter about it, or GaussianMoments
+    themselves."""
+    if model.kind is not ModelKind.GAUSSIAN:
+        raise ValueError(f"moments stand for data of a Gaussian model, not {model.kind.value}")
+    _check_data(model, data)
+    if isinstance(data, GaussianMoments):
+        return data
+    xbar = data.values.mean(axis=0)
+    centered = data.values - xbar
+    return GaussianMoments(xbar, centered.T @ centered / data.n)
+
+
+def gaussian_sm_normal_equations(model: Model, data) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian sm objective as J(eta) = eta' A eta + 2 b' eta in the
+    natural parameters eta = (vech P, h = P mu), tril order, so its minimizer
+    solves A eta = -b.
+
+    log q~ = eta' T(x) with T = (-x' E_k x / 2, x), E_k = dP/d(vech P)_k, so
+    A = mean sum_i d_iT d_iT' and b = mean laplacian T.  Both follow from the
+    mean xbar and the second moment C = E[x x'] of the data, with no
+    per-sample rows: A has blocks tr(E_k E_l C), -E_k xbar and the identity,
+    and b is -tr E_k over vech P and 0 over h.  A is singular exactly when
+    the scatter about the mean is.
+    """
+    moments = gaussian_moments(model, data)
+    xbar = moments.mean
+    d = model.dim
+    rows, cols = np.tril_indices(d)
+    p = rows.size
+    E = np.zeros((p, d, d))
+    E[np.arange(p), rows, cols] = 1.0
+    E[np.arange(p), cols, rows] = 1.0
+    C = moments.scatter + np.outer(xbar, xbar)
+    A_PP = (E @ C).reshape(p, -1) @ E.reshape(p, -1).T
+    A_Ph = -(E @ xbar)
+    A = np.block([[A_PP, A_Ph], [A_Ph.T, np.eye(d)]])
+    b = np.concatenate([-np.trace(E, axis1=1, axis2=2), np.zeros(d)])
+    return A, b
 
 
 def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.ndarray, np.ndarray]:

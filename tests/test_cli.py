@@ -262,20 +262,33 @@ def test_compare_row_count(ising2, tmp_path):
     assert len(lines) == 1 + 2 + 2 * 1 * 2  # header + population + grid
 
 
-@pytest.mark.parametrize("model", [gaussian_model([0.0], [[1.0]]), gen_gauss_model(1.5)],
-                         ids=["gaussian-d1", "gengauss"])
-def test_compare_rejects_a_continuous_model_as_usage(tmp_path, capsys, model):
-    # The population row's truth normalizes to a grid density, which no
-    # objective takes as data.
+def _compare_rows(tmp_path, model, objectives):
     path = tmp_path / "model.json"
     path.write_text(model_to_json(model))
     out = tmp_path / "c.csv"
-    code = main(["compare", "--model", str(path), "--objectives", "sm",
-                 "--n", "50", "--seeds", "1", "--out", str(out)])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert model.kind.value in err and "GridDensity" in err and "Traceback" not in err
-    assert not out.exists()
+    assert main(["compare", "--model", str(path), "--objectives", objectives,
+                 "--n", "200", "--seeds", "1", "--out", str(out)]) == EXIT_OK
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    return [dict(zip(header, r)) for r in rows]
+
+
+def test_compare_on_a_gaussian_has_sm_and_mle_population_rows(tmp_path):
+    # The population rows fit the truth's own mean and covariance, no grid.
+    truth = gaussian_model([0.5, -1.0, 0.2],
+                           [[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.7]])
+    rows = _compare_rows(tmp_path, truth, "sm,mle")
+    population = [r for r in rows if r["n"] == "inf"]
+    assert [r["objective"] for r in population] == ["sm", "mle"]
+    assert all(float(r["linf_error"]) <= 1e-6 for r in population)
+    sampled = [(r["objective"], r["n"]) for r in rows if r["n"] != "inf"]
+    assert sampled == [("sm", "200"), ("mle", "200")]
+    sm_rows = [r for r in rows if r["objective"] == "sm"]
+    assert all(r["converged"] == "true" and r["iters"] == "0" for r in sm_rows)
+
+
+def test_compare_on_gengauss_has_only_sampled_rows(tmp_path):
+    rows = _compare_rows(tmp_path, gen_gauss_model(2.0), "sm")
+    assert [(r["objective"], r["n"], r["seed"]) for r in rows] == [("sm", "200", "1")]
 
 
 def test_compare_reports_potts_errors_in_the_zero_sum_gauge(tmp_path):

@@ -21,12 +21,14 @@ from scorematch.models import (
     discrete_dataset,
     exact_normalize,
     gaussian_model,
+    gaussian_parts,
     gen_gauss_model,
     ising_model,
     potts_model,
     sample,
 )
 from scorematch.objectives import (
+    GaussianMoments,
     ObjectiveKind,
     exact_mle_population,
     gsm_discrete_population,
@@ -82,6 +84,102 @@ def test_fit_gaussian_sm_matches_closed_form():
     assert np.abs(res.theta_hat - ref).max() < 1e-6
 
 
+def _gaussian_sm_gap(res, data):
+    """The fit's max-norm distance from the closed form, relative to
+    max(1, |theta|)."""
+    ref = closed_form_gaussian_sm(data)
+    return np.abs(res.theta_hat - ref).max() / max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fit_gaussian_sm_with_covariance_scales_100_apart(seed):
+    # L-BFGS ended 4e-4 to 9e-4 from the closed form here after 2000
+    # iterations; the solve is exact whatever the scales.
+    d = 3
+    data = sample(gaussian_model(np.zeros(d), np.diag([0.01, 1.0, 100.0])), 200, seed=seed)
+    res = fit(gaussian_model(np.zeros(d), np.eye(d)), ObjectiveKind.SM_CONTINUOUS, data)
+    assert res.converged and res.iters == 0
+    assert _gaussian_sm_gap(res, data) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fit_gaussian_sm_at_condition_number_5(seed):
+    # A random rotation of the spectrum geomspace(1, 5, 4): L-BFGS stopped at
+    # |g| <= 1e-7 up to 1.8e-6 from the closed form.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    cov = (q * np.geomspace(1.0, 5.0, 4)) @ q.T
+    data = sample(gaussian_model(rng.standard_normal(4), (cov + cov.T) / 2), 2000, seed=seed)
+    res = fit(gaussian_model(np.zeros(4), np.eye(4)), ObjectiveKind.SM_CONTINUOUS, data)
+    assert res.converged
+    assert _gaussian_sm_gap(res, data) <= 1e-10
+
+
+def test_fit_gaussian_sm_is_one_evaluation_and_ignores_the_start(monkeypatch):
+    calls = []
+
+    def counted_objective_functions(*args):
+        value_and_grad = objective_functions(*args)
+        return lambda theta: calls.append(1) or value_and_grad(theta)
+
+    monkeypatch.setattr(estimation, "objective_functions", counted_objective_functions)
+    # The moment formula is the oracle the solve is checked against.
+    def no_closed_form(data):
+        raise AssertionError("fit called closed_form_gaussian_sm")
+
+    monkeypatch.setattr(estimation, "closed_form_gaussian_sm", no_closed_form)
+    data = sample(gaussian_model([0.7, -0.3], [[1.5, 0.4], [0.4, 0.9]]), 300, seed=2)
+    model = gaussian_model(np.zeros(2), np.eye(2))
+    res = fit(model, ObjectiveKind.SM_CONTINUOUS, data)
+    assert res.iters == 0 and len(calls) == 1
+    # Neither the start point nor the iteration cap applies to the solve.
+    cfg = OptimizerConfig(max_iters=1, init_theta=np.array([5.0, 5.0, 9.0, 0.0, 9.0]))
+    again = fit(model, ObjectiveKind.SM_CONTINUOUS, data, cfg)
+    assert np.array_equal(again.theta_hat, res.theta_hat) and again.converged
+    # converged is the gradient check at the solution, which grad_tol sets.
+    strict = fit(model, ObjectiveKind.SM_CONTINUOUS, data, OptimizerConfig(grad_tol=1e-30))
+    assert np.array_equal(strict.theta_hat, res.theta_hat)
+    assert strict.grad_norm == res.grad_norm > 1e-30 and not strict.converged
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 4)])
+def test_fit_gaussian_sm_on_at_most_d_samples_raises(d, n):
+    data = sample(gaussian_model(np.full(d, 3.0), np.eye(d)), n, seed=d + n)
+    with pytest.raises(ValueError, match="normal equations are singular"):
+        fit(gaussian_model(np.zeros(d), np.eye(d)), ObjectiveKind.SM_CONTINUOUS, data)
+
+
+def test_fit_gaussian_sm_rejects_an_indefinite_solution(monkeypatch):
+    # Normal equations whose solution is the precision diag(1, -1).
+    A, b = np.eye(5), -np.array([1.0, 0.0, -1.0, 0.0, 0.0])
+    monkeypatch.setattr(estimation, "gaussian_sm_normal_equations", lambda *args: (A, b))
+    data = sample(gaussian_model(np.zeros(2), np.eye(2)), 50, seed=1)
+    with pytest.raises(ValueError, match="not positive definite"):
+        fit(gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.SM_CONTINUOUS, data)
+
+
+@pytest.mark.parametrize("objective", [ObjectiveKind.SM_CONTINUOUS, ObjectiveKind.EXACT_MLE])
+def test_gaussian_population_fit_recovers_truth(objective):
+    # A Gaussian's own mean and covariance stand for its population: they are
+    # the design both objectives build from a dataset's sample moments.
+    truth = gaussian_model([0.5, -1.0, 0.2],
+                           [[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.7]])
+    population = GaussianMoments(*gaussian_parts(truth))
+    res = fit(gaussian_model(np.zeros(3), np.eye(3)), objective, population)
+    assert res.converged
+    assert np.abs(res.theta_hat - truth.params).max() <= 1e-6
+
+
+def test_gaussian_moments_reject_a_mismatched_model():
+    population = GaussianMoments(np.zeros(3), np.eye(3))
+    for model, objective in ((gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.SM_CONTINUOUS),
+                             (gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.EXACT_MLE),
+                             (gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS),
+                             (ising_model(np.zeros(3), np.zeros(2)), ObjectiveKind.EXACT_MLE)):
+        with pytest.raises(ValueError, match="needs data of shape"):
+            fit(model, objective, population)
+
+
 def test_fit_population_gsm_recovers_truth():
     truth = ising_model([0.0, 0.0], [0.5])
     joint = exact_normalize(truth)
@@ -112,7 +210,7 @@ def test_fit_respects_init_theta_override():
     data = sample(truth, 100, seed=1)
     ref = closed_form_gaussian_sm(data)
     cfg = OptimizerConfig(init_theta=np.array([0.5, 2.0]))
-    res = fit(gaussian_model([0.0], [[1.0]]), ObjectiveKind.SM_CONTINUOUS, data, cfg)
+    res = fit(gaussian_model([0.0], [[1.0]]), ObjectiveKind.EXACT_MLE, data, cfg)
     assert np.abs(res.theta_hat - ref).max() < 1e-6
 
 
@@ -193,7 +291,7 @@ def test_fit_from_indefinite_covariance_raises():
     data = sample(gaussian_model([0.0, 0.0], np.eye(2)), 50, seed=1)
     cfg = OptimizerConfig(init_theta=np.array([0.0, 0.0, 1.0, 0.0, -1.0]))  # diag(1, -1)
     with pytest.raises(ValueError, match="not finite at the initial point"):
-        fit(gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.SM_CONTINUOUS, data, cfg)
+        fit(gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.EXACT_MLE, data, cfg)
 
 
 @pytest.mark.parametrize("objective", [

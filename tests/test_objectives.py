@@ -12,6 +12,7 @@ from scorematch.models import (
     exact_normalize,
     gaussian_model,
     gaussian_parts,
+    gen_gauss_model,
     grad_x_log,
     ising_model,
     laplacian_x_log,
@@ -20,11 +21,13 @@ from scorematch.models import (
     sample,
 )
 from scorematch.objectives import (
+    GaussianMoments,
     ObjectiveKind,
     collapse_states,
     exact_mle_objective,
     exact_mle_population,
     fisher_exact,
+    gaussian_sm_normal_equations,
     gsm_discrete_objective,
     gsm_discrete_population,
     kl_exact,
@@ -135,6 +138,35 @@ def test_gaussian_closed_forms_match_generic_definitions():
             mle = -np.mean(log_unnorm(mod, data.values)) + log_z
             assert sm_objective(model, mod.params, data).value == pytest.approx(sm, rel=1e-12)
             assert exact_mle_objective(model, mod.params, data).value == pytest.approx(mle, rel=1e-12)
+
+
+def test_gaussian_sm_normal_equations_reproduce_the_objective():
+    # J(eta) = eta' A eta + 2 b' eta at eta = (vech P, P mu) is the sm value at
+    # (mu, Sigma = P^-1), on samples and on a Gaussian population's moments.
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 4):
+        model = gaussian_model(np.zeros(d), np.eye(d))
+        a = rng.standard_normal((d, d))
+        truth = gaussian_model(rng.standard_normal(d), a @ a.T + 0.3 * np.eye(d))
+        for data in (sample(truth, 60, seed=d), GaussianMoments(*gaussian_parts(truth))):
+            A, b = gaussian_sm_normal_equations(model, data)
+            assert A.shape == (d * (d + 3) // 2,) * 2 and np.allclose(A, A.T, rtol=0, atol=1e-12)
+            for _ in range(3):
+                c = rng.standard_normal((d, d)) * 0.5
+                mod = gaussian_model(rng.standard_normal(d), c @ c.T + np.eye(d))
+                mu, cov = gaussian_parts(mod)
+                P = np.linalg.inv(cov)
+                eta = np.concatenate([P[np.tril_indices(d)], P @ mu])
+                want = sm_objective(model, mod.params, data).value
+                assert eta @ A @ eta + 2.0 * b @ eta == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_gaussian_sm_normal_equations_reject_other_models():
+    with pytest.raises(ValueError, match="Gaussian"):
+        gaussian_sm_normal_equations(gen_gauss_model(1.0), continuous_dataset([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="needs data of shape"):
+        gaussian_sm_normal_equations(gaussian_model([0.0], [[1.0]]),
+                                     discrete_dataset([[0], [1]], m=2))
 
 
 def test_sm_objective_rejects_discrete_model():

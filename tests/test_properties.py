@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scorematch.grids import mixture_1d
 from scorematch.estimation import (
     OptimizerConfig,
+    closed_form_gaussian_sm,
     fd_gradient,
     fit,
     objective_functions,
@@ -35,6 +36,7 @@ from scorematch.objectives import (
     empirical_objective,
     exact_mle_objective,
     exact_mle_population,
+    gaussian_sm_normal_equations,
     gsm_discrete_objective,
     gsm_discrete_population,
     kl_exact,
@@ -293,6 +295,27 @@ def test_fit_never_leaves_parameter_domain(seed, family):
     for objective in objectives:
         res = fit(model, objective, data, OptimizerConfig(max_iters=20))
         model.with_params(res.theta_hat)  # raises outside the domain
+
+
+@given(seed=st.integers(0, 10_000), d=st.integers(1, 4))
+@settings(**SETTINGS)
+def test_gaussian_sm_solve_equals_the_closed_form(seed, d):
+    # The normal-equation solve and the moment formula are independent routes
+    # to the sm minimizer; scales and offsets vary over two decades.  Most
+    # designs drawn here have cond(A) below 1e5 and must agree within 1e-10;
+    # a solve is accurate to about cond(A) eps, which bounds the rest (as few
+    # as d + 1 samples can make the scatter nearly singular).
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-1, 1, d)
+    mu = rng.standard_normal(d) * 10.0 ** rng.uniform(-1, 1)
+    truth = gaussian_model(mu, a @ a.T + 0.01 * np.eye(d))
+    data = sample(truth, int(rng.integers(d + 1, 400)), seed)
+    model = gaussian_model(np.zeros(d), np.eye(d))
+    res = fit(model, ObjectiveKind.SM_CONTINUOUS, data)
+    ref = closed_form_gaussian_sm(data)
+    cond = np.linalg.cond(gaussian_sm_normal_equations(model, data)[0])
+    bound = max(1e-10, 10.0 * cond * np.finfo(float).eps)
+    assert np.abs(res.theta_hat - ref).max() <= bound * max(1.0, np.abs(ref).max())
 
 
 @given(seed=st.integers(0, 10_000))
