@@ -186,7 +186,7 @@ def cmd_compare(args) -> int:
     n_list = [_parse_int("--n", v, 1) for v in args.n.split(",")]
     seeds = _parse_seeds(args.seeds)
     try:
-        rows = compare_estimators(model, model.params, n_list, seeds, objectives, cfg)
+        rows = compare_estimators(model, n_list, seeds, objectives, cfg)
     except ValueError as exc:
         raise CliError(
             f"cannot compare on model kind {model.kind.value!r}: {exc}"

@@ -5,9 +5,9 @@ multi-estimator comparison harness.
 
 Gaussian sm is quadratic in the natural parameters (vech P, P mu), so `fit`
 minimizes it with one solve of its normal equations
-(`objectives.gaussian_sm_normal_equations`), maps the solution back to the
-(mu, tril Sigma) layout and evaluates the objective once there: no
-iterations, and neither the iteration cap nor the start point applies.
+(`objectives.gaussian_sm_normal_equations`) and maps the solution back to the
+(mu, tril Sigma) layout: no iterations, no objective evaluation, and neither
+the iteration cap nor the start point applies.
 `closed_form_gaussian_sm` is the independent moment formula that solve is
 checked against, and no fit calls it.
 
@@ -15,9 +15,9 @@ Every other fit is L-BFGS (Nocedal 1980; Liu & Nocedal 1989) with a
 fixed line search: a unit trial step along the L-BFGS direction (along the
 negative gradient scaled to max-norm at most 1 while no curvature pair is
 stored), halved until the Armijo condition with constant 1e-4 holds.
-`OptimizerConfig` sets only its iteration cap, the gradient tolerance and
-its start point.  Every objective is one callable theta -> (value, exact
-gradient), so each trial point costs one evaluation:
+`OptimizerConfig` sets only its iteration cap and the gradient tolerance;
+every fit starts at `default_init`.  Every objective is one callable
+theta -> (value, exact gradient), so each trial point costs one evaluation:
 `objectives.empirical_objective` builds its theta-free design once per fit,
 and a population fit calls its enumeration oracle once, for a theta-free
 offset, and no more.  `fd_gradient` is the reference the verification suites
@@ -47,7 +47,6 @@ from .objectives import (
     ObjectiveKind,
     empirical_objective,
     exact_mle_population,
-    gaussian_moments,
     gaussian_sm_normal_equations,
     gsm_discrete_population,
     pseudo_likelihood_population,
@@ -61,9 +60,11 @@ FD_CHECK_STEP = 1e-5
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The iteration cap and the gradient max-norm at which a fit stops; the
+    start point is always `default_init(model)`."""
+
     max_iters: int = 2000
     grad_tol: float = 1e-7
-    init_theta: np.ndarray | None = None
 
     def __post_init__(self):
         if not (self.max_iters > 0 and self.grad_tol > 0):
@@ -174,7 +175,7 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
     if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.SM_CONTINUOUS:
         return _solve_gaussian_sm(model, data, cfg.grad_tol)
     value_and_grad = objective_functions(model, objective, data)
-    theta = default_init(model) if cfg.init_theta is None else np.asarray(cfg.init_theta, float)
+    theta = default_init(model)
     # Trial points may overflow on the way to a non-finite value, which the
     # line search rejects; the warning would say nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,16 +225,14 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
 
 
 def _solve_gaussian_sm(model: Model, data, grad_tol: float) -> FitResult:
-    """The exact minimizer of the Gaussian sm objective: one solve of its
-    normal equations in the natural parameters (vech P, h = P mu), mapped back
-    by Sigma = P^-1 and mu = Sigma h.  The objective is evaluated once there,
-    in the model's layout, and the fit is converged only if that gradient
-    passes grad_tol.  A singular design (a singular scatter, as from N <= d
-    samples) or a precision that is not positive definite raises ValueError.
+    """The exact minimizer of the Gaussian sm objective J(eta) = eta' A eta +
+    2 b' eta: one solve of its normal equations in the natural parameters
+    eta = (vech P, h = P mu), mapped back by Sigma = P^-1 and mu = Sigma h.
+    The fit is judged in eta, where J is quadratic: its gradient is
+    2 (A eta + b), whose max-norm must pass grad_tol, and its value there is
+    b' eta.  A singular design (a singular scatter, as from N <= d samples)
+    or a precision that is not positive definite raises ValueError.
     """
-    if isinstance(data, Dataset):
-        data = gaussian_moments(model, data)  # once, for the solve and the evaluation
-    value_and_grad = objective_functions(model, ObjectiveKind.SM_CONTINUOUS, data)
     A, b = gaussian_sm_normal_equations(model, data)
     if np.linalg.matrix_rank(A) < A.shape[0]:
         raise ValueError("the sm normal equations are singular: "
@@ -249,9 +248,8 @@ def _solve_gaussian_sm(model: Model, data, grad_tol: float) -> FitResult:
         raise ValueError("the sm solution's precision is not positive definite") from None
     cov = np.linalg.inv(P)
     theta = gaussian_model(cov @ eta[-d:], (cov + cov.T) / 2).params
-    v, g = value_and_grad(theta)
-    gnorm = float(np.abs(g).max())
-    return FitResult(theta_hat=theta, objective_value=float(v), grad_norm=gnorm, iters=0,
+    gnorm = float(np.abs(2.0 * (A @ eta + b)).max())
+    return FitResult(theta_hat=theta, objective_value=float(b @ eta), grad_norm=gnorm, iters=0,
                      converged=gnorm <= grad_tol)
 
 
@@ -274,7 +272,7 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
 
 def closed_form_gaussian_sm(data: Dataset) -> np.ndarray:
     """Sample mean and 1/N covariance in the Gaussian parameter layout."""
-    if data.kind != "continuous":
+    if data.alphabet_size is not None:
         raise ValueError("Gaussian closed form needs continuous data")
     X = data.values
     mu = X.mean(axis=0)
@@ -289,7 +287,6 @@ def closed_form_gaussian_sm(data: Dataset) -> np.ndarray:
 
 def compare_estimators(
     model: Model,
-    theta_star,
     n_list,
     seeds,
     objectives,
@@ -297,38 +294,38 @@ def compare_estimators(
 ) -> list[dict]:
     """Sample/fit grid over (objective, N, seed), plus population rows.
 
-    Population rows fit against the true distribution and are marked
-    n = "inf" with an empty seed field: a discrete model's exactly enumerated
-    joint, or a Gaussian's own mean and covariance as its GaussianMoments,
+    The model's own params are the truth: every dataset is sampled from it,
+    and every row's error is measured against them.  Population rows fit
+    against the true distribution and are marked n = "inf" with an empty
+    seed field: a discrete model's exactly enumerated joint, or a
+    Gaussian's own mean and covariance as its GaussianMoments,
     the design its sample objectives build from data.  Other continuous
     models get no population rows.  Errors compare estimate and truth in the
     zero-sum gauge (`models.zero_sum_gauge`), since a Potts distribution
     fixes its fields only up to a constant per site.
     """
-    theta_star = np.asarray(theta_star, dtype=float)
-    truth = model.with_params(theta_star)
     if model.alphabet_size:
-        population = exact_normalize(truth)
+        population = exact_normalize(model)
     elif model.kind is ModelKind.GAUSSIAN:
-        population = GaussianMoments(*gaussian_parts(truth))
+        population = GaussianMoments(*gaussian_parts(model))
     else:
         population = None
     rows = []
     if population is not None:
         for objective in objectives:
             res = fit(model, objective, population, cfg)
-            rows.append(_row(model, objective, "inf", "", res, theta_star))
+            rows.append(_row(model, objective, "inf", "", res))
     for objective in objectives:
         for n in n_list:
             for seed in seeds:
-                data = sample(truth, n, seed)
+                data = sample(model, n, seed)
                 res = fit(model, objective, data, cfg)
-                rows.append(_row(model, objective, n, seed, res, theta_star))
+                rows.append(_row(model, objective, n, seed, res))
     return rows
 
 
-def _row(model: Model, objective, n, seed, res: FitResult, theta_star) -> dict:
-    error = zero_sum_gauge(model, res.theta_hat) - zero_sum_gauge(model, theta_star)
+def _row(model: Model, objective, n, seed, res: FitResult) -> dict:
+    error = zero_sum_gauge(model, res.theta_hat) - zero_sum_gauge(model, model.params)
     return {
         "objective": objective.value,
         "n": n,

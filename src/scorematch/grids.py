@@ -134,17 +134,13 @@ def from_function(fn, box, n) -> GridDensity:
     """Sample an unnormalized nonnegative function on a box and normalize.
 
     ``box`` is (lo, hi) in 1-D or ((lo0, hi0), (lo1, hi1)) in 2-D; ``n`` is the
-    per-axis point count (int, or pair in 2-D).
+    point count of every axis.
     """
     if np.isscalar(box[0]):
         ax = (uniform_axis(box[0], box[1], int(n)),)
         vals = fn(ax[0])
     else:
-        ns = (n, n) if np.isscalar(n) else n
-        ax = (
-            uniform_axis(box[0][0], box[0][1], int(ns[0])),
-            uniform_axis(box[1][0], box[1][1], int(ns[1])),
-        )
+        ax = tuple(uniform_axis(lo, hi, int(n)) for lo, hi in box)
         xx, yy = np.meshgrid(ax[0], ax[1], indexing="ij")
         vals = fn(xx, yy)
     return grid_density(ax, vals)

@@ -9,6 +9,7 @@ symbols (`pairwise_form`): their parameters enter linearly through a field
 table and a coupling matrix, which gives every singleton conditional from one
 matrix product and the parameter gradients by the chain rule.  Their
 sufficient statistic T (`sufficient_statistics`) gives log q~ = T(x) . theta.
+The two kinds differ only in their site pattern (`_edge_pattern`).
 
 The Potts layout is overcomplete (Wainwright & Jordan 2008): adding c to all
 of one site's fields adds c to log q~ at every state, so the distribution
@@ -278,15 +279,14 @@ _SPIN = np.array([-1.0, 1.0])
 
 
 def _edge_pattern(model: Model):
-    """Edge endpoints i, j and the (m, m) symbol-pair pattern of the
-    couplings of an Ising or Potts model."""
+    """Edge endpoints i, j and the site pattern S of an Ising or Potts model:
+    S[:, y] is symbol y's column of field statistics, [[-1, +1]] (the spins)
+    for Ising and I_m for Potts, and its Gram matrix S'S is the (m, m)
+    symbol-pair pattern of the couplings of both kinds."""
     _require_discrete(model)
-    if model.kind is ModelKind.ISING:
-        pair = np.outer(_SPIN, _SPIN)
-    else:
-        pair = np.eye(model.alphabet_size)
+    site = _SPIN[None, :] if model.kind is ModelKind.ISING else np.eye(model.alphabet_size)
     i, j = np.asarray(model.edges, dtype=int).reshape(-1, 2).T
-    return i, j, pair
+    return i, j, site
 
 
 def pairwise_form(model: Model) -> tuple[np.ndarray, np.ndarray]:
@@ -295,17 +295,19 @@ def pairwise_form(model: Model) -> tuple[np.ndarray, np.ndarray]:
     the one-hot row x1 of x (see `one_hot`).
 
     (F, C) is a fixed linear map B of the parameters that depends only on the
-    kind, d, m and the edges; `pairwise_adjoint` is its transpose.  Ising:
-    F[i,y] = h_i s_y and C[(i,y),(j,y')] = J_k s_y s_y' with spins
-    s = (-1, +1); Potts: F = fields and C[(i,y),(j,y')] = J_k [y = y'].
-    C is symmetric and zero on its (i, i) blocks.
+    site pattern S of `_edge_pattern`, d and the edges; `pairwise_adjoint` is
+    its transpose.  Site i's fields h_i give F[i] = h_i S and edge k's
+    coupling J_k gives C[(i,y),(j,y')] = J_k (S'S)[y, y']: for Ising
+    F[i,y] = h_i s_y and J_k s_y s_y' with spins s = (-1, +1), for Potts
+    F = fields and J_k [y = y'].  C is symmetric and zero on its (i, i)
+    blocks.
     """
-    i, j, pair = _edge_pattern(model)
+    i, j, site = _edge_pattern(model)
     d, m = model.dim, model.alphabet_size
     fields, couplings = np.split(model.params, [model.n_params - len(i)])
-    F = np.outer(fields, _SPIN) if model.kind is ModelKind.ISING else fields
+    F = fields.reshape(d, -1) @ site
     C = np.zeros((d, m, d, m))
-    np.add.at(C, (i, slice(None), j), couplings[:, None, None] * pair)
+    np.add.at(C, (i, slice(None), j), couplings[:, None, None] * (site.T @ site))
     C += C.transpose(2, 3, 0, 1)
     return F.ravel(), C.reshape(d * m, d * m)
 
@@ -313,12 +315,13 @@ def pairwise_form(model: Model) -> tuple[np.ndarray, np.ndarray]:
 def pairwise_adjoint(model: Model, dF, dC) -> np.ndarray:
     """Transpose of the map theta -> (F, C) of `pairwise_form`: the gradient
     in theta of a function of (F, C) whose gradients are dF and dC."""
-    i, j, pair = _edge_pattern(model)
+    i, j, site = _edge_pattern(model)
     d, m = model.dim, model.alphabet_size
     dF = np.reshape(dF, (d, m))
     dC = np.reshape(dC, (d, m, d, m))
-    d_fields = dF @ _SPIN if model.kind is ModelKind.ISING else dF.ravel()
-    d_couplings = ((dC[i, :, j] + dC[j, :, i].transpose(0, 2, 1)) * pair).sum(axis=(1, 2))
+    d_fields = (dF @ site.T).ravel()
+    d_pairs = dC[i, :, j] + dC[j, :, i].transpose(0, 2, 1)
+    d_couplings = (d_pairs * (site.T @ site)).sum(axis=(1, 2))
     return np.concatenate([d_fields, d_couplings])
 
 
@@ -334,21 +337,19 @@ def one_hot(model: Model, X) -> np.ndarray:
 
 def sufficient_statistics(model: Model, X) -> np.ndarray:
     """T(x) = dlog q~/dtheta of an Ising or Potts model at discrete points, as
-    C-ordered rows (N, p) with log q~(x) = T(x) . theta: the spin s_{x_i}
-    (Ising) or the one-hot symbol (Potts) per site, and pair[x_a, x_b] of
-    `_edge_pattern` per edge, filled one column at a time."""
-    i, j, pair = _edge_pattern(model)
+    C-ordered rows (N, p) with log q~(x) = T(x) . theta: with S the site
+    pattern of `_edge_pattern`, the column S[:, x_i] per site (the spin for
+    Ising, the one-hot symbol for Potts), filled one site at a time, and
+    (S'S)[x_a, x_b] per edge (a, b)."""
+    i, j, site = _edge_pattern(model)
     pts = _check_points(model, np.atleast_2d(X))
-    m, n_fields = model.alphabet_size, model.n_params - len(i)
+    k, n_fields = site.shape[0], model.n_params - len(i)
     T = np.empty((pts.shape[0], model.n_params))
     for a in range(model.dim):
-        if model.kind is ModelKind.ISING:
-            T[:, a] = _SPIN[pts[:, a]]
-        else:
-            for y in range(m):
-                T[:, a * m + y] = pts[:, a] == y
-    for k in range(len(i)):
-        T[:, n_fields + k] = pair[pts[:, i[k]], pts[:, j[k]]]
+        T[:, a * k:(a + 1) * k] = site.T[pts[:, a]]
+    pair = site.T @ site
+    for e in range(len(i)):
+        T[:, n_fields + e] = pair[pts[:, i[e]], pts[:, j[e]]]
     return T
 
 
@@ -447,10 +448,11 @@ def exact_normalize(model: Model, n: int | None = None):
 
 @dataclass(frozen=True)
 class Dataset:
-    """N samples of d-dimensional data; sample order is significant."""
+    """N samples of d-dimensional data; sample order is significant.  The
+    data is discrete, integer symbols 0..m-1, when it has an alphabet size m,
+    and continuous when alphabet_size is None."""
 
     values: np.ndarray
-    kind: str  # "continuous" | "discrete"
     alphabet_size: int | None
 
     @property
@@ -466,7 +468,7 @@ def continuous_dataset(values) -> Dataset:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] < 1:
         raise ValueError("dataset needs at least one sample")
-    return Dataset(values, "continuous", None)
+    return Dataset(values, None)
 
 
 def discrete_dataset(values, m: int) -> Dataset:
@@ -476,7 +478,7 @@ def discrete_dataset(values, m: int) -> Dataset:
         raise ValueError(f"discrete entries must lie in 0..{m - 1}")
     if sym.shape[0] < 1:
         raise ValueError("dataset needs at least one sample")
-    return Dataset(sym, "discrete", m)
+    return Dataset(sym, m)
 
 
 def sample(model: Model, n: int, seed: int) -> Dataset:
@@ -511,7 +513,7 @@ def sample(model: Model, n: int, seed: int) -> Dataset:
 def dataset_to_csv(data: Dataset) -> str:
     header = ",".join(f"x{i}" for i in range(data.dim))
     lines = [header]
-    if data.kind == "discrete":
+    if data.alphabet_size is not None:
         for row in data.values:
             lines.append(",".join(str(int(v)) for v in row))
     else:

@@ -140,20 +140,21 @@ def logsumexp(a) -> float:
 
 
 def _check_data(model: Model, data) -> None:
-    """data is a Dataset of the model's kind and shape or, for a discrete
-    model, a DiscreteJoint of its shape or, for a Gaussian model,
-    GaussianMoments of its dimension."""
+    """data has the model's dimension and alphabet size (None for continuous
+    data): a Dataset or, for a discrete model, a DiscreteJoint or, for a
+    Gaussian model, GaussianMoments."""
     if isinstance(data, DiscreteJoint):
-        got = ("discrete", data.d, data.m)
+        got = (data.d, data.m)
     elif isinstance(data, GaussianMoments) and model.kind is ModelKind.GAUSSIAN:
-        got = ("continuous", data.mean.size, None)
+        got = (data.mean.size, None)
     elif isinstance(data, Dataset):
-        got = (data.kind, data.dim, data.alphabet_size)
+        got = (data.dim, data.alphabet_size)
     else:
         got = type(data).__name__
-    want = ("discrete" if model.alphabet_size else "continuous", model.dim, model.alphabet_size)
+    want = (model.dim, model.alphabet_size)
     if got != want:
-        raise ValueError(f"the {model.kind.value} model needs data of shape {want}, got {got}")
+        raise ValueError(f"the {model.kind.value} model needs data of shape "
+                         f"(dimension, alphabet size) = {want}, got {got}")
 
 
 def _log_table(model: Model, theta) -> np.ndarray:

@@ -46,9 +46,7 @@ def discrete_joint(probs: np.ndarray) -> DiscreteJoint:
 # ---------------------------------------------------------------------------
 # Grid stencils (second-order central in the interior, one-sided at the edges)
 
-def grid_gradient(values: np.ndarray, spacing) -> list[np.ndarray]:
-    if np.isscalar(spacing):
-        spacing = (spacing,) * values.ndim
+def grid_gradient(values: np.ndarray, spacing: tuple[float, ...]) -> list[np.ndarray]:
     return [
         np.gradient(values, spacing[ax], axis=ax, edge_order=1)
         for ax in range(values.ndim)
@@ -79,18 +77,14 @@ def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def grid_laplacian(values: np.ndarray, spacing) -> np.ndarray:
-    if np.isscalar(spacing):
-        spacing = (spacing,) * values.ndim
+def grid_laplacian(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
     out = np.zeros_like(values, dtype=float)
     for ax in range(values.ndim):
         out += _second_diff(values, spacing[ax], ax)
     return out
 
 
-def grid_divergence(components: list[np.ndarray], spacing) -> np.ndarray:
-    if np.isscalar(spacing):
-        spacing = (spacing,) * components[0].ndim
+def grid_divergence(components: list[np.ndarray], spacing: tuple[float, ...]) -> np.ndarray:
     out = np.zeros_like(components[0], dtype=float)
     for ax, g in enumerate(components):
         out += np.gradient(g, spacing[ax], axis=ax, edge_order=1)

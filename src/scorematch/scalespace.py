@@ -186,8 +186,7 @@ def divergence_curve(p: GridDensity, q: GridDensity, t_grid) -> DivergenceCurve:
     kl = np.empty(t.size)
     fisher = np.empty(t.size)
     # Each output is a view that keeps its flow's padded state alive, so both
-    # are dropped before the flows step again; under enumerate(zip(...)),
-    # twice as many states were alive at the peak.
+    # are dropped before the flows step again.
     p_flow, q_flow = _heat_flow(p, t), _heat_flow(q, t)
     for i in range(t.size):
         pt, qt = next(p_flow), next(q_flow)

@@ -138,8 +138,7 @@ def test_criterion_09_consistency_at_desk_scale():
     objectives = [ObjectiveKind.GSM_DISCRETE, ObjectiveKind.RATIO_MATCHING,
                   ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE]
     n_list = [1000, 10000, 50000]
-    rows = compare_estimators(model, model.params, n_list, [1, 2, 3, 4, 5],
-                              objectives)
+    rows = compare_estimators(model, n_list, [1, 2, 3, 4, 5], objectives)
     errs = collections.defaultdict(list)
     for r in rows:
         if r["seed"] != "":

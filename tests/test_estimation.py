@@ -116,27 +116,28 @@ def test_fit_gaussian_sm_at_condition_number_5(seed):
 
 
 def test_fit_gaussian_sm_is_one_evaluation_and_ignores_the_start(monkeypatch):
-    calls = []
+    # The one evaluation is the solve of the normal equations: the fit builds
+    # no objective, reads no start point, and does not call the moment
+    # formula, which is the oracle the solve is checked against.
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"fit called {name}")
+        return call
 
-    def counted_objective_functions(*args):
-        value_and_grad = objective_functions(*args)
-        return lambda theta: calls.append(1) or value_and_grad(theta)
-
-    monkeypatch.setattr(estimation, "objective_functions", counted_objective_functions)
-    # The moment formula is the oracle the solve is checked against.
-    def no_closed_form(data):
-        raise AssertionError("fit called closed_form_gaussian_sm")
-
-    monkeypatch.setattr(estimation, "closed_form_gaussian_sm", no_closed_form)
+    for name in ("objective_functions", "default_init", "closed_form_gaussian_sm"):
+        monkeypatch.setattr(estimation, name, forbidden(name))
     data = sample(gaussian_model([0.7, -0.3], [[1.5, 0.4], [0.4, 0.9]]), 300, seed=2)
     model = gaussian_model(np.zeros(2), np.eye(2))
     res = fit(model, ObjectiveKind.SM_CONTINUOUS, data)
-    assert res.iters == 0 and len(calls) == 1
-    # Neither the start point nor the iteration cap applies to the solve.
-    cfg = OptimizerConfig(max_iters=1, init_theta=np.array([5.0, 5.0, 9.0, 0.0, 9.0]))
-    again = fit(model, ObjectiveKind.SM_CONTINUOUS, data, cfg)
+    assert res.iters == 0 and res.converged
+    # The value is b' eta, the objective at the solution.
+    want = objectives.sm_objective(model, res.theta_hat, data).value
+    assert res.objective_value == pytest.approx(want, rel=1e-12)
+    # Neither the model's params nor the iteration cap applies to the solve.
+    other = gaussian_model([5.0, 5.0], [[9.0, 0.0], [0.0, 9.0]])
+    again = fit(other, ObjectiveKind.SM_CONTINUOUS, data, OptimizerConfig(max_iters=1))
     assert np.array_equal(again.theta_hat, res.theta_hat) and again.converged
-    # converged is the gradient check at the solution, which grad_tol sets.
+    # converged is the normal-equation residual against grad_tol.
     strict = fit(model, ObjectiveKind.SM_CONTINUOUS, data, OptimizerConfig(grad_tol=1e-30))
     assert np.array_equal(strict.theta_hat, res.theta_hat)
     assert strict.grad_norm == res.grad_norm > 1e-30 and not strict.converged
@@ -205,15 +206,6 @@ def test_fit_never_increases_objective():
     assert res.objective_value <= value_and_grad(default_init(model))[0] + 1e-15
 
 
-def test_fit_respects_init_theta_override():
-    truth = gaussian_model([0.0], [[1.0]])
-    data = sample(truth, 100, seed=1)
-    ref = closed_form_gaussian_sm(data)
-    cfg = OptimizerConfig(init_theta=np.array([0.5, 2.0]))
-    res = fit(gaussian_model([0.0], [[1.0]]), ObjectiveKind.EXACT_MLE, data, cfg)
-    assert np.abs(res.theta_hat - ref).max() < 1e-6
-
-
 def test_fit_incompatible_kind_raises():
     model = gaussian_model([0.0], [[1.0]])
     data = discrete_dataset([[0, 1]], m=2)
@@ -228,25 +220,24 @@ def test_fit_gen_gauss_alpha_recovery():
     assert abs(res.theta_hat[0] - 1.5) < 0.1
 
 
-def test_fit_gen_gauss_stays_in_alpha_domain():
-    # From alpha = 0.05 the smoothed-cusp SM objective falls towards alpha = 0
-    # (it left the domain, to alpha < 0, before with_params rejected it).
+def test_fit_gen_gauss_stays_in_alpha_domain(monkeypatch):
+    # From alpha = 0.05 the smoothed-cusp SM objective falls towards alpha = 0.
     data = sample(gen_gauss_model(1.5), 2000, seed=1)
-    cfg = OptimizerConfig(init_theta=np.array([0.05]))
-    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data, cfg)
+    monkeypatch.setattr(estimation, "default_init", lambda model: np.array([0.05]))
+    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
     assert res.theta_hat[0] > 0
     assert not res.converged
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_fit_rejects_overflowing_trials_without_warning():
+def test_fit_rejects_overflowing_trials_without_warning(monkeypatch):
     # From alpha = 60 the objective is ~1e246 and its gradient ~2.8e247; the
     # first direction is scaled to max-norm 1, so the fit neither stalls at
     # the start nor warns on the overflowing trial points it rejects.
     data = sample(gen_gauss_model(0.5), 2000, seed=1)
-    cfg = OptimizerConfig(init_theta=np.array([60.0]))
-    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data, cfg)
     ref = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
+    monkeypatch.setattr(estimation, "default_init", lambda model: np.array([60.0]))
+    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
     assert res.converged and ref.converged
     assert res.theta_hat[0] == pytest.approx(ref.theta_hat[0], abs=1e-6)
 
@@ -287,11 +278,12 @@ def test_fit_gen_gauss_sm_takes_exact_gradient(monkeypatch):
     assert abs(res.theta_hat[0] - 1.5) < 0.2
 
 
-def test_fit_from_indefinite_covariance_raises():
-    data = sample(gaussian_model([0.0, 0.0], np.eye(2)), 50, seed=1)
-    cfg = OptimizerConfig(init_theta=np.array([0.0, 0.0, 1.0, 0.0, -1.0]))  # diag(1, -1)
+def test_fit_on_data_not_finite_at_the_start_raises():
+    # 1e200 squares to inf, so at the start alpha = 1 the Laplacian term
+    # (alpha - 1) x^2 is 0 * inf and the objective is NaN.
+    data = continuous_dataset([[0.3], [1e200], [-0.5]])
     with pytest.raises(ValueError, match="not finite at the initial point"):
-        fit(gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.EXACT_MLE, data, cfg)
+        fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
 
 
 @pytest.mark.parametrize("objective", [
@@ -460,7 +452,9 @@ def test_fit_result_converged_implies_grad_tol():
 
 def test_population_fit_rejects_objective_without_population_form():
     joint = exact_normalize(ising_model([0.0, 0.0], [0.5]))
-    with pytest.raises(ValueError, match="population"):
+    with pytest.raises(ValueError, match="has no population form"):
+        fit(ising_model([0.0, 0.0], [0.5]), ObjectiveKind.SM_CONTINUOUS, joint)
+    with pytest.raises(ValueError, match="the gaussian model needs data of shape"):
         fit(gaussian_model([0.0], [[1.0]]), ObjectiveKind.SM_CONTINUOUS, joint)
 
 
@@ -475,7 +469,7 @@ def test_optimizer_config_validation():
 def test_compare_estimators_row_count_and_csv():
     model = ising_model([0.0, 0.0], [0.5])
     objs = [ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE]
-    rows = compare_estimators(model, model.params, [200], [1, 2], objs)
+    rows = compare_estimators(model, [200], [1, 2], objs)
     # 2 population rows + 2 objectives x 1 n x 2 seeds
     assert len(rows) == 2 + 4
     pop = [r for r in rows if r["seed"] == ""]
@@ -488,9 +482,7 @@ def test_compare_estimators_row_count_and_csv():
 
 def test_compare_estimators_errors_shrink_with_n():
     model = ising_model([0.0, 0.0], [0.5])
-    rows = compare_estimators(
-        model, model.params, [100, 5000], [1, 2, 3], [ObjectiveKind.EXACT_MLE]
-    )
+    rows = compare_estimators(model, [100, 5000], [1, 2, 3], [ObjectiveKind.EXACT_MLE])
     errs = {n: [] for n in (100, 5000)}
     for r in rows:
         if r["seed"] != "":

@@ -55,7 +55,7 @@ def test_marginalize_components_constant_along_own_axis():
 
 def test_grid_gradient_even_function_vanishes_at_center():
     ax = uniform_axis(-8.0, 8.0, 1025)
-    g = grid_gradient(np.exp(-(ax**2) / 2.0), ax[1] - ax[0])[0]
+    g = grid_gradient(np.exp(-(ax**2) / 2.0), (ax[1] - ax[0],))[0]
     assert abs(g[512]) < 1e-12  # exact zero by symmetry of the central stencil
 
 
@@ -63,21 +63,21 @@ def test_grid_gradient_second_order_on_cubic():
     # Central differences are exact for quadratics; cubic error is h^2 f'''/6.
     ax = uniform_axis(0.0, 1.0, 101)
     h = ax[1] - ax[0]
-    g = grid_gradient(ax**3, h)[0]
+    g = grid_gradient(ax**3, (h,))[0]
     interior = slice(1, -1)
     assert np.abs(g[interior] - 3 * ax[interior] ** 2).max() < 1.1 * h**2
 
 
 def test_grid_laplacian_exact_for_quadratics_including_boundary():
     ax = uniform_axis(-3.0, 5.0, 65)
-    lap = grid_laplacian(2.0 * ax**2 - ax + 7.0, ax[1] - ax[0])
+    lap = grid_laplacian(2.0 * ax**2 - ax + 7.0, (ax[1] - ax[0],))
     assert np.abs(lap - 4.0).max() < 1e-8
 
 
 def test_grid_laplacian_2d_additivity():
     ax = uniform_axis(-2.0, 2.0, 33)
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    lap = grid_laplacian(xx**2 + 3.0 * yy**2, ax[1] - ax[0])
+    lap = grid_laplacian(xx**2 + 3.0 * yy**2, (ax[1] - ax[0],) * 2)
     assert np.abs(lap - 8.0).max() < 1e-7
 
 
@@ -221,7 +221,7 @@ def test_generalized_divergence_reduces_to_fisher():
     p = gaussian_1d(0.0, 1.0, box=(-12.0, 12.0), n=8192)
     q = gaussian_1d(0.0, 2.0, box=(-12.0, 12.0), n=8192)
     mask = support_mask(p)
-    gp = grid_gradient(p.values, p.spacing[0])[0] / np.maximum(p.values, 1e-300)
-    gq = grid_gradient(q.values, q.spacing[0])[0] / np.maximum(q.values, 1e-300)
+    gp = grid_gradient(p.values, p.spacing)[0] / np.maximum(p.values, 1e-300)
+    gq = grid_gradient(q.values, q.spacing)[0] / np.maximum(q.values, 1e-300)
     d_op = quad(p, np.where(mask, p.values * (gp - gq) ** 2, 0.0))
     assert abs(d_op - fisher_exact(p, q)) < 1e-6

@@ -2,7 +2,7 @@
 arbitrary inputs, not just the hand-picked fixtures."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scorematch.grids import mixture_1d
 from scorematch.estimation import (
@@ -298,13 +298,20 @@ def test_fit_never_leaves_parameter_domain(seed, family):
 
 
 @given(seed=st.integers(0, 10_000), d=st.integers(1, 4))
+@example(seed=583, d=3)
+@example(seed=230, d=3)
+@example(seed=471, d=1)
+@example(seed=43, d=4)
 @settings(**SETTINGS)
 def test_gaussian_sm_solve_equals_the_closed_form(seed, d):
     # The normal-equation solve and the moment formula are independent routes
     # to the sm minimizer; scales and offsets vary over two decades.  Most
     # designs drawn here have cond(A) below 1e5 and must agree within 1e-10;
     # a solve is accurate to about cond(A) eps, which bounds the rest (as few
-    # as d + 1 samples can make the scatter nearly singular).
+    # as d + 1 samples can make the scatter nearly singular).  At the
+    # examples' minimizers the gradient in the (mu, tril Sigma) layout
+    # exceeds grad_tol (up to 357 at seed 583) while the normal-equation
+    # residual does not, so converged must be judged in eta.
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-1, 1, d)
     mu = rng.standard_normal(d) * 10.0 ** rng.uniform(-1, 1)
@@ -312,6 +319,7 @@ def test_gaussian_sm_solve_equals_the_closed_form(seed, d):
     data = sample(truth, int(rng.integers(d + 1, 400)), seed)
     model = gaussian_model(np.zeros(d), np.eye(d))
     res = fit(model, ObjectiveKind.SM_CONTINUOUS, data)
+    assert res.converged
     ref = closed_form_gaussian_sm(data)
     cond = np.linalg.cond(gaussian_sm_normal_equations(model, data)[0])
     bound = max(1e-10, 10.0 * cond * np.finfo(float).eps)
