@@ -1,7 +1,7 @@
 """Deterministic estimators: an L-BFGS fit over any objective, an exact
-linear solve for Gaussian score matching, the closed-form Gaussian
-score-matching solution, a central-difference gradient check, and a
-multi-estimator comparison harness.
+linear solve for Gaussian score matching, closed forms for the Gaussian
+score-matching and maximum-likelihood estimates, a central-difference
+gradient check, and a multi-estimator comparison harness.
 
 Gaussian sm is quadratic in the natural parameters (vech P, P mu), so `fit`
 minimizes it with one solve of its normal equations
@@ -9,7 +9,9 @@ minimizes it with one solve of its normal equations
 (mu, tril Sigma) layout: no iterations, no objective evaluation, and neither
 the iteration cap nor the start point applies.
 `closed_form_gaussian_sm` is the independent moment formula that solve is
-checked against, and no fit calls it.
+checked against, and no fit calls it.  Gaussian mle is the data's mean and
+1/N scatter (`objectives.gaussian_moments`), again with no iterations, and
+is judged by the mle objective's gradient there.
 
 Every other fit is L-BFGS (Nocedal 1980; Liu & Nocedal 1989) with a
 fixed line search: a unit trial step along the L-BFGS direction (along the
@@ -47,6 +49,7 @@ from .objectives import (
     ObjectiveKind,
     empirical_objective,
     exact_mle_population,
+    gaussian_moments,
     gaussian_sm_normal_equations,
     gsm_discrete_population,
     pseudo_likelihood_population,
@@ -168,12 +171,14 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
     finite fails the Armijo test.  The fit stops at |g|_inf <= grad_tol, after
     max_iters steps, or when the line search stalls below a step of 1e-20.
 
-    Gaussian sm is instead solved exactly (`_solve_gaussian_sm`), with 0
-    iterations.
+    Gaussian sm and mle are instead solved exactly (`_solve_gaussian_sm`,
+    `_solve_gaussian_mle`), with 0 iterations.
     """
     cfg = cfg or OptimizerConfig()
     if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.SM_CONTINUOUS:
         return _solve_gaussian_sm(model, data, cfg.grad_tol)
+    if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.EXACT_MLE:
+        return _solve_gaussian_mle(model, data, cfg.grad_tol)
     value_and_grad = objective_functions(model, objective, data)
     theta = default_init(model)
     # Trial points may overflow on the way to a non-finite value, which the
@@ -250,6 +255,21 @@ def _solve_gaussian_sm(model: Model, data, grad_tol: float) -> FitResult:
     theta = gaussian_model(cov @ eta[-d:], (cov + cov.T) / 2).params
     gnorm = float(np.abs(2.0 * (A @ eta + b)).max())
     return FitResult(theta_hat=theta, objective_value=float(b @ eta), grad_norm=gnorm, iters=0,
+                     converged=gnorm <= grad_tol)
+
+
+def _solve_gaussian_mle(model: Model, data, grad_tol: float) -> FitResult:
+    """The exact Gaussian mle: the data's mean and 1/N scatter about it
+    (`objectives.gaussian_moments`), judged by the mle objective's gradient
+    there.  A singular scatter raises ValueError."""
+    moments = gaussian_moments(model, data)
+    try:
+        theta = gaussian_model(moments.mean, moments.scatter).params
+    except np.linalg.LinAlgError:
+        raise ValueError("the data's scatter about its mean is singular") from None
+    out = empirical_objective(model, ObjectiveKind.EXACT_MLE, moments)(theta)
+    gnorm = float(np.abs(out.grad_theta).max())
+    return FitResult(theta_hat=theta, objective_value=out.value, grad_norm=gnorm, iters=0,
                      converged=gnorm <= grad_tol)
 
 

@@ -4,12 +4,10 @@ All models expose the *unnormalized* log density log q~(x); partition-free
 objectives must be invariant to adding any constant to it.  Discrete symbols
 are integers 0..m-1; Ising spins use the fixed map {0 -> -1, 1 -> +1}.
 
-Ising and Potts are both written once as a pairwise model over one-hot
-symbols (`pairwise_form`): their parameters enter linearly through a field
-table and a coupling matrix, which gives every singleton conditional from one
-matrix product and the parameter gradients by the chain rule.  Their
-sufficient statistic T (`sufficient_statistics`) gives log q~ = T(x) . theta.
-The two kinds differ only in their site pattern (`_edge_pattern`).
+Ising and Potts are exponential families: their sufficient statistic T
+(`sufficient_statistics`) gives log q~ = T(x) . theta, and it is all that the
+discrete objectives see of the model (`objectives.empirical_objective`).  The
+two kinds differ only in their site pattern (`_edge_pattern`).
 
 The Potts layout is overcomplete (Wainwright & Jordan 2008): adding c to all
 of one site's fields adds c to log q~ at every state, so the distribution
@@ -289,52 +287,6 @@ def _edge_pattern(model: Model):
     return i, j, site
 
 
-def pairwise_form(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """The pairwise form of a discrete model: a field vector F (d*m,) and a
-    coupling matrix C (d*m, d*m) with log q~(x) = F . x1 + x1' C x1 / 2 for
-    the one-hot row x1 of x (see `one_hot`).
-
-    (F, C) is a fixed linear map B of the parameters that depends only on the
-    site pattern S of `_edge_pattern`, d and the edges; `pairwise_adjoint` is
-    its transpose.  Site i's fields h_i give F[i] = h_i S and edge k's
-    coupling J_k gives C[(i,y),(j,y')] = J_k (S'S)[y, y']: for Ising
-    F[i,y] = h_i s_y and J_k s_y s_y' with spins s = (-1, +1), for Potts
-    F = fields and J_k [y = y'].  C is symmetric and zero on its (i, i)
-    blocks.
-    """
-    i, j, site = _edge_pattern(model)
-    d, m = model.dim, model.alphabet_size
-    fields, couplings = np.split(model.params, [model.n_params - len(i)])
-    F = fields.reshape(d, -1) @ site
-    C = np.zeros((d, m, d, m))
-    np.add.at(C, (i, slice(None), j), couplings[:, None, None] * (site.T @ site))
-    C += C.transpose(2, 3, 0, 1)
-    return F.ravel(), C.reshape(d * m, d * m)
-
-
-def pairwise_adjoint(model: Model, dF, dC) -> np.ndarray:
-    """Transpose of the map theta -> (F, C) of `pairwise_form`: the gradient
-    in theta of a function of (F, C) whose gradients are dF and dC."""
-    i, j, site = _edge_pattern(model)
-    d, m = model.dim, model.alphabet_size
-    dF = np.reshape(dF, (d, m))
-    dC = np.reshape(dC, (d, m, d, m))
-    d_fields = (dF @ site.T).ravel()
-    d_pairs = dC[i, :, j] + dC[j, :, i].transpose(0, 2, 1)
-    d_couplings = (d_pairs * (site.T @ site)).sum(axis=(1, 2))
-    return np.concatenate([d_fields, d_couplings])
-
-
-def one_hot(model: Model, X) -> np.ndarray:
-    """One-hot rows of discrete points, shape (N, d*m): column i*m + x_i is 1."""
-    _require_discrete(model)
-    pts = _check_points(model, np.atleast_2d(X))
-    n, d, m = pts.shape[0], model.dim, model.alphabet_size
-    x1 = np.zeros((n, d * m))
-    x1[np.arange(n)[:, None], np.arange(d) * m + pts] = 1.0
-    return x1
-
-
 def sufficient_statistics(model: Model, X) -> np.ndarray:
     """T(x) = dlog q~/dtheta of an Ising or Potts model at discrete points, as
     C-ordered rows (N, p) with log q~(x) = T(x) . theta: with S the site
@@ -351,42 +303,6 @@ def sufficient_statistics(model: Model, X) -> np.ndarray:
     for e in range(len(i)):
         T[:, n_fields + e] = pair[pts[:, i[e]], pts[:, j[e]]]
     return T
-
-
-def fold_alphabet(ufunc, z: np.ndarray) -> np.ndarray:
-    """ufunc reduced over the last (alphabet) axis of z as m - 1 elementwise
-    passes, left to right.
-
-    The alphabet axis is short (m = 2 for Ising), and NumPy's axis reduction
-    costs far more per element there than one elementwise pass per symbol.
-    Equal to ufunc.reduce(z, axis=-1) bit for bit for maximum, and for add
-    while m < 8, where NumPy's pairwise summation starts to reassociate.
-    """
-    out = z[..., 0].copy()
-    for y in range(1, z.shape[-1]):
-        ufunc(out, z[..., y], out=out)
-    return out
-
-
-def pairwise_conditionals(model: Model, x1: np.ndarray) -> np.ndarray:
-    """Singleton conditionals, shape (N, d, m), from one-hot rows x1.
-
-    The logits Z = F + x1 C' hold log q~(x with x_i := y) up to terms free of
-    x_i, because C is zero on its (i, i) blocks; a max-subtracted softmax
-    over y, done in place on Z, turns them into conditionals.
-    """
-    F, C = pairwise_form(model)
-    z = x1 @ C.T
-    z += F
-    z = z.reshape(x1.shape[0], model.dim, model.alphabet_size)
-    top = fold_alphabet(np.maximum, z)
-    for y in range(model.alphabet_size):
-        z[..., y] -= top
-    np.exp(z, out=z)
-    total = fold_alphabet(np.add, z)
-    for y in range(model.alphabet_size):
-        z[..., y] /= total
-    return z
 
 
 def state_cube(m: int, d: int) -> np.ndarray:

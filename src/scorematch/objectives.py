@@ -14,16 +14,19 @@ are closed forms in the precision and the sample scatter, and Gaussian sm is
 also exactly quadratic in its natural parameters, whose normal equations
 `gaussian_sm_normal_equations` builds from the same moments.
 Generalized-Gaussian sm differentiates its own score and Laplacian terms in
-alpha, the discrete gsm, rm and pl go through the pairwise one-hot form of
-Ising and Potts (`models.pairwise_form`), and discrete mle through their
-sufficient statistic (`models.sufficient_statistics`) on the state cube.
+alpha.  The discrete gsm, rm, pl and mle see Ising and Potts only through
+their sufficient statistic (`models.sufficient_statistics`), over sets of
+alternatives: the m symbols of one site in one configuration of its
+neighbours for gsm, rm and pl, and the whole state cube for mle
+(`_discrete_design`).  Each evaluation is one product z = D theta, a softmax
+over each set, and one product back for the gradient.
 Discrete data is a Dataset or a DiscreteJoint, which stands for its state
 cube weighted by its probabilities; Gaussian data is a Dataset or
 GaussianMoments, which may stand for a Gaussian population.  The exact-MLE
-partition uses a NumPy port of SciPy's `logsumexp`, so importing the package
-loads no SciPy module.  The population objectives are value-only: they are
-the enumeration oracles the estimators are checked against, so they keep
-their own independent route through `log_unnorm`.  A population fit
+oracle's partition uses a NumPy port of SciPy's `logsumexp`, so importing the
+package loads no SciPy module.  The population objectives are value-only:
+they are the enumeration oracles the estimators are checked against, so they
+keep their own independent route through `log_unnorm`.  A population fit
 evaluates only the joint-weighted form, which differs from its oracle by a
 theta-independent constant, and adds that constant once
 (`estimation.objective_functions`).
@@ -44,14 +47,10 @@ from .models import (
     Dataset,
     Model,
     ModelKind,
-    fold_alphabet,
     gaussian_parts,
     grad_x_log,
     laplacian_x_log,
     log_unnorm,
-    one_hot,
-    pairwise_adjoint,
-    pairwise_conditionals,
     state_cube,
     sufficient_statistics,
 )
@@ -251,26 +250,58 @@ def gaussian_sm_normal_equations(model: Model, data) -> tuple[np.ndarray, np.nda
 
 
 def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.ndarray, np.ndarray]:
-    """The weighted states' one-hot rows and their weights, or for mle the
-    state cube's sufficient statistics T and the data moment E_data[T]."""
+    """The objective's linear design (D, c) over weighted states: the states
+    of a DiscreteJoint's cube weighted by its probabilities, or a Dataset's
+    distinct states weighted by their frequencies (`collapse_states`).
+
+    Each row r of c holds the data's weight on a set of alternatives, and the
+    matching rows of D their sufficient statistics, so the logits z = D theta
+    (reshaped like c) are log q~ of the alternatives up to a per-row constant.
+    For mle there is one row, the state cube: D = T(cube) and c the data's
+    weight on each cube state.  For gsm, rm and pl there is one row per site i
+    and per configuration of i's neighbours in the model's edges that occurs
+    in the data (Besag 1975): D[r, y] = T(x with x_i := y) - T(x with x_i :=
+    0) for a state x of that cell, which is non-zero only in i's fields and
+    incident edges and so the same for every state of the cell, and c[r, y]
+    is the weight of the cell's states whose symbol at i is y.
+    """
     if objective is ObjectiveKind.RATIO_MATCHING and model.alphabet_size != 2:
         raise ValueError(
             f"ratio matching needs binary data, got alphabet size "
             f"{model.alphabet_size}; use gsm"
         )
+    m, d = model.alphabet_size, model.dim
     if isinstance(data, DiscreteJoint):
-        states, w = state_cube(data.m, data.d), data.probs.ravel()
+        states, w = state_cube(m, d), data.probs.ravel()
     else:
         states, w = collapse_states(data)
         states = states.values
-    if objective is not ObjectiveKind.EXACT_MLE:
-        return one_hot(model, states), w
-    T = sufficient_statistics(model, states)
-    data_moment = w @ T
-    if isinstance(data, Dataset):
-        del T  # free the states' rows before the cube's; a joint's states are the cube
-        T = sufficient_statistics(model, state_cube(model.alphabet_size, model.dim))
-    return T, data_moment
+    if objective is ObjectiveKind.EXACT_MLE:
+        c = np.zeros(m**d)
+        c[states @ (m ** np.arange(d - 1, -1, -1))] = w
+        return sufficient_statistics(model, state_cube(m, d)), c[None, :]
+    neighbours = [set() for _ in range(d)]
+    for a, b in model.edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    cells, weights = [], []
+    for i in range(d):
+        # Number the cells one neighbour at a time, renumbering densely after
+        # each so that the codes stay below m times the number of states.
+        cell = np.zeros(len(states), dtype=np.int64)
+        for j in sorted(neighbours[i]):
+            cell = np.unique(cell * m + states[:, j], return_inverse=True)[1]
+        n_cells = int(cell.max()) + 1
+        first = np.empty(n_cells, dtype=np.int64)
+        first[cell] = np.arange(len(states))
+        c_i = np.bincount(cell * m + states[:, i], weights=w, minlength=n_cells * m)
+        alternatives = np.repeat(states[first, None, :], m, axis=1)
+        alternatives[:, :, i] = np.arange(m)
+        cells.append(alternatives)
+        weights.append(c_i.reshape(n_cells, m))
+    c = np.concatenate(weights)
+    T = sufficient_statistics(model, np.concatenate(cells).reshape(-1, d)).reshape(c.shape + (-1,))
+    return (T - T[:, :1]).reshape(-1, T.shape[-1]), c
 
 
 def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
@@ -399,63 +430,44 @@ def _gen_gauss_sm(mod: Model, X: np.ndarray) -> ObjectiveValue:
     return ObjectiveValue(value, grad)
 
 
-def _observed(q: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """q(xi|x^{\\i}) at each sample's own symbol, shape (N, d): the one-hot
-    rows pick it out exactly."""
-    return fold_alphabet(np.add, q * x1.reshape(q.shape))
+def _row_softmax(mod: Model, D: np.ndarray, c: np.ndarray):
+    """The logits z = D theta, shaped like c and shifted so that each row's
+    maximum is 0, their row sums s = sum_y exp(z), and the row softmax q."""
+    z = (D @ mod.params).reshape(c.shape)
+    z -= z.max(axis=1, keepdims=True)
+    q = np.exp(z)
+    s = q.sum(axis=1, keepdims=True)
+    q /= s
+    return z, s, q
 
 
-def _softmax_backward(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """dl/dZ = q * (g - <q, g>) from g = dl/dq through q = softmax(Z) over the
-    last axis; overwrites g."""
-    inner = fold_alphabet(np.add, q * g)
-    for y in range(g.shape[-1]):
-        g[..., y] -= inner
-    g *= q
-    return g
+def _through_softmax(q: np.ndarray, g: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The gradient in theta from g = dl/dq through q = softmax(z) over each
+    row and z = D theta."""
+    dz = q * (g - np.sum(q * g, axis=1, keepdims=True))
+    return dz.ravel() @ D
 
 
-def _conditional_grad(model: Model, x1: np.ndarray, w: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Gradient in theta of sum_n w_n l_n from dz = dl_n/dZ, shape (N, d, m).
-
-    Z = F + x1 C', so dF = sum_n w_n dz_n and dC = (w dz)' x1, which the
-    adjoint of the pairwise form maps back to theta.  Overwrites dz.
-    """
-    g = dz.reshape(x1.shape)
-    g *= w[:, None]
-    return pairwise_adjoint(model, g.sum(axis=0), g.T @ x1)
+def _log_loss(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
+    # pl and mle: sum c (logsumexp_row(z) - z), the weighted -log q of each
+    # alternative, whose gradient in z is n q - c with n the row weights.
+    z, s, q = _row_softmax(mod, D, c)
+    dz = q * c.sum(axis=1, keepdims=True) - c
+    return ObjectiveValue(float(np.sum(c * (np.log(s) - z))), dz.ravel() @ D)
 
 
-def _gsm(mod: Model, x1: np.ndarray, w: np.ndarray) -> ObjectiveValue:
-    q = pairwise_conditionals(mod, x1)
-    per_sample = (fold_alphabet(np.add, q**2) - 2.0 * _observed(q, x1)).sum(axis=1)
-    dz = _softmax_backward(q, 2.0 * (q - x1.reshape(q.shape)))
-    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
+def _gsm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
+    # sum_r n_r sum_y q^2 - 2 c q, the Brier score of each cell's conditional.
+    _, _, q = _row_softmax(mod, D, c)
+    nq = q * c.sum(axis=1, keepdims=True)
+    return ObjectiveValue(float(np.sum((nq - 2.0 * c) * q)), _through_softmax(q, 2.0 * (nq - c), D))
 
 
-def _rm(mod: Model, x1: np.ndarray, w: np.ndarray) -> ObjectiveValue:
-    q = pairwise_conditionals(mod, x1)
-    miss = 1.0 - _observed(q, x1)
-    per_sample = (miss**2).sum(axis=1)
-    dz = _softmax_backward(q, -2.0 * miss[:, :, None] * x1.reshape(q.shape))
-    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, dz))
-
-
-def _pl(mod: Model, x1: np.ndarray, w: np.ndarray) -> ObjectiveValue:
-    q = pairwise_conditionals(mod, x1)
-    per_sample = -np.log(np.maximum(_observed(q, x1), 1e-300)).sum(axis=1)
-    q -= x1.reshape(q.shape)  # dl/dZ of -log softmax at the observed symbol
-    return ObjectiveValue(float(w @ per_sample), _conditional_grad(mod, x1, w, q))
-
-
-def _mle(mod: Model, T_cube: np.ndarray, data_moment: np.ndarray) -> ObjectiveValue:
-    # log q~ = T(x) . theta on the cube, the data term is E_data[T] . theta,
-    # and the gradient is E_q[T] - E_data[T].
-    log_cube = T_cube @ mod.params
-    log_z = logsumexp(log_cube)
-    grad = np.exp(log_cube - log_z) @ T_cube
-    grad -= data_moment
-    return ObjectiveValue(float(log_z - data_moment @ mod.params), grad)
+def _rm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
+    # sum c (1 - q)^2 over each symbol's weight and conditional.
+    _, _, q = _row_softmax(mod, D, c)
+    miss = 1.0 - q
+    return ObjectiveValue(float(np.sum(c * miss**2)), _through_softmax(q, -2.0 * c * miss, D))
 
 
 # Each model kind's per-theta evaluation of each objective that applies to it.
@@ -465,7 +477,7 @@ _EVALUATE = {
     (ModelKind.GEN_GAUSS_1D, ObjectiveKind.SM_CONTINUOUS): _gen_gauss_sm,
     **{(kind, objective): evaluate for kind in DISCRETE_KINDS for objective, evaluate in (
         (ObjectiveKind.GSM_DISCRETE, _gsm), (ObjectiveKind.RATIO_MATCHING, _rm),
-        (ObjectiveKind.PSEUDO_LIKELIHOOD, _pl), (ObjectiveKind.EXACT_MLE, _mle))},
+        (ObjectiveKind.PSEUDO_LIKELIHOOD, _log_loss), (ObjectiveKind.EXACT_MLE, _log_loss))},
 }
 
 

@@ -270,6 +270,21 @@ def test_fit_gaussian_mle_takes_exact_gradient(monkeypatch):
     assert np.abs(res.theta_hat - closed_form_gaussian_sm(data)).max() < 1e-6
 
 
+def test_fit_gaussian_mle_is_the_sample_moments():
+    # The Gaussian mle is the sample mean and 1/N covariance, which are also
+    # the sm estimate's closed form; the fit returns them with no iterations
+    # and is judged by the mle gradient there.
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((4, 4))
+    data = sample(gaussian_model(rng.standard_normal(4), a @ a.T + 0.5 * np.eye(4)), 5000, seed=1)
+    res = fit(gaussian_model(np.zeros(4), np.eye(4)), ObjectiveKind.EXACT_MLE, data)
+    assert res.iters == 0 and res.converged and res.grad_norm <= 1e-12
+    assert np.abs(res.theta_hat - closed_form_gaussian_sm(data)).max() <= 1e-12
+    with pytest.raises(ValueError, match="scatter about its mean is singular"):
+        fit(gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.EXACT_MLE,
+            continuous_dataset([[0.0, 1.0], [1.0, 2.0]]))
+
+
 def test_fit_gen_gauss_sm_takes_exact_gradient(monkeypatch):
     monkeypatch.setattr(estimation, "fd_gradient", _no_fd)
     data = sample(gen_gauss_model(1.5), 2000, seed=21)
@@ -346,38 +361,36 @@ def test_population_rm_fit_converges_on_potts():
 
 
 @pytest.mark.parametrize("objective, population, builds", [
-    (ObjectiveKind.PSEUDO_LIKELIHOOD, False, 1),  # the states' one-hot rows
+    (ObjectiveKind.PSEUDO_LIKELIHOOD, False, 1),  # T of each blanket cell's alternatives
     (ObjectiveKind.GSM_DISCRETE, False, 1),
     (ObjectiveKind.RATIO_MATCHING, False, 1),
-    (ObjectiveKind.EXACT_MLE, False, 2),  # the states' and the cube's statistics
-    (ObjectiveKind.GSM_DISCRETE, True, 1),  # the cube's one-hot rows
-    (ObjectiveKind.EXACT_MLE, True, 1),  # the cube's, for the data and the partition
+    (ObjectiveKind.EXACT_MLE, False, 1),  # T of the cube, which the data weight
+    (ObjectiveKind.GSM_DISCRETE, True, 1),
+    (ObjectiveKind.EXACT_MLE, True, 1),
 ])
 def test_fit_builds_one_hot_rows_once(monkeypatch, objective, population, builds):
-    # Each fit builds its design once: one-hot rows for gsm, rm and pl, and
-    # sufficient statistics T(x) for mle, which builds no one-hot rows.
+    # Each fit builds its design (D, c) once, with one sufficient-statistic
+    # build, and evaluates every trial point on it.
     calls = []
-    for name in ("one_hot", "sufficient_statistics"):
-        build = getattr(objectives, name)
-        monkeypatch.setattr(objectives, name, lambda *args, name=name, build=build: (
-            calls.append(name) or build(*args)))
-    built = "sufficient_statistics" if objective is ObjectiveKind.EXACT_MLE else "one_hot"
+    build = objectives.sufficient_statistics
+    monkeypatch.setattr(objectives, "sufficient_statistics",
+                        lambda *args: calls.append(args) or build(*args))
     truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
     data = exact_normalize(truth) if population else sample(truth, 500, seed=4)
     value_and_grad = objective_functions(ising_model(np.zeros(3), np.zeros(2)), objective, data)
     rng = np.random.default_rng(0)
     for _ in range(5):
         value_and_grad(rng.standard_normal(truth.n_params))
-    assert calls == [built] * builds
+    assert len(calls) == builds
     res = fit(ising_model(np.zeros(3), np.zeros(2)), objective, data)
     assert res.converged and res.iters > 1
-    assert calls == [built] * (2 * builds)
+    assert len(calls) == 2 * builds
 
 
 def test_population_mle_design_equals_the_dataset_route():
-    # A dataset that holds every state of the cube builds the data moment from
-    # its states' rows and the partition from the cube's; a joint with the same
-    # weights reuses its cube rows for both and must evaluate bit for bit alike.
+    # A dataset that holds every state of the cube puts its frequencies on the
+    # cube at its states' codes; a joint with the same weights is already in
+    # cube order, and the two must evaluate bit for bit alike.
     model = ising_model(np.zeros(3), np.zeros(2))
     counts = np.arange(1, 9)
     data = discrete_dataset(np.repeat(np.indices((2,) * 3).reshape(3, -1).T, counts, axis=0), 2)

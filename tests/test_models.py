@@ -12,7 +12,6 @@ from scorematch.models import (
     dataset_to_csv,
     discrete_dataset,
     exact_normalize,
-    fold_alphabet,
     gaussian_model,
     gen_gauss_model,
     grad_x_log,
@@ -21,16 +20,13 @@ from scorematch.models import (
     log_unnorm,
     model_from_json,
     model_to_json,
-    one_hot,
-    pairwise_adjoint,
-    pairwise_conditionals,
-    pairwise_form,
     potts_model,
     read_dataset_csv,
     sample,
     state_cube,
     zero_sum_gauge,
 )
+from scorematch.objectives import ObjectiveKind, _discrete_design, _row_softmax
 
 E = np.e
 
@@ -167,8 +163,12 @@ def test_derivative_consistency_gen_gauss():
 # Singleton conditionals
 
 def _conditional(model, x, i):
-    """q(. | x^{\\i}) for one state, read off the pairwise conditionals."""
-    return pairwise_conditionals(model, one_hot(model, x))[0, i]
+    """q(. | x^{\\i}) for one state: the row softmax of site i's cell in the
+    pl design of a dataset that holds only x, one cell per site in site
+    order."""
+    D, c = _discrete_design(model, ObjectiveKind.PSEUDO_LIKELIHOOD,
+                            discrete_dataset([x], model.alphabet_size))
+    return _row_softmax(model, D, c)[2][i]
 
 
 def test_singleton_conditional_uniform_ising():
@@ -207,50 +207,6 @@ def test_singleton_conditional_matches_enumeration_marginal_ratio():
             want = col / col.sum()
             got = _conditional(model, x, i)
             assert np.abs(got - want).max() < 1e-12
-
-
-def test_pairwise_form_reproduces_log_unnorm_and_adjoint_is_transpose():
-    rng = np.random.default_rng(29)
-    star = [(0, 1), (0, 2), (0, 3)]
-    for model in [
-        ising_model(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), star),
-        potts_model(rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 3), star),
-        potts_model(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3), [(0, 1), (0, 1), (1, 2)]),
-    ]:
-        X = rng.integers(0, model.alphabet_size, (20, model.dim))
-        x1 = one_hot(model, X)
-        F, C = pairwise_form(model)
-        quadratic = np.einsum("na,ab,nb->n", x1, C, x1)
-        assert np.abs(x1 @ F + quadratic / 2 - log_unnorm(model, X)).max() < 1e-12
-        dF, dC = rng.standard_normal(F.shape), rng.standard_normal(C.shape)
-        lhs = F @ dF + np.sum(C * dC)
-        rhs = model.params @ pairwise_adjoint(model, dF, dC)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
-
-def test_conditional_table_shape_and_normalization():
-    model = potts_model(np.zeros((2, 3)), [0.7])
-    X = np.array([[0, 1], [2, 2]])
-    table = pairwise_conditionals(model, one_hot(model, X))
-    assert table.shape == (2, 2, 3)
-    assert np.allclose(table.sum(axis=2), 1.0)
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_fold_alphabet_equals_axis_reduction_bit_for_bit(m):
-    rng = np.random.default_rng(m)
-    z = rng.standard_normal((57, 5, m)) * np.array([1e-3, 1.0, 30.0])[rng.integers(0, 3, (57, 1, 1))]
-    z[0, 0] = 0.5  # ties
-    assert np.array_equal(fold_alphabet(np.maximum, z), z.max(axis=2))
-    assert np.array_equal(fold_alphabet(np.add, z), z.sum(axis=2))
-
-
-def test_fold_alphabet_sum_is_left_to_right_past_pairwise_blocks():
-    # From 8 symbols NumPy's pairwise summation reassociates, so the sums agree
-    # to roundoff only; the maximum is still exact.
-    z = np.random.default_rng(9).standard_normal((57, 5, 9))
-    assert np.array_equal(fold_alphabet(np.maximum, z), z.max(axis=2))
-    assert np.allclose(fold_alphabet(np.add, z), z.sum(axis=2), rtol=1e-15, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

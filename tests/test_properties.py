@@ -208,25 +208,43 @@ def test_population_gradients_match_fd_of_the_oracle(seed):
         assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
 
 
-@given(seed=st.integers(0, 10_000), potts=st.booleans())
+@given(seed=st.integers(0, 10_000))
 @settings(**SETTINGS)
-def test_population_value_is_the_oracle_at_every_theta(seed, potts):
+def test_population_value_is_the_oracle_at_every_theta(seed):
     # A population fit evaluates the joint-weighted form plus one offset taken
     # at the start point; that is the oracle only if form and oracle differ by
-    # a theta-independent constant.
+    # a theta-independent constant.  The graphs are random, since the forms'
+    # blanket cells follow each site's neighbours.
     rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, 5))
-    if potts:
-        model = potts_model(np.zeros((d, 3)), np.zeros(d - 1))
-    else:
-        model = ising_model(np.zeros(d), np.zeros(d - 1))
-    joint = discrete_joint(rng.random((model.alphabet_size,) * d) + 0.05)
+    model, d, m, _ = _random_pairwise(rng)
+    joint = discrete_joint(rng.random((m,) * d) + 0.05)
     for kind, oracle in POPULATION_ORACLES.items():
         value_and_grad = objective_functions(model, kind, joint)
         for _ in range(3):
             theta = rng.uniform(-2, 2, model.n_params)
             value, want = value_and_grad(theta)[0], oracle(joint, model, theta)
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(**SETTINGS)
+def test_a_dataset_and_its_empirical_joint_evaluate_alike(seed):
+    # A Dataset weights its distinct states by their frequencies and a joint
+    # weights its whole cube, so the states the data never visit carry weight
+    # 0 on the joint route and must change nothing.
+    rng = np.random.default_rng(seed)
+    model, d, m, theta = _random_pairwise(rng)
+    data = discrete_dataset(rng.integers(0, m, (int(rng.integers(1, 40)), d)), m=m)
+    counts = np.bincount(data.values @ (m ** np.arange(d - 1, -1, -1)), minlength=m**d)
+    joint = discrete_joint(counts.reshape((m,) * d) / data.n)
+    kinds = [ObjectiveKind.GSM_DISCRETE, ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE]
+    if m == 2:
+        kinds.append(ObjectiveKind.RATIO_MATCHING)
+    for kind in kinds:
+        a = empirical_objective(model, kind, data)(theta)
+        b = empirical_objective(model, kind, joint)(theta)
+        assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))
+        assert np.abs(a.grad_theta - b.grad_theta).max() <= 1e-12 * max(1.0, np.abs(a.grad_theta).max())
 
 
 @given(seed=st.integers(0, 10_000), m=st.sampled_from([2, 3]), d=st.integers(2, 3),
