@@ -26,15 +26,11 @@ from .objectives import (
     GaussianMoments,
     ObjectiveKind,
     ObjectiveValue,
-    exact_mle_objective,
+    empirical_objective,
     fisher_exact,
-    gsm_discrete_objective,
     gsm_discrete_population,
     kl_exact,
-    pseudo_likelihood_objective,
-    ratio_matching_objective,
     ratio_matching_population,
-    sm_objective,
 )
 from .operators import (
     DiscreteJoint,
@@ -56,7 +52,6 @@ from .scalespace import (
 )
 from .estimation import (
     FitResult,
-    OptimizerConfig,
     closed_form_gaussian_sm,
     compare_estimators,
     fd_gradient,

@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 
 from . import grids, scalespace, verify
-from .estimation import OptimizerConfig, comparison_to_csv, compare_estimators, fit
+from .estimation import comparison_to_csv, compare_estimators, fit
 from .models import (
     dataset_to_csv,
     exact_normalize,
@@ -112,18 +112,6 @@ def _parse_seeds(spec: str) -> list[int]:
     return [_parse_int("--seeds", v, 0) for v in spec.split(",")]
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    kwargs = {}
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    if args.grad_tol is not None:
-        kwargs["grad_tol"] = args.grad_tol
-    try:
-        return OptimizerConfig(**kwargs)
-    except ValueError as exc:
-        raise CliError(f"bad --max-iters/--grad-tol: {exc}") from None
-
-
 def cmd_generate(args) -> int:
     model = _load_model(args.model)
     if args.n < 1 or args.seed < 0:
@@ -138,7 +126,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _optimizer_config(args)
     model = _load_model(args.model)
     objective = _OBJECTIVE_TAGS[args.objective]
     if args.data == "enumerate":
@@ -157,7 +144,7 @@ def cmd_fit(args) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(f"bad data file {args.data}: {exc}") from exc
     try:
-        result = fit(model, objective, data, cfg)
+        result = fit(model, objective, data)
     except ValueError as exc:
         raise CliError(
             f"cannot fit objective {objective.value!r} to model kind "
@@ -176,7 +163,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _optimizer_config(args)
     model = _load_model(args.model)
     objectives = []
     for tag in args.objectives.split(","):
@@ -186,7 +172,7 @@ def cmd_compare(args) -> int:
     n_list = [_parse_int("--n", v, 1) for v in args.n.split(",")]
     seeds = _parse_seeds(args.seeds)
     try:
-        rows = compare_estimators(model, n_list, seeds, objectives, cfg)
+        rows = compare_estimators(model, n_list, seeds, objectives)
     except ValueError as exc:
         raise CliError(
             f"cannot compare on model kind {model.kind.value!r}: {exc}"
@@ -250,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--data", required=True, help="CSV path, or 'enumerate'")
     fit_p.add_argument("--p-model", help="true-model JSON for --data enumerate")
     fit_p.add_argument("--out", required=True)
-    _add_optimizer_flags(fit_p)
     fit_p.set_defaults(func=cmd_fit)
 
     cmp_p = sub.add_parser("compare", help="multi-estimator comparison table")
@@ -259,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--n", required=True, help="comma list of sample counts")
     cmp_p.add_argument("--seeds", required=True, help="e.g. 1..5 or 1,2,3")
     cmp_p.add_argument("--out", required=True)
-    _add_optimizer_flags(cmp_p)
     cmp_p.set_defaults(func=cmd_compare)
 
     ss = sub.add_parser("scalespace", help="KL/Fisher divergence curve over t")
@@ -275,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", required=True)
     ver.set_defaults(func=cmd_verify)
     return parser
-
-
-def _add_optimizer_flags(p) -> None:
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--grad-tol", type=float, default=None)
 
 
 def main(argv=None) -> int:

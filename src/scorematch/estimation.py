@@ -7,7 +7,7 @@ Gaussian sm is quadratic in the natural parameters (vech P, P mu), so `fit`
 minimizes it with one solve of its normal equations
 (`objectives.gaussian_sm_normal_equations`) and maps the solution back to the
 (mu, tril Sigma) layout: no iterations, no objective evaluation, and neither
-the iteration cap nor the start point applies.
+`MAX_ITERS` nor the start point applies.
 `closed_form_gaussian_sm` is the independent moment formula that solve is
 checked against, and no fit calls it.  Gaussian mle is the data's mean and
 1/N scatter (`objectives.gaussian_moments`), again with no iterations, and
@@ -17,8 +17,8 @@ Every other fit is L-BFGS (Nocedal 1980; Liu & Nocedal 1989) with a
 fixed line search: a unit trial step along the L-BFGS direction (along the
 negative gradient scaled to max-norm at most 1 while no curvature pair is
 stored), halved until the Armijo condition with constant 1e-4 holds.
-`OptimizerConfig` sets only its iteration cap and the gradient tolerance;
-every fit starts at `default_init`.  Every objective is one callable
+Every fit starts at `default_init` and stops at the module's `MAX_ITERS`
+and `GRAD_TOL`, read at call time.  Every objective is one callable
 theta -> (value, exact gradient), so each trial point costs one evaluation:
 `objectives.empirical_objective` builds its theta-free design once per fit,
 and a population fit calls its enumeration oracle once, for a theta-free
@@ -60,18 +60,9 @@ from .operators import DiscreteJoint
 # Finite-difference step of the gradient checks.
 FD_CHECK_STEP = 1e-5
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """The iteration cap and the gradient max-norm at which a fit stops; the
-    start point is always `default_init(model)`."""
-
-    max_iters: int = 2000
-    grad_tol: float = 1e-7
-
-    def __post_init__(self):
-        if not (self.max_iters > 0 and self.grad_tol > 0):
-            raise ValueError("max_iters and grad_tol must be positive")
+# The iteration cap of a fit and the gradient max-norm at which it stops.
+MAX_ITERS = 2000
+GRAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -165,20 +156,22 @@ def objective_functions(model: Model, objective: ObjectiveKind, data):
     return value_and_grad
 
 
-def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | None = None) -> FitResult:
+def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
     """L-BFGS over the last 10 curvature pairs with a backtracking Armijo line
     search; deterministic.  A trial point whose value or gradient is not
-    finite fails the Armijo test.  The fit stops at |g|_inf <= grad_tol, after
-    max_iters steps, or when the line search stalls below a step of 1e-20.
+    finite fails the Armijo test.  The fit stops at |g|_inf <= GRAD_TOL, after
+    MAX_ITERS steps, or when the line search stalls below a step of 1e-20.
 
     Gaussian sm and mle are instead solved exactly (`_solve_gaussian_sm`,
-    `_solve_gaussian_mle`), with 0 iterations.
+    `_solve_gaussian_mle`), with 0 iterations.  A fit on a DiscreteJoint
+    reports its divergence clamped at 0, which the offset's roundoff can
+    undercut by a few ulps; the line search sees the unclamped value, since
+    Armijo stalls on a flat 0.
     """
-    cfg = cfg or OptimizerConfig()
     if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.SM_CONTINUOUS:
-        return _solve_gaussian_sm(model, data, cfg.grad_tol)
+        return _solve_gaussian_sm(model, data)
     if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.EXACT_MLE:
-        return _solve_gaussian_mle(model, data, cfg.grad_tol)
+        return _solve_gaussian_mle(model, data)
     value_and_grad = objective_functions(model, objective, data)
     theta = default_init(model)
     # Trial points may overflow on the way to a non-finite value, which the
@@ -189,9 +182,9 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
             raise ValueError(f"objective is not finite at the initial point {theta}")
         pairs = deque(maxlen=10)  # curvature pairs (s, y, 1 / s'y), oldest first
         iters = 0
-        while iters < cfg.max_iters:
+        while iters < MAX_ITERS:
             gnorm = float(np.abs(g).max())
-            if gnorm <= cfg.grad_tol:
+            if gnorm <= GRAD_TOL:
                 break
             direction = -_two_loop(g, pairs)
             slope = float(g @ direction)
@@ -222,19 +215,19 @@ def fit(model: Model, objective: ObjectiveKind, data, cfg: OptimizerConfig | Non
     gnorm = float(np.abs(g).max())
     return FitResult(
         theta_hat=theta,
-        objective_value=float(v),
+        objective_value=max(0.0, float(v)) if isinstance(data, DiscreteJoint) else float(v),
         grad_norm=gnorm,
         iters=iters,
-        converged=gnorm <= cfg.grad_tol,
+        converged=gnorm <= GRAD_TOL,
     )
 
 
-def _solve_gaussian_sm(model: Model, data, grad_tol: float) -> FitResult:
+def _solve_gaussian_sm(model: Model, data) -> FitResult:
     """The exact minimizer of the Gaussian sm objective J(eta) = eta' A eta +
     2 b' eta: one solve of its normal equations in the natural parameters
     eta = (vech P, h = P mu), mapped back by Sigma = P^-1 and mu = Sigma h.
     The fit is judged in eta, where J is quadratic: its gradient is
-    2 (A eta + b), whose max-norm must pass grad_tol, and its value there is
+    2 (A eta + b), whose max-norm must pass GRAD_TOL, and its value there is
     b' eta.  A singular design (a singular scatter, as from N <= d samples)
     or a precision that is not positive definite raises ValueError.
     """
@@ -255,10 +248,10 @@ def _solve_gaussian_sm(model: Model, data, grad_tol: float) -> FitResult:
     theta = gaussian_model(cov @ eta[-d:], (cov + cov.T) / 2).params
     gnorm = float(np.abs(2.0 * (A @ eta + b)).max())
     return FitResult(theta_hat=theta, objective_value=float(b @ eta), grad_norm=gnorm, iters=0,
-                     converged=gnorm <= grad_tol)
+                     converged=gnorm <= GRAD_TOL)
 
 
-def _solve_gaussian_mle(model: Model, data, grad_tol: float) -> FitResult:
+def _solve_gaussian_mle(model: Model, data) -> FitResult:
     """The exact Gaussian mle: the data's mean and 1/N scatter about it
     (`objectives.gaussian_moments`), judged by the mle objective's gradient
     there.  A singular scatter raises ValueError."""
@@ -270,7 +263,7 @@ def _solve_gaussian_mle(model: Model, data, grad_tol: float) -> FitResult:
     out = empirical_objective(model, ObjectiveKind.EXACT_MLE, moments)(theta)
     gnorm = float(np.abs(out.grad_theta).max())
     return FitResult(theta_hat=theta, objective_value=out.value, grad_norm=gnorm, iters=0,
-                     converged=gnorm <= grad_tol)
+                     converged=gnorm <= GRAD_TOL)
 
 
 def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
@@ -305,13 +298,7 @@ def closed_form_gaussian_sm(data: Dataset) -> np.ndarray:
     return gaussian_model(mu, cov).params
 
 
-def compare_estimators(
-    model: Model,
-    n_list,
-    seeds,
-    objectives,
-    cfg: OptimizerConfig | None = None,
-) -> list[dict]:
+def compare_estimators(model: Model, n_list, seeds, objectives) -> list[dict]:
     """Sample/fit grid over (objective, N, seed), plus population rows.
 
     The model's own params are the truth: every dataset is sampled from it,
@@ -333,13 +320,13 @@ def compare_estimators(
     rows = []
     if population is not None:
         for objective in objectives:
-            res = fit(model, objective, population, cfg)
+            res = fit(model, objective, population)
             rows.append(_row(model, objective, "inf", "", res))
     for objective in objectives:
         for n in n_list:
             for seed in seeds:
                 data = sample(model, n, seed)
-                res = fit(model, objective, data, cfg)
+                res = fit(model, objective, data)
                 rows.append(_row(model, objective, n, seed, res))
     return rows
 

@@ -141,7 +141,7 @@ def potts_model(fields, couplings, edges=None) -> Model:
 def gen_gauss_model(alpha: float) -> Model:
     """1-D generalized Gaussian, log q~ = -(x^2 + eps^2)^(alpha/2).
 
-    Score matching (`objectives.sm_objective`) is reliable only for
+    Score matching (`objectives._gen_gauss_sm`) is reliable only for
     alpha > 1.5, where its per-sample Laplacian term has finite variance;
     for alpha <= 1 the eps-smoothed cusp also biases the sm estimate.
     """
@@ -307,7 +307,10 @@ def sufficient_statistics(model: Model, X) -> np.ndarray:
 
 def state_cube(m: int, d: int) -> np.ndarray:
     """All m**d states of {0..m-1}^d as rows, in C order (coordinate 0
-    slowest), the flattening order of a DiscreteJoint's table."""
+    slowest), the flattening order of a DiscreteJoint's table.  A cube of
+    more than MAX_ENUM_STATES states is refused before anything is allocated."""
+    if m**d > MAX_ENUM_STATES:
+        raise ValueError(f"state space {m}**{d} too large to enumerate")
     return np.indices((m,) * d).reshape(d, -1).T
 
 
@@ -333,8 +336,6 @@ def exact_normalize(model: Model, n: int | None = None):
     """
     if model.kind in DISCRETE_KINDS:
         m, d = model.alphabet_size, model.dim
-        if m**d > MAX_ENUM_STATES:
-            raise ValueError(f"state space {m}**{d} too large to enumerate")
         logs = log_unnorm(model, state_cube(m, d))
         logs = logs - logs.max()
         probs = np.exp(logs)

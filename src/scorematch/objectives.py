@@ -9,10 +9,11 @@ partition-free: it only sees log q~ through derivatives or conditional ratios.
 Every empirical objective returns its exact parameter gradient, built from the
 intermediates its value already computes.  One builder, `empirical_objective`,
 checks the data against the model and builds the objective's theta-free
-design once; each evaluation at a theta reuses it.  The Gaussian sm and mle
-are closed forms in the precision and the sample scatter, and Gaussian sm is
-also exactly quadratic in its natural parameters, whose normal equations
-`gaussian_sm_normal_equations` builds from the same moments.
+design once; each evaluation at a theta reuses it, through the one per-theta
+evaluation that `_EVALUATE` names for the (model kind, objective) pair.  The
+Gaussian sm and mle are closed forms in the precision and the sample scatter,
+and Gaussian sm is also exactly quadratic in its natural parameters, whose
+normal equations `gaussian_sm_normal_equations` builds from the same moments.
 Generalized-Gaussian sm differentiates its own score and Laplacian terms in
 alpha.  The discrete gsm, rm, pl and mle see Ising and Potts only through
 their sufficient statistic (`models.sufficient_statistics`), over sets of
@@ -188,8 +189,9 @@ def empirical_objective(model: Model, objective: ObjectiveKind, data):
     a DiscreteJoint that stands for its state cube weighted by its
     probabilities or, for a Gaussian model, GaussianMoments, which may stand
     for a Gaussian population.  The design, everything that does not depend
-    on theta, is built here once: a fit evaluates it at every trial point,
-    and the public objectives build it per call and evaluate it once.
+    on theta, is built here once, and every call evaluates it at one theta:
+    `empirical_objective(model, kind, data)(theta)` is the one way to
+    evaluate an empirical objective.
     """
     _check_data(model, data)
     evaluate = _EVALUATE.get((model.kind, objective))
@@ -252,7 +254,7 @@ def gaussian_sm_normal_equations(model: Model, data) -> tuple[np.ndarray, np.nda
 def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.ndarray, np.ndarray]:
     """The objective's linear design (D, c) over weighted states: the states
     of a DiscreteJoint's cube weighted by its probabilities, or a Dataset's
-    distinct states weighted by their frequencies (`collapse_states`).
+    distinct states weighted by their frequencies.
 
     Each row r of c holds the data's weight on a set of alternatives, and the
     matching rows of D their sufficient statistics, so the logits z = D theta
@@ -271,15 +273,21 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
             f"{model.alphabet_size}; use gsm"
         )
     m, d = model.alphabet_size, model.dim
+    if objective is ObjectiveKind.EXACT_MLE:
+        # The cube is in C order, so a Dataset's weight on cube state k is the
+        # frequency of base-m code k, first coordinate most significant.
+        D = sufficient_statistics(model, state_cube(m, d))
+        if isinstance(data, DiscreteJoint):
+            c = data.probs.ravel()
+        else:
+            codes = data.values @ (m ** np.arange(d - 1, -1, -1, dtype=np.int64))
+            c = np.bincount(codes, minlength=m**d) / data.n
+        return D, c[None, :]
     if isinstance(data, DiscreteJoint):
         states, w = state_cube(m, d), data.probs.ravel()
     else:
         states, w = collapse_states(data)
         states = states.values
-    if objective is ObjectiveKind.EXACT_MLE:
-        c = np.zeros(m**d)
-        c[states @ (m ** np.arange(d - 1, -1, -1))] = w
-        return sufficient_statistics(model, state_cube(m, d)), c[None, :]
     neighbours = [set() for _ in range(d)]
     for a, b in model.edges:
         neighbours[a].add(b)
@@ -326,64 +334,12 @@ def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
     return replace(data, values=states), counts / counts.sum()
 
 
-def sm_objective(model: Model, theta, data: Dataset) -> ObjectiveValue:
-    """Mean of |grad_x log q~|^2 + 2 * laplacian_x log q~ over the samples.
-
-    For the Gaussian this is tr(P^2 M) - 2 tr P, with P the precision and M
-    the 1/N scatter about mu.  On the generalized Gaussian the per-sample
-    Laplacian term has finite variance only for alpha > 1.5; below that a few
-    samples near the cusp can decide the fit (alpha = 1.5, seed 1, N = 5e3
-    converges to 0.142), and at alpha <= 1 the eps-smoothed cusp biases it
-    (true 0.5 -> 1.00, 0.8 -> 1.16 at N = 5e3).
-    """
-    return empirical_objective(model, ObjectiveKind.SM_CONTINUOUS, data)(theta)
-
-
-def gsm_discrete_objective(model: Model, theta, data) -> ObjectiveValue:
-    """Sample form of the squared-conditional-difference divergence: mean of
-    sum_i [sum_y q(y|x^{\\i})^2 - 2 q(xi|x^{\\i})] over the samples.
-
-    Expanding gsm_discrete_population, the p-weighted cross term
-    sum_y p(y|x^{\\i}) q(y|x^{\\i}) averages to q at the observed symbol, so
-    the two differ by sum_x p(x) sum_i sum_y p(y|x^{\\i})^2, which does not
-    depend on theta.  That constant needs p and is not added: the value is the
-    plain sample form (the Brier score of the singleton conditionals), and on
-    a DiscreteJoint p its p-weighted mean.
-    """
-    return empirical_objective(model, ObjectiveKind.GSM_DISCRETE, data)(theta)
-
-
-def ratio_matching_objective(model: Model, theta, data) -> ObjectiveValue:
-    """Hyvarinen's binary ratio matching: mean of sum_i (1 - q(xi|x^{\\i}))^2
-    over the samples.
-
-    For binary data this is (gsm_discrete_objective + d) / 2, so under p its
-    expectation is half of ratio_matching_population plus a theta-independent
-    constant, and both share a minimizer.  For m > 2 the observed-symbol form
-    is no longer a constant away from that divergence, so such models are
-    rejected; use gsm instead.
-    """
-    return empirical_objective(model, ObjectiveKind.RATIO_MATCHING, data)(theta)
-
-
-def pseudo_likelihood_objective(model: Model, theta, data) -> ObjectiveValue:
-    """Negative mean log product of singleton conditionals."""
-    return empirical_objective(model, ObjectiveKind.PSEUDO_LIKELIHOOD, data)(theta)
-
-
-def exact_mle_objective(model: Model, theta, data) -> ObjectiveValue:
-    """Negative mean log *normalized* likelihood (brute-force partition).
-
-    For discrete models the gradient is E_q[T] - E_data[T] of the sufficient
-    statistic T = dlog q~/dtheta, with E_q taken over the enumerated cube.
-    """
-    return empirical_objective(model, ObjectiveKind.EXACT_MLE, data)(theta)
-
-
 # ---------------------------------------------------------------------------
 # Per-theta evaluations of the designs
 
 def _gaussian_sm(mod: Model, xbar: np.ndarray, S: np.ndarray) -> ObjectiveValue:
+    # sm: mean |grad_x log q~|^2 + 2 laplacian_x log q~ over the samples, here
+    # tr(P^2 M) - 2 tr P with P the precision and M the 1/N scatter about mu.
     P, r, M = _gaussian_scatter(mod, xbar, S)
     PP = P @ P
     B = PP @ M @ P
@@ -417,6 +373,11 @@ def _tril_grad(A: np.ndarray) -> np.ndarray:
 
 
 def _gen_gauss_sm(mod: Model, X: np.ndarray) -> ObjectiveValue:
+    # sm as a sample mean, as for the Gaussian.  The per-sample Laplacian term
+    # has finite variance only for alpha > 1.5; below that a few samples near
+    # the cusp can decide the fit (alpha = 1.5, seed 1, N = 5e3 converges to
+    # 0.142), and at alpha <= 1 the eps-smoothed cusp biases it (true 0.5 ->
+    # 1.00, 0.8 -> 1.16 at N = 5e3).
     x = X[:, 0]
     g = grad_x_log(mod, X)[:, 0]
     lap = laplacian_x_log(mod, X)
@@ -450,21 +411,35 @@ def _through_softmax(q: np.ndarray, g: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 def _log_loss(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
     # pl and mle: sum c (logsumexp_row(z) - z), the weighted -log q of each
-    # alternative, whose gradient in z is n q - c with n the row weights.
+    # alternative, whose gradient in z is n q - c with n the row weights.  pl
+    # is the negative mean log product of the singleton conditionals.  mle is
+    # the negative mean log normalized likelihood over one row, the enumerated
+    # cube, so its gradient is E_q[T] - E_data[T] of the sufficient statistic
+    # T = dlog q~/dtheta.
     z, s, q = _row_softmax(mod, D, c)
     dz = q * c.sum(axis=1, keepdims=True) - c
     return ObjectiveValue(float(np.sum(c * (np.log(s) - z))), dz.ravel() @ D)
 
 
 def _gsm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
-    # sum_r n_r sum_y q^2 - 2 c q, the Brier score of each cell's conditional.
+    # sum_r n_r sum_y q^2 - 2 c q, the Brier score of each cell's conditional:
+    # the sample form mean sum_i [sum_y q(y|x^{\i})^2 - 2 q(xi|x^{\i})].
+    # Expanding gsm_discrete_population, the p-weighted cross term
+    # sum_y p(y|x^{\i}) q(y|x^{\i}) averages to q at the observed symbol, so
+    # the two differ by sum_x p(x) sum_i sum_y p(y|x^{\i})^2, which does not
+    # depend on theta.  That constant needs p and is not added here.
     _, _, q = _row_softmax(mod, D, c)
     nq = q * c.sum(axis=1, keepdims=True)
     return ObjectiveValue(float(np.sum((nq - 2.0 * c) * q)), _through_softmax(q, 2.0 * (nq - c), D))
 
 
 def _rm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
-    # sum c (1 - q)^2 over each symbol's weight and conditional.
+    # Hyvarinen's binary ratio matching, sum c (1 - q)^2 over each symbol's
+    # weight and conditional.  For binary data this is (gsm + d) / 2, so under
+    # p its expectation is half of ratio_matching_population plus a
+    # theta-independent constant.  For m > 2 the observed-symbol form is no
+    # longer a constant away from that divergence, so `_discrete_design`
+    # rejects such models.
     _, _, q = _row_softmax(mod, D, c)
     miss = 1.0 - q
     return ObjectiveValue(float(np.sum(c * miss**2)), _through_softmax(q, -2.0 * c * miss, D))

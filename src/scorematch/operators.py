@@ -146,23 +146,22 @@ class ZeroConditionalError(ValueError):
         self.coordinate = coordinate
 
 
-def brook_ratio(conds, xi, xi_tilde, order=None) -> float:
+def brook_ratio(conds, xi, xi_tilde) -> float:
     """Joint probability ratio p(xi)/p(xi_tilde) from singleton conditionals.
 
     ``conds(i, x)`` must return the length-m conditional distribution of
     coordinate i given the other coordinates of x.  The telescoping product
-    walks the coordinates (in ``order``, default 0..d-1), swapping one
-    coordinate at a time from xi to xi_tilde.
+    walks the coordinates 0..d-1, swapping one coordinate at a time from xi
+    to xi_tilde.
     """
     xi = [int(v) for v in xi]
     xi_tilde = [int(v) for v in xi_tilde]
     d = len(xi)
     if len(xi_tilde) != d:
         raise ValueError("state dimensions differ")
-    order = list(range(d)) if order is None else list(order)
     x = list(xi)
     ratio = 1.0
-    for k in order:
+    for k in range(d):
         c = np.asarray(conds(k, x), dtype=float)
         num, den = c[xi[k]], c[xi_tilde[k]]
         if num <= 0.0 or den <= 0.0:

@@ -17,15 +17,11 @@ from .models import (
 )
 from .objectives import (
     ObjectiveKind,
-    exact_mle_objective,
+    empirical_objective,
     exact_mle_population,
-    gsm_discrete_objective,
     gsm_discrete_population,
-    pseudo_likelihood_objective,
     pseudo_likelihood_population,
-    ratio_matching_objective,
     ratio_matching_population,
-    sm_objective,
 )
 from .estimation import fd_gradient, objective_functions
 from .operators import discrete_joint, joint_conditionals, reconstruct_joint
@@ -163,11 +159,12 @@ def suite_eq16eq17() -> list[Check]:
     for d in range(2, 7):
         model = ising_model(np.zeros(d), np.zeros(d - 1))
         p = discrete_joint(rng.random((2,) * d) + 0.1)
+        form = empirical_objective(model, ObjectiveKind.GSM_DISCRETE, p)
         offsets = []
         for _ in range(20):
             theta = rng.uniform(-1.0, 1.0, model.n_params)
             pop = gsm_discrete_population(p, model, theta)
-            emp = gsm_discrete_objective(model, theta, p).value
+            emp = form(theta).value
             offsets.append(pop - emp)
         worst = max(worst, float(np.ptp(offsets)))
     return [Check("eq16/eq17 offset spread over theta", worst, 1e-10)]
@@ -191,15 +188,13 @@ def suite_gradcheck() -> list[Check]:
     worst = 0.0
     for d in (1, 2, 3):
         model = gaussian_model(np.zeros(d), np.eye(d))
-        data = sample(model, 50, seed=d)
+        sm = empirical_objective(model, ObjectiveKind.SM_CONTINUOUS, sample(model, 50, seed=d))
         for _ in range(5):
             mu = rng.standard_normal(d)
             a = rng.standard_normal((d, d)) * 0.3
             cov = a @ a.T + np.eye(d)
             theta = gaussian_model(mu, cov).params
-            worst = max(worst, _rel_gap(
-                sm_objective(model, theta, data).grad_theta,
-                lambda th: sm_objective(model, th, data).value, theta))
+            worst = max(worst, _rel_gap(sm(theta).grad_theta, lambda th: sm(th).value, theta))
     checks = [Check("gaussian SM analytic vs FD gradient (rel)", worst, 1e-5)]
     worst = 0.0
     mle_rng = np.random.default_rng(19)
@@ -208,14 +203,12 @@ def suite_gradcheck() -> list[Check]:
         data = sample(gaussian_model(mle_rng.standard_normal(d), np.eye(d) * 1.5), 50, seed=d)
         a = mle_rng.standard_normal((d, d)) * 0.3
         theta = gaussian_model(mle_rng.standard_normal(d), a @ a.T + np.eye(d)).params
-        worst = max(worst, _rel_gap(
-            exact_mle_objective(model, theta, data).grad_theta,
-            lambda th: exact_mle_objective(model, th, data).value, theta))
+        mle = empirical_objective(model, ObjectiveKind.EXACT_MLE, data)
+        worst = max(worst, _rel_gap(mle(theta).grad_theta, lambda th: mle(th).value, theta))
     checks.append(Check("gaussian mle exact vs FD gradient (rel)", worst, 1e-6))
-    model = gen_gauss_model(1.0)
-    data = sample(gen_gauss_model(1.5), 200, seed=23)
-    worst = max(_rel_gap(sm_objective(model, [alpha], data).grad_theta,
-                         lambda th: sm_objective(model, th, data).value, [alpha])
+    sm = empirical_objective(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS,
+                             sample(gen_gauss_model(1.5), 200, seed=23))
+    worst = max(_rel_gap(sm([alpha]).grad_theta, lambda th: sm(th).value, [alpha])
                 for alpha in np.linspace(0.05, 4.0, 8))
     checks.append(Check("gen-gauss SM exact vs FD gradient (rel)", worst, 1e-6))
     star = [(0, 1), (0, 2), (0, 3)]
@@ -223,21 +216,16 @@ def suite_gradcheck() -> list[Check]:
         "Ising star": ising_model(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), star),
         "Potts m=3": potts_model(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 2)),
     }
-    objectives = {
-        "gsm": gsm_discrete_objective,
-        "rm": ratio_matching_objective,
-        "pl": pseudo_likelihood_objective,
-        "mle": exact_mle_objective,
-    }
     for family, model in families.items():
         data = sample(model, 200, seed=17)
         theta = model.params + rng.uniform(-0.5, 0.5, model.n_params)
-        for tag, fn in objectives.items():
-            if tag == "rm" and model.alphabet_size != 2:
+        for kind in (ObjectiveKind.GSM_DISCRETE, ObjectiveKind.RATIO_MATCHING,
+                     ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE):
+            if kind is ObjectiveKind.RATIO_MATCHING and model.alphabet_size != 2:
                 continue  # ratio matching rejects alphabets larger than 2
-            gap = _rel_gap(fn(model, theta, data).grad_theta,
-                           lambda th: fn(model, th, data).value, theta)
-            checks.append(Check(f"{tag} exact vs FD gradient, {family} (rel)", gap, 1e-6))
+            objective = empirical_objective(model, kind, data)
+            gap = _rel_gap(objective(theta).grad_theta, lambda th: objective(th).value, theta)
+            checks.append(Check(f"{kind.value} exact vs FD gradient, {family} (rel)", gap, 1e-6))
         # Population fits: central differences of the enumeration oracle
         # against the gradient the optimizer takes; rm's comes from the gsm
         # form, so Potts has one.

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from scorematch import verify
+from scorematch import models, verify
 from scorematch.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from scorematch.estimation import closed_form_gaussian_sm
 from scorematch.models import (
+    dataset_to_csv,
+    discrete_dataset,
     gaussian_model,
     gen_gauss_model,
     ising_model,
@@ -122,6 +124,23 @@ def test_generate_maps_a_sampling_error_to_usage(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # fit
+
+def test_fit_mle_past_the_enumeration_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # An mle fit enumerates the state cube, which past MAX_ENUM_STATES is
+    # refused before it is allocated.
+    monkeypatch.setattr(models, "MAX_ENUM_STATES", 2**4)
+    chain = tmp_path / "chain5.json"
+    chain.write_text(model_to_json(ising_model(np.zeros(5), np.zeros(4))))
+    data = tmp_path / "chain5.csv"
+    rows = np.random.default_rng(0).integers(0, 2, (50, 5))
+    data.write_text(dataset_to_csv(discrete_dataset(rows, 2)))
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--model", str(chain), "--objective", "mle", "--data", str(data),
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "too large to enumerate" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_fit_gaussian_sm_matches_sample_moments(gauss1, tmp_path):
     data_path = tmp_path / "g.csv"
@@ -324,22 +343,6 @@ def test_compare_rejects_malformed_counts(ising2, tmp_path, capsys, flag, value)
     assert code == EXIT_USAGE
     assert flag in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["fit", "compare"])
-def test_bad_optimizer_flags_are_not_reported_as_a_fit_failure(
-    ising2, tmp_path, capsys, command
-):
-    out = str(tmp_path / "o")
-    if command == "fit":
-        args = ["fit", "--model", ising2, "--objective", "pl", "--data", "enumerate",
-                "--p-model", ising2, "--out", out]
-    else:
-        args = ["compare", "--model", ising2, "--objectives", "pl", "--n", "200",
-                "--seeds", "1", "--out", out]
-    assert main(args + ["--max-iters", "0"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "--max-iters" in err and "cannot" not in err
 
 
 # ---------------------------------------------------------------------------

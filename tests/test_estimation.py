@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from scorematch import estimation, objectives
+from scorematch import estimation, models, objectives
 from scorematch.estimation import (
     COMPARISON_HEADER,
     FitResult,
-    OptimizerConfig,
     closed_form_gaussian_sm,
     compare_estimators,
     comparison_to_csv,
@@ -131,14 +130,16 @@ def test_fit_gaussian_sm_is_one_evaluation_and_ignores_the_start(monkeypatch):
     res = fit(model, ObjectiveKind.SM_CONTINUOUS, data)
     assert res.iters == 0 and res.converged
     # The value is b' eta, the objective at the solution.
-    want = objectives.sm_objective(model, res.theta_hat, data).value
-    assert res.objective_value == pytest.approx(want, rel=1e-12)
+    want = objectives.empirical_objective(model, ObjectiveKind.SM_CONTINUOUS, data)(res.theta_hat)
+    assert res.objective_value == pytest.approx(want.value, rel=1e-12)
     # Neither the model's params nor the iteration cap applies to the solve.
     other = gaussian_model([5.0, 5.0], [[9.0, 0.0], [0.0, 9.0]])
-    again = fit(other, ObjectiveKind.SM_CONTINUOUS, data, OptimizerConfig(max_iters=1))
+    monkeypatch.setattr(estimation, "MAX_ITERS", 1)
+    again = fit(other, ObjectiveKind.SM_CONTINUOUS, data)
     assert np.array_equal(again.theta_hat, res.theta_hat) and again.converged
-    # converged is the normal-equation residual against grad_tol.
-    strict = fit(model, ObjectiveKind.SM_CONTINUOUS, data, OptimizerConfig(grad_tol=1e-30))
+    # converged is the normal-equation residual against GRAD_TOL.
+    monkeypatch.setattr(estimation, "GRAD_TOL", 1e-30)
+    strict = fit(model, ObjectiveKind.SM_CONTINUOUS, data)
     assert np.array_equal(strict.theta_hat, res.theta_hat)
     assert strict.grad_norm == res.grad_norm > 1e-30 and not strict.converged
 
@@ -343,9 +344,23 @@ def test_population_fit_calls_the_oracle_once(monkeypatch, objective, truth):
     res = fit(model, objective, joint)
     assert res.iters > 1
     assert len(calls) == 1
-    # The reported value is still the divergence at the estimate.
+    # The reported value is still the divergence at the estimate, clamped at
+    # 0: at the truth gsm's and rm's divergence is 0, which the offset's
+    # roundoff can undercut by a few ulps.
     want = POPULATION_ORACLES[objective](joint, model, res.theta_hat)
     assert res.objective_value == pytest.approx(want, abs=1e-12)
+    assert res.objective_value >= 0.0
+
+
+def test_mle_fit_refuses_a_cube_past_the_enumeration_cap(monkeypatch):
+    # The mle design enumerates the state cube, which past MAX_ENUM_STATES is
+    # refused before it is allocated; pl's blanket cells enumerate nothing.
+    monkeypatch.setattr(models, "MAX_ENUM_STATES", 2**4)
+    chain = ising_model(np.zeros(5), np.zeros(4))
+    data = discrete_dataset(np.random.default_rng(0).integers(0, 2, (50, 5)), 2)
+    with pytest.raises(ValueError, match=r"state space 2\*\*5 too large to enumerate"):
+        fit(chain, ObjectiveKind.EXACT_MLE, data)
+    assert fit(chain, ObjectiveKind.PSEUDO_LIKELIHOOD, data).converged
 
 
 def test_population_rm_fit_converges_on_potts():
@@ -368,7 +383,7 @@ def test_population_rm_fit_converges_on_potts():
     (ObjectiveKind.GSM_DISCRETE, True, 1),
     (ObjectiveKind.EXACT_MLE, True, 1),
 ])
-def test_fit_builds_one_hot_rows_once(monkeypatch, objective, population, builds):
+def test_fit_builds_sufficient_statistics_once(monkeypatch, objective, population, builds):
     # Each fit builds its design (D, c) once, with one sufficient-statistic
     # build, and evaluates every trial point on it.
     calls = []
@@ -460,7 +475,7 @@ def test_fit_result_converged_implies_grad_tol():
     res = fit(ising_model(np.zeros(2), np.zeros(1)), ObjectiveKind.PSEUDO_LIKELIHOOD, data)
     assert isinstance(res, FitResult)
     if res.converged:
-        assert res.grad_norm <= OptimizerConfig().grad_tol
+        assert res.grad_norm <= estimation.GRAD_TOL
 
 
 def test_population_fit_rejects_objective_without_population_form():
@@ -469,11 +484,6 @@ def test_population_fit_rejects_objective_without_population_form():
         fit(ising_model([0.0, 0.0], [0.5]), ObjectiveKind.SM_CONTINUOUS, joint)
     with pytest.raises(ValueError, match="the gaussian model needs data of shape"):
         fit(gaussian_model([0.0], [[1.0]]), ObjectiveKind.SM_CONTINUOUS, joint)
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iters=0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,21 +24,21 @@ from scorematch.objectives import (
     GaussianMoments,
     ObjectiveKind,
     collapse_states,
-    exact_mle_objective,
+    empirical_objective,
     exact_mle_population,
     fisher_exact,
     gaussian_sm_normal_equations,
-    gsm_discrete_objective,
     gsm_discrete_population,
     kl_exact,
     logsumexp,
-    pseudo_likelihood_objective,
     pseudo_likelihood_population,
-    ratio_matching_objective,
     ratio_matching_population,
-    sm_objective,
 )
 from scorematch.operators import discrete_joint
+
+SM, GSM, RM, PL, MLE = (ObjectiveKind.SM_CONTINUOUS, ObjectiveKind.GSM_DISCRETE,
+                        ObjectiveKind.RATIO_MATCHING, ObjectiveKind.PSEUDO_LIKELIHOOD,
+                        ObjectiveKind.EXACT_MLE)
 
 E = np.e
 SIGMOID1 = 1.0 / (1.0 + np.exp(-1.0))  # conditional q(+|+) of the 0.5-coupled pair
@@ -110,17 +110,17 @@ def test_fisher_variance_pair_closed_form():
 
 def test_sm_objective_hand_values():
     model = gaussian_model([0.0], [[1.0]])
-    theta = model.params
-    assert sm_objective(model, theta, continuous_dataset([[0.0]])).value == pytest.approx(-2.0)
+    at_origin = empirical_objective(model, SM, continuous_dataset([[0.0]]))
+    assert at_origin(model.params).value == pytest.approx(-2.0)
     data = continuous_dataset([[1.0], [-1.0]])
-    assert sm_objective(model, theta, data).value == pytest.approx(-1.0)
+    assert empirical_objective(model, SM, data)(model.params).value == pytest.approx(-1.0)
 
 
 def test_sm_objective_rejects_indefinite_covariance():
     model = gaussian_model([0.0, 0.0], np.eye(2))
     data = sample(model, 10, seed=1)
     with pytest.raises(ParameterDomainError, match="positive definite"):
-        sm_objective(model, [0.0, 0.0, 1.0, 0.0, -1.0], data)  # diag(1, -1)
+        empirical_objective(model, SM, data)([0.0, 0.0, 1.0, 0.0, -1.0])  # diag(1, -1)
 
 
 def test_gaussian_closed_forms_match_generic_definitions():
@@ -129,6 +129,7 @@ def test_gaussian_closed_forms_match_generic_definitions():
     for d in (1, 2, 4):
         model = gaussian_model(np.zeros(d), np.eye(d))
         data = sample(gaussian_model(rng.standard_normal(d), 1.3 * np.eye(d)), 200, seed=d)
+        sm_at, mle_at = (empirical_objective(model, kind, data) for kind in (SM, MLE))
         for _ in range(3):
             a = rng.standard_normal((d, d)) * 0.4
             mod = gaussian_model(rng.standard_normal(d), a @ a.T + 0.5 * np.eye(d))
@@ -136,8 +137,8 @@ def test_gaussian_closed_forms_match_generic_definitions():
             sm = np.mean(np.sum(g * g, axis=1) + 2.0 * laplacian_x_log(mod, data.values))
             log_z = 0.5 * (d * np.log(2.0 * np.pi) + np.linalg.slogdet(gaussian_parts(mod)[1])[1])
             mle = -np.mean(log_unnorm(mod, data.values)) + log_z
-            assert sm_objective(model, mod.params, data).value == pytest.approx(sm, rel=1e-12)
-            assert exact_mle_objective(model, mod.params, data).value == pytest.approx(mle, rel=1e-12)
+            assert sm_at(mod.params).value == pytest.approx(sm, rel=1e-12)
+            assert mle_at(mod.params).value == pytest.approx(mle, rel=1e-12)
 
 
 def test_gaussian_sm_normal_equations_reproduce_the_objective():
@@ -150,6 +151,7 @@ def test_gaussian_sm_normal_equations_reproduce_the_objective():
         truth = gaussian_model(rng.standard_normal(d), a @ a.T + 0.3 * np.eye(d))
         for data in (sample(truth, 60, seed=d), GaussianMoments(*gaussian_parts(truth))):
             A, b = gaussian_sm_normal_equations(model, data)
+            sm_at = empirical_objective(model, SM, data)
             assert A.shape == (d * (d + 3) // 2,) * 2 and np.allclose(A, A.T, rtol=0, atol=1e-12)
             for _ in range(3):
                 c = rng.standard_normal((d, d)) * 0.5
@@ -157,7 +159,7 @@ def test_gaussian_sm_normal_equations_reproduce_the_objective():
                 mu, cov = gaussian_parts(mod)
                 P = np.linalg.inv(cov)
                 eta = np.concatenate([P[np.tril_indices(d)], P @ mu])
-                want = sm_objective(model, mod.params, data).value
+                want = sm_at(mod.params).value
                 assert eta @ A @ eta + 2.0 * b @ eta == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
@@ -173,7 +175,7 @@ def test_sm_objective_rejects_discrete_model():
     model = ising_model([0.0, 0.0], [0.5])
     data = discrete_dataset([[0, 1]], m=2)
     with pytest.raises(ValueError, match="continuous"):
-        sm_objective(model, model.params, data)
+        empirical_objective(model, SM, data)(model.params)
 
 
 def test_sm_gaussian_gradient_matches_fd():
@@ -182,11 +184,12 @@ def test_sm_gaussian_gradient_matches_fd():
     rng = np.random.default_rng(8)
     model = gaussian_model(np.zeros(2), np.eye(2))
     data = sample(gaussian_model([0.5, -0.5], [[1.0, 0.2], [0.2, 0.8]]), 100, seed=1)
+    sm_at = empirical_objective(model, SM, data)
     for _ in range(5):
         a = rng.standard_normal((2, 2)) * 0.3
         theta = gaussian_model(rng.standard_normal(2), a @ a.T + np.eye(2)).params
-        analytic = sm_objective(model, theta, data).grad_theta
-        numeric = fd_gradient(lambda t: sm_objective(model, t, data).value, theta)
+        analytic = sm_at(theta).grad_theta
+        numeric = fd_gradient(lambda t: sm_at(t).value, theta)
         scale = max(1.0, np.abs(numeric).max())
         assert np.abs(analytic - numeric).max() / scale < 1e-5
 
@@ -201,14 +204,14 @@ def test_gsm_binary_uniform_is_zero():
     # = -1/2 whatever the sample, so d = 2 coordinates give -d/m = -1.
     model = ising_model([0.0, 0.0], [0.0])
     data = discrete_dataset([[0, 1], [1, 1]], m=2)
-    assert gsm_discrete_objective(model, model.params, data).value == pytest.approx(-1.0, abs=1e-12)
+    assert empirical_objective(model, GSM, data)(model.params).value == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_gsm_ternary_uniform_closed_form():
     model = potts_model(np.zeros((2, 3)), [0.0])
     data = discrete_dataset([[0, 2]], m=3)
     # each coordinate: 3 * (1/3)^2 - 2 * (1/3) = 1/3 - 2/3 = -1/3; two coords
-    assert gsm_discrete_objective(model, model.params, data).value == pytest.approx(-2.0 / 3.0, abs=1e-10)
+    assert empirical_objective(model, GSM, data)(model.params).value == pytest.approx(-2.0 / 3.0, abs=1e-10)
 
 
 def test_gsm_coupled_ising_single_state_closed_form():
@@ -219,7 +222,7 @@ def test_gsm_coupled_ising_single_state_closed_form():
     # and s = 0.7310586 gives 2.1377866 - 5.8484686 + 2 = -1.7106820
     s = SIGMOID1
     want = 4.0 * s**2 - 8.0 * s + 2.0
-    got = gsm_discrete_objective(model, model.params, data).value
+    got = empirical_objective(model, GSM, data)(model.params).value
     assert got == pytest.approx(want, abs=1e-10)
     assert got == pytest.approx(-1.710682, abs=1e-6)
 
@@ -234,8 +237,9 @@ def _binary_potts_and_gauge_shift(c):
 def test_gsm_normalization_invariant():
     model, shift = _binary_potts_and_gauge_shift(-4.2)
     data = sample(model, 100, seed=3)
-    base = gsm_discrete_objective(model, model.params, data).value
-    shifted = gsm_discrete_objective(model, model.params + shift, data).value
+    gsm_at = empirical_objective(model, GSM, data)
+    base = gsm_at(model.params).value
+    shifted = gsm_at(model.params + shift).value
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
@@ -245,10 +249,9 @@ def test_gsm_weighted_equals_duplicated_dataset():
     model = ising_model([0.1, 0.3], [0.5])
     joint = discrete_joint(np.array([[3.0, 2.0], [0.0, 1.0]]) / 6.0)
     dup = discrete_dataset([[0, 0]] * 3 + [[0, 1]] * 2 + [[1, 1]], m=2)
-    for fn in (gsm_discrete_objective, ratio_matching_objective,
-               pseudo_likelihood_objective, exact_mle_objective):
-        weighted = fn(model, model.params, joint)
-        plain = fn(model, model.params, dup)
+    for kind in (GSM, RM, PL, MLE):
+        weighted = empirical_objective(model, kind, joint)(model.params)
+        plain = empirical_objective(model, kind, dup)(model.params)
         assert weighted.value == pytest.approx(plain.value, abs=1e-12)
         assert np.abs(weighted.grad_theta - plain.grad_theta).max() <= 1e-12
 
@@ -312,7 +315,7 @@ def test_rm_binary_uniform_closed_form():
     model = ising_model([0.0, 0.0], [0.0])
     data = discrete_dataset([[1, 0]], m=2)
     # each coordinate: (1 - q(xi|x^{\i}))^2 = (1 - 1/2)^2 = 1/4; two coordinates
-    assert ratio_matching_objective(model, model.params, data).value == pytest.approx(0.5, abs=1e-12)
+    assert empirical_objective(model, RM, data)(model.params).value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rm_ternary_uniform_closed_form():
@@ -321,7 +324,7 @@ def test_rm_ternary_uniform_closed_form():
     # ratio matching is binary only: at m = 3 the observed-symbol form is not
     # a theta-independent constant away from its population divergence
     with pytest.raises(ValueError, match="binary"):
-        ratio_matching_objective(model, model.params, data)
+        empirical_objective(model, RM, data)(model.params)
 
 
 def test_rm_deterministic_conditional_limit():
@@ -331,15 +334,16 @@ def test_rm_deterministic_conditional_limit():
     model = ising_model([20.0, 20.0], [0.0])
     ones = discrete_dataset([[1, 1]], m=2)
     zeros = discrete_dataset([[0, 0]], m=2)
-    assert ratio_matching_objective(model, model.params, ones).value == pytest.approx(0.0, abs=1e-6)
-    assert ratio_matching_objective(model, model.params, zeros).value == pytest.approx(2.0, abs=1e-6)
+    assert empirical_objective(model, RM, ones)(model.params).value == pytest.approx(0.0, abs=1e-6)
+    assert empirical_objective(model, RM, zeros)(model.params).value == pytest.approx(2.0, abs=1e-6)
 
 
 def test_rm_normalization_invariant():
     model, shift = _binary_potts_and_gauge_shift(2.5)
     data = sample(model, 100, seed=5)
-    base = ratio_matching_objective(model, model.params, data).value
-    shifted = ratio_matching_objective(model, model.params + shift, data).value
+    rm_at = empirical_objective(model, RM, data)
+    base = rm_at(model.params).value
+    shifted = rm_at(model.params + shift).value
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
@@ -370,7 +374,7 @@ def test_rm_population_uniform_vs_coupled_ising_same_as_gsm():
 def test_pl_binary_uniform_closed_form():
     model = ising_model([0.0, 0.0], [0.0])
     data = discrete_dataset([[0, 0]], m=2)
-    assert pseudo_likelihood_objective(model, model.params, data).value == pytest.approx(
+    assert empirical_objective(model, PL, data)(model.params).value == pytest.approx(
         2.0 * np.log(2.0), abs=1e-12
     )
 
@@ -379,7 +383,7 @@ def test_pl_coupled_ising_single_state_closed_form():
     model = ising_model([0.0, 0.0], [0.5])
     data = discrete_dataset([[1, 1]], m=2)
     want = -2.0 * np.log(SIGMOID1)
-    got = pseudo_likelihood_objective(model, model.params, data).value
+    got = empirical_objective(model, PL, data)(model.params).value
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(0.626523, abs=1e-6)
 
@@ -387,14 +391,15 @@ def test_pl_coupled_ising_single_state_closed_form():
 def test_pl_deterministic_conditionals_approach_zero():
     model = ising_model([30.0, 30.0], [0.0])
     data = discrete_dataset([[1, 1]], m=2)
-    assert pseudo_likelihood_objective(model, model.params, data).value == pytest.approx(0.0, abs=1e-10)
+    assert empirical_objective(model, PL, data)(model.params).value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_pl_normalization_invariant():
     model, shift = _binary_potts_and_gauge_shift(-1.1)
     data = sample(model, 100, seed=6)
-    base = pseudo_likelihood_objective(model, model.params, data).value
-    shifted = pseudo_likelihood_objective(model, model.params + shift, data).value
+    pl_at = empirical_objective(model, PL, data)
+    base = pl_at(model.params).value
+    shifted = pl_at(model.params + shift).value
     assert shifted == pytest.approx(base, abs=1e-12)
 
 
@@ -404,7 +409,7 @@ def test_pl_normalization_invariant():
 def test_mle_binary_uniform_closed_form():
     model = ising_model([0.0, 0.0], [0.0])
     data = discrete_dataset([[1, 0]], m=2)
-    assert exact_mle_objective(model, model.params, data).value == pytest.approx(
+    assert empirical_objective(model, MLE, data)(model.params).value == pytest.approx(
         np.log(4.0), abs=1e-12
     )
 
@@ -422,9 +427,10 @@ def test_mle_on_a_loopy_ising_model_matches_the_oracle_and_fd():
     np.add.at(counts, tuple(data.values.T), 1.0)
     for observed, joint in ((data, discrete_joint(counts / counts.sum())),
                             (exact_normalize(truth),) * 2):
+        mle_at = empirical_objective(truth, MLE, observed)
         for _ in range(3):
             theta = rng.uniform(-1.0, 1.0, truth.n_params)
-            got = exact_mle_objective(truth, theta, observed)
+            got = mle_at(theta)
             want = exact_mle_population(joint, truth, theta)
             assert got.value == pytest.approx(want, rel=1e-12)
             numeric = fd_gradient(lambda t: exact_mle_population(joint, truth, t), theta)
@@ -437,9 +443,10 @@ def test_mle_gaussian_minimized_at_sample_moments():
     data = sample(gaussian_model([0.5], [[2.0]]), 500, seed=7)
     theta_ml = closed_form_gaussian_sm(data)
     model = gaussian_model([0.0], [[1.0]])
-    g = fd_gradient(lambda t: exact_mle_objective(model, t, data).value, theta_ml)
+    mle_at = empirical_objective(model, MLE, data)
+    g = fd_gradient(lambda t: mle_at(t).value, theta_ml)
     assert np.abs(g).max() < 1e-8
-    assert np.abs(exact_mle_objective(model, theta_ml, data).grad_theta).max() < 1e-12
+    assert np.abs(mle_at(theta_ml).grad_theta).max() < 1e-12
 
 
 def test_mle_gaussian_gradient_matches_fd():
@@ -448,11 +455,12 @@ def test_mle_gaussian_gradient_matches_fd():
     rng = np.random.default_rng(8)
     model = gaussian_model(np.zeros(3), np.eye(3))
     data = sample(gaussian_model([0.5, -0.5, 0.0], np.diag([1.0, 0.8, 1.5])), 100, seed=1)
+    mle_at = empirical_objective(model, MLE, data)
     for _ in range(5):
         a = rng.standard_normal((3, 3)) * 0.3
         theta = gaussian_model(rng.standard_normal(3), a @ a.T + np.eye(3)).params
-        exact = exact_mle_objective(model, theta, data).grad_theta
-        numeric = fd_gradient(lambda t: exact_mle_objective(model, t, data).value, theta)
+        exact = mle_at(theta).grad_theta
+        numeric = fd_gradient(lambda t: mle_at(t).value, theta)
         assert np.abs(exact - numeric).max() / max(1.0, np.abs(numeric).max()) < 1e-6
 
 
@@ -462,7 +470,7 @@ def test_mle_gaussian_rejects_non_pd_covariance_as_domain_error():
     # indefinite, and negative definite with a positive determinant
     for cov_tril in ([1.0, 2.0, 1.0], [-1.0, 0.0, -1.0]):
         with pytest.raises(ParameterDomainError, match="positive definite"):
-            exact_mle_objective(model, [0.0, 0.0] + cov_tril, data)
+            empirical_objective(model, MLE, data)([0.0, 0.0] + cov_tril)
 
 
 def test_mle_population_is_cross_entropy():
@@ -496,14 +504,13 @@ def test_discrete_objectives_reject_mismatched_data():
     wide_joint = discrete_joint(np.full((2, 2, 2), 0.125))
     ternary_joint = discrete_joint(np.full((3, 3), 1.0 / 9.0))
     square_joint = discrete_joint(np.full((2, 2), 0.25))
-    for fn in (gsm_discrete_objective, ratio_matching_objective,
-               pseudo_likelihood_objective, exact_mle_objective):
+    for kind in (GSM, RM, PL, MLE):
         for data in (bad, wide_joint, ternary_joint):
             with pytest.raises(ValueError):
-                fn(model, model.params, data)
+                empirical_objective(model, kind, data)(model.params)
         # a joint with a continuous model is a ValueError, not an AttributeError
         with pytest.raises(ValueError):
-            fn(gauss, gauss.params, square_joint)
+            empirical_objective(gauss, kind, square_joint)(gauss.params)
 
 
 def test_population_objectives_reject_shape_mismatch():

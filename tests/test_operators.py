@@ -152,13 +152,16 @@ def test_brook_ratio_matches_enumeration_oracle():
 
 
 def test_brook_ratio_order_invariance():
+    # Permuting the joint's axes and both states by `order` makes the product
+    # walk the original coordinates in that order.
     rng = np.random.default_rng(5)
-    joint = discrete_joint(rng.random((3, 3, 3)) + 0.1)
-    conds = joint_conditionals(joint)
+    probs = rng.random((3, 3, 3)) + 0.1
     a, b = (2, 0, 1), (0, 2, 2)
-    base = brook_ratio(conds, a, b)
+    base = brook_ratio(joint_conditionals(discrete_joint(probs)), a, b)
     for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2], [1, 2, 0]):
-        assert brook_ratio(conds, a, b, order=order) == pytest.approx(base, rel=1e-10)
+        conds = joint_conditionals(discrete_joint(np.transpose(probs, order)))
+        walked = brook_ratio(conds, [a[k] for k in order], [b[k] for k in order])
+        assert walked == pytest.approx(base, rel=1e-10)
 
 
 def test_brook_ratio_zero_conditional_reports_coordinate():

@@ -2,11 +2,12 @@
 arbitrary inputs, not just the hand-picked fixtures."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scorematch import estimation
 from scorematch.grids import mixture_1d
 from scorematch.estimation import (
-    OptimizerConfig,
     closed_form_gaussian_sm,
     fd_gradient,
     fit,
@@ -34,15 +35,11 @@ from scorematch.objectives import (
     ObjectiveKind,
     collapse_states,
     empirical_objective,
-    exact_mle_objective,
     exact_mle_population,
     gaussian_sm_normal_equations,
-    gsm_discrete_objective,
     gsm_discrete_population,
     kl_exact,
-    pseudo_likelihood_objective,
     pseudo_likelihood_population,
-    ratio_matching_objective,
     ratio_matching_population,
 )
 from scorematch.operators import (
@@ -75,14 +72,17 @@ def test_marginalization_adjoint_exact(seed):
 @given(seed=st.integers(0, 10_000))
 @settings(**SETTINGS)
 def test_brook_ratio_order_invariant(seed):
+    # Permuting the joint's axes and both states walks the coordinates in the
+    # permuted order.
     rng = np.random.default_rng(seed)
     joint = _random_joint(seed)
-    conds = joint_conditionals(joint)
     a = tuple(rng.integers(0, 2, 3))
     b = tuple(rng.integers(0, 2, 3))
-    base = brook_ratio(conds, a, b)
+    base = brook_ratio(joint_conditionals(joint), a, b)
     perm = list(rng.permutation(3))
-    assert abs(brook_ratio(conds, a, b, order=perm) - base) <= 1e-10 * max(1.0, base)
+    conds = joint_conditionals(discrete_joint(np.transpose(joint.probs, perm)))
+    walked = brook_ratio(conds, [a[k] for k in perm], [b[k] for k in perm])
+    assert abs(walked - base) <= 1e-10 * max(1.0, base)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -152,12 +152,13 @@ def test_discrete_objective_gradients_match_fd(seed):
     rng = np.random.default_rng(seed)
     model, d, m, theta = _random_pairwise(rng)
     data = discrete_dataset(rng.integers(0, m, (30, d)), m=m)
-    objectives = [gsm_discrete_objective, pseudo_likelihood_objective, exact_mle_objective]
+    kinds = [ObjectiveKind.GSM_DISCRETE, ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE]
     if m == 2:
-        objectives.append(ratio_matching_objective)
-    for fn in objectives:
-        exact = fn(model, theta, data).grad_theta
-        numeric = fd_gradient(lambda t: fn(model, t, data).value, theta)
+        kinds.append(ObjectiveKind.RATIO_MATCHING)
+    for kind in kinds:
+        objective = empirical_objective(model, kind, data)
+        exact = objective(theta).grad_theta
+        numeric = fd_gradient(lambda t: objective(t).value, theta)
         assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
 
 
@@ -310,9 +311,11 @@ def test_fit_never_leaves_parameter_domain(seed, family):
     rng = np.random.default_rng(seed)
     model, objectives = _fit_case(family, rng)
     data = sample(model, 30, seed=seed)
-    for objective in objectives:
-        res = fit(model, objective, data, OptimizerConfig(max_iters=20))
-        model.with_params(res.theta_hat)  # raises outside the domain
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "MAX_ITERS", 20)
+        for objective in objectives:
+            res = fit(model, objective, data)
+            model.with_params(res.theta_hat)  # raises outside the domain
 
 
 @given(seed=st.integers(0, 10_000), d=st.integers(1, 4))
@@ -328,7 +331,7 @@ def test_gaussian_sm_solve_equals_the_closed_form(seed, d):
     # a solve is accurate to about cond(A) eps, which bounds the rest (as few
     # as d + 1 samples can make the scatter nearly singular).  At the
     # examples' minimizers the gradient in the (mu, tril Sigma) layout
-    # exceeds grad_tol (up to 357 at seed 583) while the normal-equation
+    # exceeds GRAD_TOL (up to 357 at seed 583) while the normal-equation
     # residual does not, so converged must be judged in eta.
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-1, 1, d)
