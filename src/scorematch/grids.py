@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,16 +55,24 @@ def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def quad_weights(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Tensor-product trapezoid weights for the given axes."""
+    """Tensor-product trapezoid weights for the given axes, read-only.
+
+    They depend only on each axis's point count and spacing, so every grid of
+    one geometry shares one array: a divergence curve takes hundreds of
+    quadratures on a single grid."""
+    return _trapezoid_weights(tuple((len(a), float(a[1] - a[0])) for a in axes))
+
+
+@lru_cache(maxsize=8)
+def _trapezoid_weights(geometry: tuple[tuple[int, float], ...]) -> np.ndarray:
     ws = []
-    for a in axes:
-        h = a[1] - a[0]
-        w = np.full(a.shape, h)
+    for n, h in geometry:
+        w = np.full(n, h)
         w[0] = w[-1] = h / 2
         ws.append(w)
-    if len(ws) == 1:
-        return ws[0]
-    return np.multiply.outer(ws[0], ws[1])
+    w = ws[0] if len(ws) == 1 else np.multiply.outer(ws[0], ws[1])
+    w.flags.writeable = False
+    return w
 
 
 def grid_density(

@@ -195,14 +195,18 @@ def _check_points(model: Model, x) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != model.dim:
         raise ValueError(f"points must have dimension {model.dim}")
     if model.kind in DISCRETE_KINDS:
-        sym = pts.astype(int)
-        if np.any(sym != pts):
-            raise ValueError("discrete points must be integer symbols")
-        if np.any(sym < 0) or np.any(sym >= model.alphabet_size):
+        # Integer points, such as the state cube and a Dataset's symbols, are
+        # checked where they lie; only other dtypes are converted.
+        if pts.dtype.kind not in "iu":
+            sym = pts.astype(int)
+            if np.any(sym != pts):
+                raise ValueError("discrete points must be integer symbols")
+            pts = sym
+        if pts.size and (pts.min() < 0 or pts.max() >= model.alphabet_size):
             raise ValueError(
                 f"symbols must lie in 0..{model.alphabet_size - 1}"
             )
-        return sym
+        return pts
     return pts.astype(float)
 
 
@@ -308,10 +312,14 @@ def sufficient_statistics(model: Model, X) -> np.ndarray:
 def state_cube(m: int, d: int) -> np.ndarray:
     """All m**d states of {0..m-1}^d as rows, in C order (coordinate 0
     slowest), the flattening order of a DiscreteJoint's table.  A cube of
-    more than MAX_ENUM_STATES states is refused before anything is allocated."""
+    more than MAX_ENUM_STATES states is refused before anything is allocated.
+
+    The symbols have the narrowest unsigned dtype that holds m - 1 (uint8 up
+    to m = 256), an eighth of an int64 cube; arithmetic on them must go
+    through int64, as the base-m state codes do."""
     if m**d > MAX_ENUM_STATES:
         raise ValueError(f"state space {m}**{d} too large to enumerate")
-    return np.indices((m,) * d).reshape(d, -1).T
+    return np.indices((m,) * d, dtype=np.min_scalar_type(m - 1)).reshape(d, -1).T
 
 
 def default_box(model: Model) -> tuple[float, float]:

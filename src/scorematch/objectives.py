@@ -117,7 +117,8 @@ def fisher_exact(p: GridDensity, q: GridDensity) -> float:
     sq_dist = squared_norm(grid_gradient(log_ratio, p.spacing))
     del log_ratio
     sq_dist *= p.values
-    return quad(p, np.where(mask, sq_dist, 0.0))
+    sq_dist[~mask] = 0.0
+    return quad(p, sq_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +275,15 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
         )
     m, d = model.alphabet_size, model.dim
     if objective is ObjectiveKind.EXACT_MLE:
-        # The cube is in C order, so a Dataset's weight on cube state k is the
-        # frequency of base-m code k, first coordinate most significant.
-        D = sufficient_statistics(model, state_cube(m, d))
+        # A Dataset's weight on cube state k is the frequency of code k.  The
+        # cube refuses an enumeration too large before the counts are
+        # allocated, and the N codes are freed before T of the cube is built.
+        cube = state_cube(m, d)
         if isinstance(data, DiscreteJoint):
             c = data.probs.ravel()
         else:
-            codes = data.values @ (m ** np.arange(d - 1, -1, -1, dtype=np.int64))
-            c = np.bincount(codes, minlength=m**d) / data.n
-        return D, c[None, :]
+            c = _state_counts(data.values, m) / data.n
+        return sufficient_statistics(model, cube), c[None, :]
     if isinstance(data, DiscreteJoint):
         states, w = state_cube(m, d), data.probs.ravel()
     else:
@@ -313,25 +314,46 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
 
 
 def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
-    """A discrete dataset collapsed to its distinct states, with their
-    empirical weights.
+    """A discrete dataset collapsed to its distinct states, in the order of
+    np.unique(axis=0), with their empirical weights counts / N.
 
     Averaging is linear in the samples, so the weighted objectives agree with
     the file-order mean up to roundoff while repeated states cost nothing.
+    The states are found by counting, not sorting, when the cube has no more
+    states than the data has samples: one bincount of the base-m state codes
+    (`_state_codes`), then the cube states with a non-zero count.  Larger
+    cubes sort the N codes, or the rows themselves when m**d - 1 overflows
+    int64; all three routes give the same states, order and weights.
     """
     values = data.values
     m, d = int(data.alphabet_size), data.dim
-    if m**d - 1 <= np.iinfo(np.int64).max:
-        # Base-m codes with the first coordinate most significant sort like the
-        # rows: the sorted distinct codes decode to np.unique(axis=0)'s rows.
-        codes = values @ (m ** np.arange(d - 1, -1, -1, dtype=np.int64))
-        codes, counts = np.unique(codes, return_counts=True)
-        states = np.empty((codes.size, d), dtype=values.dtype)
-        for k in range(d - 1, -1, -1):
-            codes, states[:, k] = np.divmod(codes, m)
-    else:
+    if m**d - 1 > np.iinfo(np.int64).max:
         states, counts = np.unique(values, axis=0, return_counts=True)
+        return replace(data, values=states), counts / counts.sum()
+    if m**d <= data.n:
+        counts = _state_counts(values, m)
+        codes = np.flatnonzero(counts)
+        counts = counts[codes]
+    else:
+        codes, counts = np.unique(_state_codes(values, m), return_counts=True)
+    # Decoding the sorted distinct codes gives np.unique(axis=0)'s rows.
+    states = np.empty((codes.size, d), dtype=values.dtype)
+    for k in range(d - 1, -1, -1):
+        codes, states[:, k] = np.divmod(codes, m)
     return replace(data, values=states), counts / counts.sum()
+
+
+def _state_codes(states: np.ndarray, m: int) -> np.ndarray:
+    """Each state's base-m code in int64, first coordinate most significant:
+    its index in the C-ordered `state_cube`, so the codes sort like the
+    rows.  The caller checks that m**d - 1 fits in int64."""
+    return states @ (m ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def _state_counts(states: np.ndarray, m: int) -> np.ndarray:
+    """How often each of the m**d cube states occurs among the rows, indexed
+    by `_state_codes`."""
+    return np.bincount(_state_codes(states, m), minlength=m ** states.shape[1])
 
 
 # ---------------------------------------------------------------------------

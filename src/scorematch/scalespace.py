@@ -91,7 +91,11 @@ def _convolve(values: np.ndarray, t: float, p: GridDensity) -> np.ndarray:
         # _kernel's width check keeps k no longer than the axis, so "same"
         # returns one output centred on each input point (zero padding).
         k = _kernel(t, h, (hi - lo) / 2.0)
-        values = np.apply_along_axis(np.convolve, ax, values, k, mode="same")
+        rows = np.moveaxis(values, ax, -1)
+        out = np.empty_like(rows)
+        for row in np.ndindex(rows.shape[:-1]):
+            out[row] = np.convolve(rows[row], k, mode="same")
+        values = np.moveaxis(out, -1, ax)
     return values
 
 
@@ -147,7 +151,8 @@ def fisher_information(p: GridDensity) -> float:
     mask = support_mask(p)
     sq = squared_norm(grid_gradient(log_values(p), p.spacing))
     sq *= p.values
-    return quad(p, np.where(mask, sq, 0.0))
+    sq[~mask] = 0.0
+    return quad(p, sq)
 
 
 def heat_pde_residual(p: GridDensity, t: float, dt: float) -> float:

@@ -361,6 +361,13 @@ def test_mle_fit_refuses_a_cube_past_the_enumeration_cap(monkeypatch):
     with pytest.raises(ValueError, match=r"state space 2\*\*5 too large to enumerate"):
         fit(chain, ObjectiveKind.EXACT_MLE, data)
     assert fit(chain, ObjectiveKind.PSEUDO_LIKELIHOOD, data).converged
+    # The refusal also comes before the data's counts over the cube, of
+    # which there would be 2**40.
+    monkeypatch.undo()
+    chain = ising_model(np.zeros(40), np.zeros(39))
+    data = discrete_dataset(np.random.default_rng(0).integers(0, 2, (50, 40)), 2)
+    with pytest.raises(ValueError, match=r"state space 2\*\*40 too large to enumerate"):
+        fit(chain, ObjectiveKind.EXACT_MLE, data)
 
 
 def test_population_rm_fit_converges_on_potts():

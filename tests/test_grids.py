@@ -35,6 +35,17 @@ def test_quad_weights_integrate_constant_exactly():
     assert np.isclose(quad_weights((ax, ay)).sum(), 2.0)
 
 
+def test_quad_weights_are_shared_per_point_count_and_spacing():
+    # Weights do not depend on where an axis starts; dyadic steps keep the
+    # spacing of the shifted axis exact.
+    ax = uniform_axis(0.0, 1.0, 9)
+    w = quad_weights((ax,))
+    assert w is quad_weights((ax + 4.0,))
+    assert not w.flags.writeable
+    assert np.array_equal(w, np.r_[0.0625, np.full(7, 0.125), 0.0625])
+    assert quad_weights((ax, ax)).shape == (9, 9)
+
+
 def test_grid_density_renormalizes_to_unit_mass():
     ax = uniform_axis(-6.0, 6.0, 512)
     g = grid_density((ax,), 3.7 * np.exp(-(ax**2)))

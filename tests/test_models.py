@@ -24,6 +24,7 @@ from scorematch.models import (
     read_dataset_csv,
     sample,
     state_cube,
+    sufficient_statistics,
     zero_sum_gauge,
 )
 from scorematch.objectives import ObjectiveKind, _discrete_design, _row_softmax
@@ -56,12 +57,25 @@ def test_log_unnorm_batch_matches_pointwise():
 
 def test_log_unnorm_rejects_bad_symbols_and_dimension():
     model = ising_model([0.0, 0.0], [0.5])
-    with pytest.raises(ValueError, match="symbols"):
-        log_unnorm(model, [0, 2])
-    with pytest.raises(ValueError, match="integer"):
-        log_unnorm(model, [0.5, 0.0])
-    with pytest.raises(ValueError, match="dimension"):
-        log_unnorm(model, [0, 0, 0])
+    for check in (log_unnorm, sufficient_statistics):
+        for bad in ([0, 2], [-1, 0], np.array([0, 2], dtype=np.uint8), [1.0, 2.0]):
+            with pytest.raises(ValueError, match=r"symbols must lie in 0\.\.1"):
+                check(model, bad)
+        with pytest.raises(ValueError, match="must be integer symbols"):
+            check(model, [0.5, 0.0])
+        with pytest.raises(ValueError, match="dimension"):
+            check(model, [0, 0, 0])
+
+
+def test_integer_points_of_any_dtype_give_the_same_statistics():
+    # Integer points are used as they are, not converted to int64.
+    model = potts_model([[0.5, -0.25, 0.0], [0.75, 0.0, -1.5], [0.0, 0.125, 0.25]],
+                        [0.75, -0.5, 0.25], [(0, 1), (1, 2), (0, 2)])
+    X = state_cube(3, 3).astype(np.int64)
+    for dtype in (np.int32, np.uint8, float):
+        assert np.array_equal(sufficient_statistics(model, X.astype(dtype)),
+                              sufficient_statistics(model, X))
+        assert np.array_equal(log_unnorm(model, X.astype(dtype)), log_unnorm(model, X))
 
 
 def _gauge_moved(model, site, c):

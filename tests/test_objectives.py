@@ -1,9 +1,12 @@
 """Divergence oracles and estimation objectives, including the hand-derived
 closed-form values and the population/empirical relationships."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from scorematch import models, objectives
 from scorematch.grids import gaussian_1d
 from scorematch.models import (
     ParameterDomainError,
@@ -19,10 +22,12 @@ from scorematch.models import (
     log_unnorm,
     potts_model,
     sample,
+    state_cube,
 )
 from scorematch.objectives import (
     GaussianMoments,
     ObjectiveKind,
+    _discrete_design,
     collapse_states,
     empirical_objective,
     exact_mle_population,
@@ -266,6 +271,77 @@ def test_collapse_states_at_the_int64_code_limit(d):
     collapsed, w = collapse_states(data)
     assert np.array_equal(collapsed.values, np.array([zeros, mixed, ones]))
     assert np.array_equal(w, np.array([1, 2, 3]) / 6)
+
+
+@pytest.mark.parametrize("m, d", [(2, 4), (3, 3), (257, 1)])
+@pytest.mark.parametrize("shortfall", [0, 1])
+def test_collapse_states_counts_and_sorts_alike(m, d, shortfall):
+    # With N = m**d samples the states are counted; one sample fewer and
+    # their codes are sorted.  Both give np.unique's rows, order and weights.
+    rng = np.random.default_rng(m * d + shortfall)
+    data = discrete_dataset(rng.integers(0, m, (m**d - shortfall, d)), m)
+    collapsed, w = collapse_states(data)
+    states, counts = np.unique(data.values, axis=0, return_counts=True)
+    assert collapsed.values.dtype == data.values.dtype
+    assert np.array_equal(collapsed.values, states)
+    assert np.array_equal(w, counts / counts.sum())
+
+
+@pytest.mark.parametrize("m, d", [(17, 2), (257, 1)])
+def test_narrow_state_cube_gives_the_int64_results(monkeypatch, m, d):
+    # The cube's symbols are uint8 up to m = 256 and uint16 above.  Every
+    # result must equal the int64 cube's: a cell index cell * m + y computed
+    # in uint8 would wrap at m = 17 (16 * 17 + 16 > 255), and uint8 cannot
+    # hold the symbol 256.  rm takes binary data only.
+    rng = np.random.default_rng(m)
+    model = potts_model(rng.uniform(-1, 1, (d, m)), rng.uniform(-1, 1, d - 1))
+    assert state_cube(m, d).dtype == (np.uint8 if m <= 256 else np.uint16)
+    joint = exact_normalize(model)
+    data = sample(model, 2 * m**d, seed=m)
+
+    def results():
+        out = [exact_normalize(model).probs]
+        for kind in (PL, GSM, MLE):
+            for source in (data, joint):
+                out += _discrete_design(model, kind, source)
+                out.append(empirical_objective(model, kind, source)(model.params).grad_theta)
+        return out
+
+    def int64_cube(m, d):
+        return state_cube(m, d).astype(np.int64)
+
+    narrow = results()
+    monkeypatch.setattr(models, "state_cube", int64_cube)
+    monkeypatch.setattr(objectives, "state_cube", int64_cube)
+    for a, b in zip(narrow, results(), strict=True):
+        assert np.array_equal(a, b)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_collapse_states_counts_without_a_sample_sized_copy():
+    # Counting the 16 states of 5e4 binary rows needs the N int64 codes and
+    # nothing else the size of the data; a sort needs a copy of them.
+    n = 50_000
+    data = discrete_dataset(np.random.default_rng(5).integers(0, 2, (n, 4)), 2)
+    _, peak = _peak_bytes(collapse_states, data)
+    assert peak <= 1.1 * n * 8
+
+
+def test_mle_design_holds_little_beside_the_cube_statistics():
+    # The d = 12 chain's mle design holds T of the 4096-state cube.  The N
+    # codes, an int64 cube and its checked copy would add 0.79 MiB beside it.
+    model = ising_model(np.full(12, 0.1), np.full(11, 0.5))
+    data = sample(model, 50_000, seed=5)
+    (D, _), peak = _peak_bytes(_discrete_design, model, MLE, data)
+    assert peak <= D.nbytes + 0.25 * 2**20
 
 
 def test_logsumexp_equals_scipy_bit_for_bit():

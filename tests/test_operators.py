@@ -59,6 +59,15 @@ def test_grid_gradient_even_function_vanishes_at_center():
     assert abs(g[512]) < 1e-12  # exact zero by symmetry of the central stencil
 
 
+def test_grid_gradient_equals_numpy_gradient_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for shape in [(4,), (257,), (6, 5), (64, 33)]:
+        values = np.exp(4.0 * rng.standard_normal(shape))
+        spacing = tuple(rng.uniform(1e-3, 2.0, len(shape)))
+        for ax, g in enumerate(grid_gradient(values, spacing)):
+            assert np.array_equal(g, np.gradient(values, spacing[ax], axis=ax, edge_order=1))
+
+
 def test_grid_gradient_second_order_on_cubic():
     # Central differences are exact for quadratics; cubic error is h^2 f'''/6.
     ax = uniform_axis(0.0, 1.0, 101)

@@ -94,6 +94,18 @@ def test_smooth_keeps_relative_precision_in_2d_tails():
     _assert_tail_precision(_anisotropic_2d(), (0.02, 0.5, 1.5))
 
 
+def test_smooth_convolves_each_row_as_apply_along_axis_does():
+    # The row loop calls the same np.convolve on the same rows, so the result
+    # is np.apply_along_axis's bit for bit, along either axis of a 2-D grid.
+    p, t = _anisotropic_2d(), 0.5
+    values = p.values
+    for ax, (h, (lo, hi)) in enumerate(zip(p.spacing, p.box)):
+        k = _kernel(t, h, (hi - lo) / 2.0)
+        values = np.apply_along_axis(np.convolve, ax, values, k, mode="same")
+    ref = grid_density(p.axes, values, require_decay=False).values
+    assert np.array_equal(smooth(p, t).values, ref)
+
+
 def test_smooth_rejects_negative_t_and_wide_kernel():
     ax = uniform_axis(-4.0, 4.0, 512)
     p = grid_density((ax,), np.exp(-(ax**2) * 2.0), require_decay=False)
