@@ -18,6 +18,7 @@ representative whose field rows sum to zero.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -454,7 +455,12 @@ def read_dataset_csv(path, alphabet_size: int | None = None) -> Dataset:
         cols = header.split(",")
         if cols != [f"x{i}" for i in range(len(cols))]:
             raise ValueError(f"bad dataset header: {header!r}")
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # A header with no rows is reported below, as an empty dataset.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if body.shape[0] == 0:
+        raise ValueError("dataset needs at least one sample")
     if body.shape[1] != len(cols):
         raise ValueError("row width does not match header")
     if alphabet_size is not None:
@@ -492,7 +498,10 @@ def model_from_json(text: str) -> Model:
             f"layout {obj.get('layout')!r} does not match kind {kind.value!r}"
         )
     d = _file_int(obj, "dim", 1)
-    params = np.asarray(obj["params"], dtype=float)
+    params = obj["params"]
+    if not isinstance(params, list) or not all(type(v) in (int, float) for v in params):
+        raise ValueError("params must be a flat list of numbers")
+    params = np.asarray(params, dtype=float)
     for key in ("alphabet_size", "edges"):
         if kind in CONTINUOUS_KINDS and key in obj:
             raise ValueError(f"{kind.value} models have no {key}")

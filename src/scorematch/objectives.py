@@ -22,7 +22,10 @@ neighbours for gsm, rm and pl, and the whole state cube for mle
 (`_discrete_design`).  Each evaluation is one product z = D theta, a softmax
 over each set, and one product back for the gradient.
 Discrete data is a Dataset or a DiscreteJoint, which stands for its state
-cube weighted by its probabilities; Gaussian data is a Dataset or
+cube weighted by its probabilities.  The data enter gsm, rm and pl only
+through each site's blanket: a joint's marginals on the blankets, which a
+Dataset that fits its cube becomes by one count, or a larger Dataset's
+counted blanket rows.  Gaussian data is a Dataset or
 GaussianMoments, which may stand for a Gaussian population.  The exact-MLE
 oracle's partition uses a NumPy port of SciPy's `logsumexp`, so importing the
 package loads no SciPy module.  The population objectives are value-only:
@@ -35,7 +38,7 @@ theta-independent constant, and adds that constant once
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -253,20 +256,23 @@ def gaussian_sm_normal_equations(model: Model, data) -> tuple[np.ndarray, np.nda
 
 
 def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.ndarray, np.ndarray]:
-    """The objective's linear design (D, c) over weighted states: the states
-    of a DiscreteJoint's cube weighted by its probabilities, or a Dataset's
-    distinct states weighted by their frequencies.
+    """The objective's linear design (D, c) over weighted alternatives.
 
     Each row r of c holds the data's weight on a set of alternatives, and the
     matching rows of D their sufficient statistics, so the logits z = D theta
     (reshaped like c) are log q~ of the alternatives up to a per-row constant.
     For mle there is one row, the state cube: D = T(cube) and c the data's
     weight on each cube state.  For gsm, rm and pl there is one row per site i
-    and per configuration of i's neighbours in the model's edges that occurs
-    in the data (Besag 1975): D[r, y] = T(x with x_i := y) - T(x with x_i :=
-    0) for a state x of that cell, which is non-zero only in i's fields and
-    incident edges and so the same for every state of the cell, and c[r, y]
-    is the weight of the cell's states whose symbol at i is y.
+    and per configuration of i's neighbours that occurs in the data (Besag
+    1975): D[r, y] = T(x with x_i := y) - T(x with x_i := 0), which is
+    non-zero only in i's fields and incident edges, and c[r, y] is the data's
+    weight on the configuration with symbol y at i.
+
+    A Dataset is read as its empirical joint, one bincount of its base-m
+    state codes, when its cube is counted anyway: for mle, or when it has no
+    more states than samples.  A joint gives site i's weights as its marginal
+    on i's blanket (the sorted neighbours, then i); a Dataset with more states
+    than samples gives them as its counted blanket rows (`_blanket_rows`).
     """
     if objective is ObjectiveKind.RATIO_MATCHING and model.alphabet_size != 2:
         raise ValueError(
@@ -275,85 +281,62 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
         )
     m, d = model.alphabet_size, model.dim
     if objective is ObjectiveKind.EXACT_MLE:
-        # A Dataset's weight on cube state k is the frequency of code k.  The
-        # cube refuses an enumeration too large before the counts are
-        # allocated, and the N codes are freed before T of the cube is built.
-        cube = state_cube(m, d)
-        if isinstance(data, DiscreteJoint):
-            c = data.probs.ravel()
-        else:
-            c = _state_counts(data.values, m) / data.n
-        return sufficient_statistics(model, cube), c[None, :]
-    if isinstance(data, DiscreteJoint):
-        states, w = state_cube(m, d), data.probs.ravel()
-    else:
-        states, w = collapse_states(data)
-        states = states.values
-    neighbours = [set() for _ in range(d)]
-    for a, b in model.edges:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
+        cube = state_cube(m, d)  # refuses too large a cube before anything is counted
+    if isinstance(data, Dataset) and (objective is ObjectiveKind.EXACT_MLE or m**d <= data.n):
+        data = DiscreteJoint(m, d, (_state_counts(data.values, m) / data.n).reshape((m,) * d))
+    if objective is ObjectiveKind.EXACT_MLE:
+        return sufficient_statistics(model, cube), data.probs.reshape(1, -1)
     cells, weights = [], []
     for i in range(d):
-        # Number the cells one neighbour at a time, renumbering densely after
-        # each so that the codes stay below m times the number of states.
-        cell = np.zeros(len(states), dtype=np.int64)
-        for j in sorted(neighbours[i]):
-            cell = np.unique(cell * m + states[:, j], return_inverse=True)[1]
-        n_cells = int(cell.max()) + 1
-        first = np.empty(n_cells, dtype=np.int64)
-        first[cell] = np.arange(len(states))
-        c_i = np.bincount(cell * m + states[:, i], weights=w, minlength=n_cells * m)
-        alternatives = np.repeat(states[first, None, :], m, axis=1)
+        blanket = sorted({j for e in model.edges if i in e for j in e} - {i}) + [i]
+        if isinstance(data, Dataset):
+            rows, w = _blanket_rows(data.values, blanket, m)
+        else:
+            marginal = data.probs.sum(axis=tuple(a for a in range(d) if a not in blanket))
+            marginal = np.moveaxis(marginal, sorted(blanket).index(i), -1)
+            flat = np.flatnonzero(marginal)
+            rows, w = np.column_stack(np.unravel_index(flat, marginal.shape)), marginal.ravel()[flat]
+        # The rows are sorted, so each cell's rows are adjacent.
+        new_cell = np.concatenate(([True], np.any(rows[1:, :-1] != rows[:-1, :-1], axis=1)))
+        cell = np.cumsum(new_cell) - 1
+        c_i = np.zeros((cell[-1] + 1, m))
+        c_i[cell, rows[:, -1]] = w
+        alternatives = np.zeros((len(c_i), m, d), dtype=np.int64)
+        alternatives[:, :, blanket] = rows[new_cell, None, :]
         alternatives[:, :, i] = np.arange(m)
         cells.append(alternatives)
-        weights.append(c_i.reshape(n_cells, m))
+        weights.append(c_i)
     c = np.concatenate(weights)
     T = sufficient_statistics(model, np.concatenate(cells).reshape(-1, d)).reshape(c.shape + (-1,))
     return (T - T[:, :1]).reshape(-1, T.shape[-1]), c
 
 
-def collapse_states(data: Dataset) -> tuple[Dataset, np.ndarray]:
-    """A discrete dataset collapsed to its distinct states, in the order of
-    np.unique(axis=0), with their empirical weights counts / N.
-
-    Averaging is linear in the samples, so the weighted objectives agree with
-    the file-order mean up to roundoff while repeated states cost nothing.
-    The states are found by counting, not sorting, when the cube has no more
-    states than the data has samples: one bincount of the base-m state codes
-    (`_state_codes`), then the cube states with a non-zero count.  Larger
-    cubes sort the N codes, or the rows themselves when m**d - 1 overflows
-    int64; all three routes give the same states, order and weights.
-    """
-    values = data.values
-    m, d = int(data.alphabet_size), data.dim
-    if m**d - 1 > np.iinfo(np.int64).max:
-        states, counts = np.unique(values, axis=0, return_counts=True)
-        return replace(data, values=states), counts / counts.sum()
-    if m**d <= data.n:
-        counts = _state_counts(values, m)
-        codes = np.flatnonzero(counts)
-        counts = counts[codes]
-    else:
-        codes, counts = np.unique(_state_codes(values, m), return_counts=True)
-    # Decoding the sorted distinct codes gives np.unique(axis=0)'s rows.
-    states = np.empty((codes.size, d), dtype=values.dtype)
-    for k in range(d - 1, -1, -1):
-        codes, states[:, k] = np.divmod(codes, m)
-    return replace(data, values=states), counts / counts.sum()
-
-
-def _state_codes(states: np.ndarray, m: int) -> np.ndarray:
-    """Each state's base-m code in int64, first coordinate most significant:
-    its index in the C-ordered `state_cube`, so the codes sort like the
-    rows.  The caller checks that m**d - 1 fits in int64."""
-    return states @ (m ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64))
+def _blanket_rows(values: np.ndarray, blanket: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of values[:, blanket] in lexicographic order and the
+    fraction of the rows equal to each, found by sorting the rows' base-m
+    codes in place, or the rows themselves where those codes would overflow
+    int64."""
+    n, k = len(values), len(blanket)
+    if m**k > np.iinfo(np.int64).max:
+        rows, counts = np.unique(values[:, blanket], axis=0, return_counts=True)
+        return rows, counts / n
+    codes = np.ravel_multi_index([values[:, j] for j in blanket], (m,) * k)
+    codes.sort()
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return np.column_stack(np.unravel_index(codes[starts], (m,) * k)), np.diff(starts, append=n) / n
 
 
 def _state_counts(states: np.ndarray, m: int) -> np.ndarray:
     """How often each of the m**d cube states occurs among the rows, indexed
-    by `_state_codes`."""
-    return np.bincount(_state_codes(states, m), minlength=m ** states.shape[1])
+    by the state's base-m code, first coordinate most significant: its index
+    in the C-ordered `state_cube` and a DiscreteJoint's flat index.  The cube
+    is counted only when it has at most N or MAX_ENUM_STATES states, so the
+    codes fit in int64."""
+    codes = states @ (m ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64))
+    return np.bincount(codes, minlength=m ** states.shape[1])
 
 
 # ---------------------------------------------------------------------------

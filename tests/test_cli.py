@@ -1,6 +1,7 @@
 """End-to-end command-line tests: file formats, exit codes, reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,21 @@ def test_generate_rejects_a_model_file_with_a_bad_size(tmp_path, capsys, obj, fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "fit"])
+def test_a_model_file_with_nested_params_is_a_usage_error(tmp_path, capsys, command):
+    bad = tmp_path / "nested.json"
+    bad.write_text(json.dumps({"kind": "ising", "dim": 2, "alphabet_size": 2,
+                               "params": [[0.1, 0.2, 0.5]], "layout": "h,edge_couplings"}))
+    data = tmp_path / "d.csv"
+    data.write_text("x0,x1\n0,1\n")
+    flags = {"generate": ["--n", "10"], "fit": ["--objective", "pl", "--data", str(data)]}
+    out = tmp_path / "out"
+    code = main([command, "--model", str(bad), *flags[command], "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "params must be a flat list of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_maps_a_sampling_error_to_usage(tmp_path, capsys):
     chain = tmp_path / "ising25.json"
     chain.write_text(model_to_json(ising_model(np.zeros(25), np.zeros(24))))
@@ -140,6 +156,19 @@ def test_fit_mle_past_the_enumeration_cap_is_a_usage_error(tmp_path, capsys, mon
     assert code == EXIT_USAGE
     assert "too large to enumerate" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_on_a_header_only_dataset_is_a_usage_error(ising2, tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("x0,x1\n")
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", "--model", ising2, "--objective", "pl", "--data", str(data),
+                     "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "dataset needs at least one sample" in capsys.readouterr().err
+    assert caught == [] and not out.exists()
 
 
 def test_fit_gaussian_sm_matches_sample_moments(gauss1, tmp_path):

@@ -1,6 +1,8 @@
 """Model families: log densities, analytic derivatives, conditionals, exact
 normalizers, samplers, and the file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -402,6 +404,17 @@ def test_dataset_csv_rejects_bad_header(tmp_path):
         read_dataset_csv(str(path), alphabet_size=2)
 
 
+def test_dataset_csv_with_a_header_and_no_rows_is_an_empty_dataset(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x0,x1\n")
+    for m in (2, None):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="dataset needs at least one sample"):
+                read_dataset_csv(str(path), alphabet_size=m)
+        assert caught == []
+
+
 def test_model_json_round_trip():
     for model in [
         gaussian_model([0.5, -0.5], [[2.0, 0.3], [0.3, 1.0]]),
@@ -455,6 +468,20 @@ def test_model_json_rejects_bad_param_lengths():
     obj = {"kind": "ising", "dim": 2, "alphabet_size": 2,
            "params": [0.0, 0.0], "layout": "h,edge_couplings"}
     with pytest.raises(ValueError, match="parameter length"):
+        model_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("params", [[[0.1, 0.2, 0.5]], [0.1, [0.2], 0.5], [0.1, "0.2", 0.5],
+                                    [0.1, True, 0.5], "0.1"],
+                         ids=["nested", "inner-list", "string", "bool", "not-a-list"])
+def test_model_json_rejects_params_that_are_not_a_flat_list_of_numbers(params):
+    # A nested list used to load as a 2-D parameter array, which round-tripped
+    # nested and failed only inside sampling or fitting.
+    import json
+
+    obj = {"kind": "ising", "dim": 2, "alphabet_size": 2, "params": params,
+           "layout": "h,edge_couplings"}
+    with pytest.raises(ValueError, match="params must be a flat list of numbers"):
         model_from_json(json.dumps(obj))
 
 

@@ -10,6 +10,7 @@ from scorematch import models, objectives
 from scorematch.grids import gaussian_1d
 from scorematch.models import (
     ParameterDomainError,
+    chain_edges,
     discrete_dataset,
     continuous_dataset,
     exact_normalize,
@@ -28,7 +29,6 @@ from scorematch.objectives import (
     GaussianMoments,
     ObjectiveKind,
     _discrete_design,
-    collapse_states,
     empirical_objective,
     exact_mle_population,
     fisher_exact,
@@ -261,30 +261,38 @@ def test_gsm_weighted_equals_duplicated_dataset():
         assert np.abs(weighted.grad_theta - plain.grad_theta).max() <= 1e-12
 
 
-@pytest.mark.parametrize("d", [63, 64])
-def test_collapse_states_at_the_int64_code_limit(d):
-    # 2**63 - 1 is the largest packed base-2 code that fits in int64; at d=64
-    # the rows are collapsed directly.
-    ones, zeros = np.ones(d, dtype=int), np.zeros(d, dtype=int)
-    mixed = np.arange(d) % 2
-    data = discrete_dataset([ones, mixed, zeros, ones, mixed, ones], 2)
-    collapsed, w = collapse_states(data)
-    assert np.array_equal(collapsed.values, np.array([zeros, mixed, ones]))
-    assert np.array_equal(w, np.array([1, 2, 3]) / 6)
+def _per_sample_reference(model, X):
+    """pl, gsm and rm as sample means over every sample's singleton
+    conditionals, each a softmax of log q~ of the sample with x_i set to each
+    symbol: no design, cells or counts."""
+    n, d = X.shape
+    m = model.alphabet_size
+    alternatives = np.repeat(X[:, None, None, :], d * m, axis=1).reshape(n, d, m, d)
+    for i in range(d):
+        alternatives[:, i, :, i] = np.arange(m)
+    logits = log_unnorm(model, alternatives.reshape(-1, d)).reshape(n, d, m)
+    q = np.exp(logits - logits.max(axis=2, keepdims=True))
+    q /= q.sum(axis=2, keepdims=True)
+    observed = np.take_along_axis(q, X[:, :, None], axis=2)[:, :, 0]
+    return {PL: np.mean(-np.log(observed).sum(axis=1)),
+            GSM: np.mean(((q**2).sum(axis=2) - 2.0 * observed).sum(axis=1)),
+            RM: np.mean(((1.0 - observed) ** 2).sum(axis=1))}
 
 
-@pytest.mark.parametrize("m, d", [(2, 4), (3, 3), (257, 1)])
-@pytest.mark.parametrize("shortfall", [0, 1])
-def test_collapse_states_counts_and_sorts_alike(m, d, shortfall):
-    # With N = m**d samples the states are counted; one sample fewer and
-    # their codes are sorted.  Both give np.unique's rows, order and weights.
-    rng = np.random.default_rng(m * d + shortfall)
-    data = discrete_dataset(rng.integers(0, m, (m**d - shortfall, d)), m)
-    collapsed, w = collapse_states(data)
-    states, counts = np.unique(data.values, axis=0, return_counts=True)
-    assert collapsed.values.dtype == data.values.dtype
-    assert np.array_equal(collapsed.values, states)
-    assert np.array_equal(w, counts / counts.sum())
+@pytest.mark.parametrize("edges", [chain_edges(64), [(0, k) for k in range(1, 65)]],
+                         ids=["chain64", "star64"])
+def test_pl_gsm_rm_equal_a_per_sample_reference_past_the_cube(edges):
+    # 300 samples of 2**64 or 2**65 states: every site's cells come from its
+    # counted blanket rows.  The hub of the 64-leaf star has 64 neighbours, so
+    # its blanket codes would overflow int64 and its rows are sorted instead.
+    rng = np.random.default_rng(len(edges))
+    d = max(max(e) for e in edges) + 1
+    model = ising_model(rng.uniform(-1, 1, d), rng.uniform(-1, 1, len(edges)), edges)
+    X = rng.integers(0, 2, (300, d))
+    want = _per_sample_reference(model, X)
+    for kind in (PL, GSM, RM):
+        got = empirical_objective(model, kind, discrete_dataset(X, 2))(model.params).value
+        assert got == pytest.approx(want[kind], rel=1e-12)
 
 
 @pytest.mark.parametrize("m, d", [(17, 2), (257, 1)])
@@ -326,13 +334,17 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def test_collapse_states_counts_without_a_sample_sized_copy():
-    # Counting the 16 states of 5e4 binary rows needs the N int64 codes and
-    # nothing else the size of the data; a sort needs a copy of them.
+@pytest.mark.parametrize("d", [4, 20])
+def test_pl_design_holds_the_codes_and_little_else(d):
+    # 5e4 binary rows: at d = 4 their 16 states are counted into the empirical
+    # joint, at d = 20 each site's blanket codes are sorted in place.  Either
+    # holds the N int64 codes and the design, nothing else the size of the
+    # data; a copy of the codes or of the rows would add N * 8 bytes or more.
     n = 50_000
-    data = discrete_dataset(np.random.default_rng(5).integers(0, 2, (n, 4)), 2)
-    _, peak = _peak_bytes(collapse_states, data)
-    assert peak <= 1.1 * n * 8
+    model = ising_model(np.zeros(d), np.zeros(d - 1))
+    data = discrete_dataset(np.random.default_rng(5).integers(0, 2, (n, d)), 2)
+    (D, c), peak = _peak_bytes(_discrete_design, model, PL, data)
+    assert peak <= 1.25 * n * 8 + D.nbytes + c.nbytes
 
 
 def test_mle_design_holds_little_beside_the_cube_statistics():

@@ -33,7 +33,6 @@ from scorematch.models import (
 )
 from scorematch.objectives import (
     ObjectiveKind,
-    collapse_states,
     empirical_objective,
     exact_mle_population,
     gaussian_sm_normal_equations,
@@ -227,15 +226,22 @@ def test_population_value_is_the_oracle_at_every_theta(seed):
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
 
 
-@given(seed=st.integers(0, 10_000))
+@given(seed=st.integers(0, 10_000), shortfall=st.none() | st.sampled_from([0, 1]))
+@example(seed=3, shortfall=0)  # Ising, d = 4: N = 16 and 15
+@example(seed=3, shortfall=1)
+@example(seed=0, shortfall=0)  # Potts star, m = 3, d = 4: N = 81 and 80
+@example(seed=0, shortfall=1)
 @settings(**SETTINGS)
-def test_a_dataset_and_its_empirical_joint_evaluate_alike(seed):
-    # A Dataset weights its distinct states by their frequencies and a joint
-    # weights its whole cube, so the states the data never visit carry weight
-    # 0 on the joint route and must change nothing.
+def test_a_dataset_and_its_empirical_joint_evaluate_alike(seed, shortfall):
+    # A Dataset with no more cube states than samples is read as its
+    # empirical joint, and one with more through its counted blanket rows; a
+    # joint of the same frequencies gives each site's cells as its blanket
+    # marginals.  The examples put N on both sides of the switch: m**d
+    # (counted) and m**d - 1 (blanket rows); shortfall None draws N < 40.
     rng = np.random.default_rng(seed)
     model, d, m, theta = _random_pairwise(rng)
-    data = discrete_dataset(rng.integers(0, m, (int(rng.integers(1, 40)), d)), m=m)
+    n = int(rng.integers(1, 40)) if shortfall is None else m**d - shortfall
+    data = discrete_dataset(rng.integers(0, m, (n, d)), m=m)
     counts = np.bincount(data.values @ (m ** np.arange(d - 1, -1, -1)), minlength=m**d)
     joint = discrete_joint(counts.reshape((m,) * d) / data.n)
     kinds = [ObjectiveKind.GSM_DISCRETE, ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE]
@@ -368,22 +374,6 @@ def test_population_divergences_nonnegative_and_zero_at_self(seed):
     assert gsm_discrete_population(p, model, model.params) <= 1e-13
     other = rng.uniform(-1, 1, 3)
     assert gsm_discrete_population(p, model, other) >= 0.0
-
-
-@given(seed=st.integers(0, 10_000), m=st.sampled_from([2, 3]), d=st.integers(1, 8))
-@settings(**SETTINGS)
-def test_collapse_states_equals_row_unique(seed, m, d):
-    rng = np.random.default_rng(seed)
-    edges = [(i, i + 1) for i in range(d - 1)]
-    if m == 2:
-        model = ising_model(rng.uniform(-1, 1, d), rng.uniform(-1, 1, len(edges)))
-    else:
-        model = potts_model(rng.uniform(-1, 1, (d, m)), rng.uniform(-1, 1, len(edges)))
-    data = sample(model, int(rng.integers(1, 400)), seed=seed)
-    collapsed, w = collapse_states(data)
-    states, counts = np.unique(data.values, axis=0, return_counts=True)
-    assert np.array_equal(collapsed.values, states)
-    assert np.array_equal(w, counts / counts.sum())
 
 
 @given(seed=st.integers(0, 10_000))
