@@ -54,7 +54,7 @@ def _load_model(path: str):
     try:
         with open(path) as fh:
             return model_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"bad model file {path}: {exc}") from exc
 
 

@@ -20,10 +20,13 @@ stored), halved until the Armijo condition with constant 1e-4 holds.
 Every fit starts at `default_init` and stops at the module's `MAX_ITERS`
 and `GRAD_TOL`, read at call time.  Every objective is one callable
 theta -> (value, exact gradient), so each trial point costs one evaluation:
-`objectives.empirical_objective` builds its theta-free design once per fit,
-and a population fit calls its enumeration oracle once, for a theta-free
-offset, and no more.  `fd_gradient` is the reference the verification suites
-and tests check those gradients against; no fit calls it.
+`objectives.empirical_objective` builds its theta-free design once per fit.
+A population fit, on a DiscreteJoint, minimizes the objective's empirical
+form on the joint, which differs from the enumeration oracle by a
+theta-independent constant and so has the same minimizer; it calls the
+oracle once, at the estimate, for the value it reports.  `fd_gradient` is
+the reference the verification suites and tests check those gradients
+against; no fit calls it.
 """
 
 from __future__ import annotations
@@ -105,12 +108,12 @@ def fd_gradient(fun, theta) -> np.ndarray:
 
 
 # Each population objective's enumeration oracle, and the empirical form that
-# a population fit builds (`objectives.empirical_objective`) and evaluates on
-# the joint instead.  Each form differs from its oracle by a theta-independent
-# constant: zero for pl and mle, which are the oracles' own sums; the p-only
-# term of the expanded square for gsm; and for rm, whose divergence equals
-# gsm's at every alphabet size while the empirical rm is binary-only, gsm's
-# form and that same term.
+# a population fit builds (`objectives.empirical_objective`) on the joint and
+# minimizes instead.  Each form differs from its oracle by a theta-independent
+# constant, so the two share their minimizer: zero for pl and mle, which are
+# the oracles' own sums; the p-only term of the expanded square for gsm; and
+# for rm, whose divergence equals gsm's at every alphabet size while the
+# empirical rm is binary-only, gsm's form and that same term.
 _POPULATION = {
     ObjectiveKind.GSM_DISCRETE: (gsm_discrete_population, ObjectiveKind.GSM_DISCRETE),
     ObjectiveKind.RATIO_MATCHING: (ratio_matching_population, ObjectiveKind.GSM_DISCRETE),
@@ -119,60 +122,40 @@ _POPULATION = {
 }
 
 
-def objective_functions(model: Model, objective: ObjectiveKind, data):
-    """The objective as one callable theta -> (value, exact gradient).
+def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
+    """L-BFGS over the last 10 curvature pairs with a backtracking Armijo line
+    search; deterministic.  A trial point whose value or gradient is not
+    finite fails the Armijo test, and one outside the model's domain (a
+    non-positive generalized-Gaussian exponent) evaluates to +inf.  The fit
+    stops at |g|_inf <= GRAD_TOL, after MAX_ITERS steps, or when the line
+    search stalls below a step of 1e-20.
 
-    There are two routes.  A Dataset, or for a Gaussian model GaussianMoments
-    (which may stand for its population), goes to
-    `objectives.empirical_objective`, which checks it against the model and
-    builds the objective's theta-free design once per fit.  A DiscreteJoint
-    makes a population objective: the matching empirical form, built on the
-    joint the same way, plus one theta-free offset, oracle - form at
-    `default_init(model)`, so its value is the enumeration oracle's
-    divergence while each trial point costs one form evaluation.  Parameters
-    outside the model's domain (a non-PD Gaussian covariance, a non-positive
-    generalized-Gaussian exponent) evaluate to (+inf, None).
+    Gaussian sm and mle are instead solved exactly (`_solve_gaussian_sm`,
+    `_solve_gaussian_mle`), with 0 iterations.  A fit on a DiscreteJoint
+    minimizes the population objective's empirical form on the joint
+    (`_POPULATION`) and reports the enumeration oracle's divergence at the
+    estimate.
     """
-    offset = 0.0
+    if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.SM_CONTINUOUS:
+        return _solve_gaussian_sm(model, data)
+    if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.EXACT_MLE:
+        return _solve_gaussian_mle(model, data)
+    oracle, form = None, objective
     if isinstance(data, DiscreteJoint):
         if objective not in _POPULATION:
             raise ValueError(
                 f"{objective.value} has no population form over an enumerated joint"
             )
         oracle, form = _POPULATION[objective]
-        objective_at = empirical_objective(model, form, data)
-        theta0 = default_init(model)
-        offset = oracle(data, model, theta0) - objective_at(theta0).value
-    else:
-        objective_at = empirical_objective(model, objective, data)
+    objective_at = empirical_objective(model, form, data)
 
     def value_and_grad(theta):
         try:
             out = objective_at(theta)
-        except (np.linalg.LinAlgError, ParameterDomainError):
+        except ParameterDomainError:
             return np.inf, None
-        return out.value + offset, out.grad_theta
+        return out.value, out.grad_theta
 
-    return value_and_grad
-
-
-def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
-    """L-BFGS over the last 10 curvature pairs with a backtracking Armijo line
-    search; deterministic.  A trial point whose value or gradient is not
-    finite fails the Armijo test.  The fit stops at |g|_inf <= GRAD_TOL, after
-    MAX_ITERS steps, or when the line search stalls below a step of 1e-20.
-
-    Gaussian sm and mle are instead solved exactly (`_solve_gaussian_sm`,
-    `_solve_gaussian_mle`), with 0 iterations.  A fit on a DiscreteJoint
-    reports its divergence clamped at 0, which the offset's roundoff can
-    undercut by a few ulps; the line search sees the unclamped value, since
-    Armijo stalls on a flat 0.
-    """
-    if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.SM_CONTINUOUS:
-        return _solve_gaussian_sm(model, data)
-    if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.EXACT_MLE:
-        return _solve_gaussian_mle(model, data)
-    value_and_grad = objective_functions(model, objective, data)
     theta = default_init(model)
     # Trial points may overflow on the way to a non-finite value, which the
     # line search rejects; the warning would say nothing more.
@@ -215,7 +198,7 @@ def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
     gnorm = float(np.abs(g).max())
     return FitResult(
         theta_hat=theta,
-        objective_value=max(0.0, float(v)) if isinstance(data, DiscreteJoint) else float(v),
+        objective_value=float(v) if oracle is None else oracle(data, model, theta),
         grad_norm=gnorm,
         iters=iters,
         converged=gnorm <= GRAD_TOL,

@@ -449,20 +449,26 @@ def dataset_to_csv(data: Dataset) -> str:
 
 
 def read_dataset_csv(path, alphabet_size: int | None = None) -> Dataset:
-    """Load a dataset CSV; pass alphabet_size to read symbols, else reals."""
+    """Load a dataset CSV; pass alphabet_size to read symbols, else reals.
+    Blank lines and '#' comments are skipped, and every other line must hold
+    one value per header column."""
     with open(path) as fh:
         header = fh.readline().strip()
-        cols = header.split(",")
-        if cols != [f"x{i}" for i in range(len(cols))]:
-            raise ValueError(f"bad dataset header: {header!r}")
-        with warnings.catch_warnings():
-            # A header with no rows is reported below, as an empty dataset.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        lines = fh.read().splitlines()
+    cols = header.split(",")
+    if cols != [f"x{i}" for i in range(len(cols))]:
+        raise ValueError(f"bad dataset header: {header!r}")
+    for number, line in enumerate(lines, start=2):
+        row = line.partition("#")[0]
+        if row.strip() and row.count(",") + 1 != len(cols):
+            raise ValueError(f"line {number} has {row.count(',') + 1} values, "
+                             f"but the header names {len(cols)} columns")
+    with warnings.catch_warnings():
+        # A header with no rows is reported below, as an empty dataset.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        body = np.loadtxt(lines, delimiter=",", ndmin=2)
     if body.shape[0] == 0:
         raise ValueError("dataset needs at least one sample")
-    if body.shape[1] != len(cols):
-        raise ValueError("row width does not match header")
     if alphabet_size is not None:
         return discrete_dataset(body, alphabet_size)
     return continuous_dataset(body)
@@ -485,20 +491,23 @@ def model_to_json(model: Model) -> str:
 def model_from_json(text: str) -> Model:
     """Parse a model file; a discrete model without an "edges" key is a chain."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a model file holds a JSON object, got {json.dumps(obj)[:40]}")
     allowed = {"kind", "dim", "alphabet_size", "params", "layout", "edges"}
     extra = set(obj) - allowed
     if extra:
         raise ValueError(f"unknown keys in model file: {sorted(extra)}")
+    tag = _required(obj, "kind")
     try:
-        kind = ModelKind(obj["kind"])
+        kind = ModelKind(tag)
     except ValueError:
-        raise ValueError(f"unknown model kind {obj.get('kind')!r}") from None
-    if obj.get("layout") != _LAYOUTS[kind]:
+        raise ValueError(f"unknown model kind {tag!r}") from None
+    if _required(obj, "layout") != _LAYOUTS[kind]:
         raise ValueError(
-            f"layout {obj.get('layout')!r} does not match kind {kind.value!r}"
+            f"layout {obj['layout']!r} does not match kind {kind.value!r}"
         )
     d = _file_int(obj, "dim", 1)
-    params = obj["params"]
+    params = _required(obj, "params")
     if not isinstance(params, list) or not all(type(v) in (int, float) for v in params):
         raise ValueError("params must be a flat list of numbers")
     params = np.asarray(params, dtype=float)
@@ -529,8 +538,14 @@ def model_from_json(text: str) -> Model:
     return model.with_params(params)
 
 
+def _required(obj: dict, key: str):
+    if key not in obj:
+        raise ValueError(f"model file lacks required key {key!r}")
+    return obj[key]
+
+
 def _file_int(obj: dict, key: str, lowest: int) -> int:
-    value = obj[key]
+    value = _required(obj, key)
     if type(value) is not int or value < lowest:
         raise ValueError(f"{key} must be an integer >= {lowest}, got {value!r}")
     return value

@@ -31,9 +31,9 @@ oracle's partition uses a NumPy port of SciPy's `logsumexp`, so importing the
 package loads no SciPy module.  The population objectives are value-only:
 they are the enumeration oracles the estimators are checked against, so they
 keep their own independent route through `log_unnorm`.  A population fit
-evaluates only the joint-weighted form, which differs from its oracle by a
-theta-independent constant, and adds that constant once
-(`estimation.objective_functions`).
+minimizes the joint-weighted form, which differs from its oracle by a
+theta-independent constant, and calls the oracle once, at its estimate
+(`estimation.fit`).
 """
 
 from __future__ import annotations

@@ -18,12 +18,10 @@ from .models import (
 from .objectives import (
     ObjectiveKind,
     empirical_objective,
-    exact_mle_population,
     gsm_discrete_population,
-    pseudo_likelihood_population,
     ratio_matching_population,
 )
-from .estimation import fd_gradient, objective_functions
+from .estimation import _POPULATION, fd_gradient
 from .operators import discrete_joint, joint_conditionals, reconstruct_joint
 
 DEFAULT_BOX = (-12.0, 12.0)
@@ -230,12 +228,9 @@ def suite_gradcheck() -> list[Check]:
         # against the gradient the optimizer takes; rm's comes from the gsm
         # form, so Potts has one.
         joint = exact_normalize(model)
-        for kind, oracle in ((ObjectiveKind.GSM_DISCRETE, gsm_discrete_population),
-                             (ObjectiveKind.RATIO_MATCHING, ratio_matching_population),
-                             (ObjectiveKind.PSEUDO_LIKELIHOOD, pseudo_likelihood_population),
-                             (ObjectiveKind.EXACT_MLE, exact_mle_population)):
-            value_and_grad = objective_functions(model, kind, joint)
-            gap = _rel_gap(value_and_grad(theta)[1], lambda th: oracle(joint, model, th), theta)
+        for kind, (oracle, form) in _POPULATION.items():
+            grad = empirical_objective(model, form, joint)(theta).grad_theta
+            gap = _rel_gap(grad, lambda th: oracle(joint, model, th), theta)
             checks.append(Check(f"population {kind.value} exact vs FD gradient, {family} (rel)",
                                 gap, 1e-6))
     return checks

@@ -129,6 +129,25 @@ def test_a_model_file_with_nested_params_is_a_usage_error(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("5", "a model file holds a JSON object, got 5"),
+    ("null", "a model file holds a JSON object, got null"),
+    ("[1, 2]", "a model file holds a JSON object, got [1, 2]"),
+    ('{"kind": "ising", "dim": 2, "alphabet_size": 2, "layout": "h,edge_couplings"}',
+     "model file lacks required key 'params'"),
+], ids=["number", "null", "list", "no-params"])
+def test_generate_rejects_a_model_file_that_is_not_a_complete_object(tmp_path, capsys, text,
+                                                                      message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "d.csv"
+    code = main(["generate", "--model", str(bad), "--n", "10", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_maps_a_sampling_error_to_usage(tmp_path, capsys):
     chain = tmp_path / "ising25.json"
     chain.write_text(model_to_json(ising_model(np.zeros(25), np.zeros(24))))
@@ -169,6 +188,19 @@ def test_fit_on_a_header_only_dataset_is_a_usage_error(ising2, tmp_path, capsys)
     assert code == EXIT_USAGE
     assert "dataset needs at least one sample" in capsys.readouterr().err
     assert caught == [] and not out.exists()
+
+
+def test_fit_on_a_short_row_names_the_line(ising2, tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    data.write_text("x0,x1\n0,1\n1\n")
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--model", ising2, "--objective", "pl", "--data", str(data),
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"error: bad data file {data}: "
+                   "line 3 has 1 values, but the header names 2 columns\n")
+    assert not out.exists()
 
 
 def test_fit_gaussian_sm_matches_sample_moments(gauss1, tmp_path):

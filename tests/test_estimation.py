@@ -13,7 +13,6 @@ from scorematch.estimation import (
     default_init,
     fd_gradient,
     fit,
-    objective_functions,
 )
 from scorematch.models import (
     continuous_dataset,
@@ -123,7 +122,7 @@ def test_fit_gaussian_sm_is_one_evaluation_and_ignores_the_start(monkeypatch):
             raise AssertionError(f"fit called {name}")
         return call
 
-    for name in ("objective_functions", "default_init", "closed_form_gaussian_sm"):
+    for name in ("empirical_objective", "default_init", "closed_form_gaussian_sm"):
         monkeypatch.setattr(estimation, name, forbidden(name))
     data = sample(gaussian_model([0.7, -0.3], [[1.5, 0.4], [0.4, 0.9]]), 300, seed=2)
     model = gaussian_model(np.zeros(2), np.eye(2))
@@ -202,9 +201,9 @@ def test_fit_deterministic():
 def test_fit_never_increases_objective():
     data = sample(ising_model([0.3, -0.1], [0.4]), 400, seed=13)
     model = ising_model(np.zeros(2), np.zeros(1))
-    value_and_grad = objective_functions(model, ObjectiveKind.EXACT_MLE, data)
+    objective_at = objectives.empirical_objective(model, ObjectiveKind.EXACT_MLE, data)
     res = fit(model, ObjectiveKind.EXACT_MLE, data)
-    assert res.objective_value <= value_and_grad(default_init(model))[0] + 1e-15
+    assert res.objective_value <= objective_at(default_init(model)).value + 1e-15
 
 
 def test_fit_incompatible_kind_raises():
@@ -329,8 +328,9 @@ POPULATION_ORACLES = {
 @pytest.mark.parametrize("objective", list(POPULATION_ORACLES))
 @pytest.mark.parametrize("truth", [DESK_ISING4_TRUTH, POTTS_TRUTH], ids=["ising4", "potts"])
 def test_population_fit_calls_the_oracle_once(monkeypatch, objective, truth):
-    # The oracle enumerates log q~ once, for the theta-free offset; every
-    # trial point evaluates the joint-weighted form, which never calls it.
+    # The oracle enumerates log q~ once, at the estimate, for the reported
+    # value; every trial point evaluates the joint-weighted form, which never
+    # calls it.
     joint = exact_normalize(truth)
     calls = []
 
@@ -344,11 +344,10 @@ def test_population_fit_calls_the_oracle_once(monkeypatch, objective, truth):
     res = fit(model, objective, joint)
     assert res.iters > 1
     assert len(calls) == 1
-    # The reported value is still the divergence at the estimate, clamped at
-    # 0: at the truth gsm's and rm's divergence is 0, which the offset's
-    # roundoff can undercut by a few ulps.
+    # The reported value is the divergence at the estimate, exactly, and so
+    # never below 0 (the oracles are sums of squares and cross entropies).
     want = POPULATION_ORACLES[objective](joint, model, res.theta_hat)
-    assert res.objective_value == pytest.approx(want, abs=1e-12)
+    assert res.objective_value == want
     assert res.objective_value >= 0.0
 
 
@@ -399,10 +398,12 @@ def test_fit_builds_sufficient_statistics_once(monkeypatch, objective, populatio
                         lambda *args: calls.append(args) or build(*args))
     truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
     data = exact_normalize(truth) if population else sample(truth, 500, seed=4)
-    value_and_grad = objective_functions(ising_model(np.zeros(3), np.zeros(2)), objective, data)
+    # gsm and mle are their own population forms.
+    objective_at = objectives.empirical_objective(ising_model(np.zeros(3), np.zeros(2)),
+                                                  objective, data)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        value_and_grad(rng.standard_normal(truth.n_params))
+        objective_at(rng.standard_normal(truth.n_params))
     assert len(calls) == builds
     res = fit(ising_model(np.zeros(3), np.zeros(2)), objective, data)
     assert res.converged and res.iters > 1
@@ -431,16 +432,16 @@ def test_population_mle_design_equals_the_dataset_route():
 def test_fit_never_evaluates_the_same_theta_twice(monkeypatch, population):
     seen = []
 
-    def recording_objective_functions(*args):
-        value_and_grad = objective_functions(*args)
+    def recording_empirical_objective(*args):
+        objective_at = objectives.empirical_objective(*args)
 
         def recorded(theta):
             seen.append(np.asarray(theta, dtype=float).tobytes())
-            return value_and_grad(theta)
+            return objective_at(theta)
 
         return recorded
 
-    monkeypatch.setattr(estimation, "objective_functions", recording_objective_functions)
+    monkeypatch.setattr(estimation, "empirical_objective", recording_empirical_objective)
     truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
     data = exact_normalize(truth) if population else sample(truth, 500, seed=4)
     objective = ObjectiveKind.GSM_DISCRETE if population else ObjectiveKind.PSEUDO_LIKELIHOOD
@@ -460,7 +461,13 @@ def test_fit_matches_scipy_lbfgsb(objective):
         data = sample(ising_model([0.2, -0.1, 0.3, 0.0], [0.5, -0.4, 0.3]), 10_000, seed=1)
         model = ising_model(np.zeros(4), np.zeros(3))
     res = fit(model, objective, data)
-    ref = minimize(objective_functions(model, objective, data), default_init(model), jac=True,
+    objective_at = objectives.empirical_objective(model, objective, data)
+
+    def value_and_grad(theta):
+        out = objective_at(theta)
+        return out.value, out.grad_theta
+
+    ref = minimize(value_and_grad, default_init(model), jac=True,
                    method="L-BFGS-B", options={"gtol": 1e-10, "ftol": 1e-15, "maxiter": 1000})
     assert res.converged and ref.success
     assert np.abs(res.theta_hat - ref.x).max() < 1e-6

@@ -1,6 +1,7 @@
 """Model families: log densities, analytic derivatives, conditionals, exact
 normalizers, samplers, and the file formats."""
 
+import re
 import warnings
 
 import numpy as np
@@ -249,6 +250,20 @@ def test_exact_normalize_gaussian_grid_matches_pdf():
     assert np.abs(grid.values - ref).max() < 1e-6
 
 
+def test_exact_normalize_2d_gaussian_grid_matches_pdf():
+    # The 2-D quadrature route: n points per axis of the shared default_box,
+    # sampled through grids.from_function's meshgrid and normalized.
+    mu, cov = np.array([0.5, -1.0]), np.array([[1.0, 0.3], [0.3, 2.0]])
+    grid = exact_normalize(gaussian_model(mu, cov), n=256)
+    lo, hi = -1.0 - 8.0 * np.sqrt(2.0), 0.5 + 8.0 * np.sqrt(2.0)
+    assert grid.box == ((lo, hi), (lo, hi)) and grid.shape == (256, 256)
+    xx, yy = np.meshgrid(*grid.axes, indexing="ij")
+    r = np.stack([xx - mu[0], yy - mu[1]], axis=-1)
+    quad_form = np.einsum("...i,ij,...j->...", r, np.linalg.inv(cov), r)
+    ref = np.exp(-quad_form / 2.0) / (2.0 * np.pi * np.sqrt(np.linalg.det(cov)))
+    assert np.abs(grid.values - ref).max() <= 1e-12 * ref.max()
+
+
 def test_exact_normalize_rejects_huge_state_space():
     with pytest.raises(ValueError, match="too large"):
         exact_normalize(potts_model(np.zeros((20, 8)), np.zeros(19)))
@@ -415,6 +430,28 @@ def test_dataset_csv_with_a_header_and_no_rows_is_an_empty_dataset(tmp_path):
         assert caught == []
 
 
+@pytest.mark.parametrize("rows, line, width", [
+    ("0,1\n1\n", 3, 1),  # a short row
+    ("0,1,1\n", 2, 3),  # a long one, on every row
+    ("\n# a comment\n0,1\n1,0,0 # a trailing comment\n", 5, 3),
+])
+def test_dataset_csv_names_the_line_whose_width_differs_from_the_header(tmp_path, rows, line,
+                                                                      width):
+    path = tmp_path / "ragged.csv"
+    path.write_text("x0,x1\n" + rows)
+    for m in (2, None):
+        with pytest.raises(ValueError) as caught:
+            read_dataset_csv(str(path), alphabet_size=m)
+        assert str(caught.value) == (f"line {line} has {width} values, "
+                                     "but the header names 2 columns")
+
+
+def test_dataset_csv_skips_blank_lines_and_comments(tmp_path):
+    path = tmp_path / "commented.csv"
+    path.write_text("x0,x1\r\n0,1\r\n\r\n# a comment\r\n1,0 # a trailing one\r\n")
+    assert read_dataset_csv(str(path), alphabet_size=2).values.tolist() == [[0, 1], [1, 0]]
+
+
 def test_model_json_round_trip():
     for model in [
         gaussian_model([0.5, -0.5], [[2.0, 0.3], [0.3, 1.0]]),
@@ -459,6 +496,25 @@ def test_model_json_rejects_unknown_keys_and_bad_layout():
     del obj["extra"]
     obj["layout"] = "mu,tril(sigma)"
     with pytest.raises(ValueError, match="layout"):
+        model_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"ising"', "true"])
+def test_model_json_must_be_an_object(text):
+    # These used to raise TypeError from set(obj), or for a list, to be
+    # reported as unknown keys.
+    message = f"a model file holds a JSON object, got {text}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json(text)
+
+
+@pytest.mark.parametrize("key", ["kind", "dim", "params", "alphabet_size", "layout"])
+def test_model_json_names_a_missing_required_key(key):
+    import json
+
+    obj = json.loads(model_to_json(potts_model(np.zeros((2, 3)), [0.7])))
+    del obj[key]
+    with pytest.raises(ValueError, match=f"^model file lacks required key '{key}'$"):
         model_from_json(json.dumps(obj))
 
 

@@ -11,7 +11,6 @@ from scorematch.estimation import (
     closed_form_gaussian_sm,
     fd_gradient,
     fit,
-    objective_functions,
 )
 from scorematch.models import (
     continuous_dataset,
@@ -193,6 +192,11 @@ POPULATION_ORACLES = {
     ObjectiveKind.PSEUDO_LIKELIHOOD: pseudo_likelihood_population,
     ObjectiveKind.EXACT_MLE: exact_mle_population,
 }
+# The empirical form a population fit minimizes on the joint: its own kind's,
+# except rm's, whose divergence equals gsm's while the empirical rm is
+# binary-only.
+POPULATION_FORMS = {**{kind: kind for kind in POPULATION_ORACLES},
+                    ObjectiveKind.RATIO_MATCHING: ObjectiveKind.GSM_DISCRETE}
 
 
 @given(seed=st.integers(0, 10_000))
@@ -204,25 +208,28 @@ def test_population_gradients_match_fd_of_the_oracle(seed):
     joint = discrete_joint(rng.random((m,) * d) + 0.05)
     for kind, oracle in POPULATION_ORACLES.items():
         numeric = fd_gradient(lambda t: oracle(joint, model, t), theta)
-        exact = objective_functions(model, kind, joint)(theta)[1]
+        exact = empirical_objective(model, POPULATION_FORMS[kind], joint)(theta).grad_theta
         assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
 
 
 @given(seed=st.integers(0, 10_000))
 @settings(**SETTINGS)
 def test_population_value_is_the_oracle_at_every_theta(seed):
-    # A population fit evaluates the joint-weighted form plus one offset taken
-    # at the start point; that is the oracle only if form and oracle differ by
-    # a theta-independent constant.  The graphs are random, since the forms'
-    # blanket cells follow each site's neighbours.
+    # A population fit minimizes the joint-weighted form and reports the
+    # oracle at its estimate; the two share a minimizer only if they differ
+    # by a theta-independent constant, here taken at the start point.  The
+    # graphs are random, since the forms' blanket cells follow each site's
+    # neighbours.
     rng = np.random.default_rng(seed)
     model, d, m, _ = _random_pairwise(rng)
     joint = discrete_joint(rng.random((m,) * d) + 0.05)
+    theta0 = estimation.default_init(model)
     for kind, oracle in POPULATION_ORACLES.items():
-        value_and_grad = objective_functions(model, kind, joint)
+        form = empirical_objective(model, POPULATION_FORMS[kind], joint)
+        offset = oracle(joint, model, theta0) - form(theta0).value
         for _ in range(3):
             theta = rng.uniform(-2, 2, model.n_params)
-            value, want = value_and_grad(theta)[0], oracle(joint, model, theta)
+            value, want = form(theta).value + offset, oracle(joint, model, theta)
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -279,13 +286,14 @@ def test_discrete_objectives_normalization_invariant(seed, m, d, c):
     kinds = [ObjectiveKind.GSM_DISCRETE, ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE]
     if m == 2:
         kinds.append(ObjectiveKind.RATIO_MATCHING)
-    for data in (sample(truth, 30, seed), joint):
+    for data, forms in ((sample(truth, 30, seed), {}), (joint, POPULATION_FORMS)):
         for kind in kinds:
-            value_and_grad = objective_functions(model, kind, data)
-            base = value_and_grad(theta)[0]
+            objective_at = empirical_objective(model, forms.get(kind, kind), data)
+            base = objective_at(theta).value
             for point in (theta, *gauge_points):
-                value, grad = value_and_grad(point)
-                assert_same(base, value)
+                out = objective_at(point)
+                assert_same(base, out.value)
+                grad = out.grad_theta
                 row_sums = grad[: d * m].reshape(d, m).sum(axis=1)
                 assert np.abs(row_sums).max() <= 1e-12 * max(1.0, np.abs(grad).max())
     for oracle in POPULATION_ORACLES.values():
