@@ -11,7 +11,10 @@ minimizes it with one solve of its normal equations
 `closed_form_gaussian_sm` is the independent moment formula that solve is
 checked against, and no fit calls it.  Gaussian mle is the data's mean and
 1/N scatter (`objectives.gaussian_moments`), again with no iterations, and
-is judged by the mle objective's gradient there.
+is judged by the mle objective's gradient there.  Each of the two reads the
+data in one moments pass and writes its estimate straight into the
+(mu, tril Sigma) layout, where one Cholesky factorization of the estimate's
+covariance checks that it is positive definite.
 
 Every other fit is L-BFGS (Nocedal 1980; Liu & Nocedal 1989) with a
 fixed line search: a unit trial step along the L-BFGS direction (along the
@@ -50,6 +53,7 @@ from .models import (
 from .objectives import (
     GaussianMoments,
     ObjectiveKind,
+    _vech_basis,
     empirical_objective,
     exact_mle_population,
     gaussian_moments,
@@ -208,11 +212,12 @@ def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
 def _solve_gaussian_sm(model: Model, data) -> FitResult:
     """The exact minimizer of the Gaussian sm objective J(eta) = eta' A eta +
     2 b' eta: one solve of its normal equations in the natural parameters
-    eta = (vech P, h = P mu), mapped back by Sigma = P^-1 and mu = Sigma h.
-    The fit is judged in eta, where J is quadratic: its gradient is
-    2 (A eta + b), whose max-norm must pass GRAD_TOL, and its value there is
-    b' eta.  A singular design (a singular scatter, as from N <= d samples)
-    or a precision that is not positive definite raises ValueError.
+    eta = (vech P, h = P mu), mapped back by Sigma = P^-1 and mu = Sigma h and
+    written straight into the (mu, tril Sigma) layout.  The fit is judged in
+    eta, where J is quadratic: its gradient is 2 (A eta + b), whose max-norm
+    must pass GRAD_TOL, and its value there is b' eta.  A singular design (a
+    singular scatter, as from N <= d samples), or a precision or returned
+    covariance that is not positive definite, raises ValueError.
     """
     A, b = gaussian_sm_normal_equations(model, data)
     if np.linalg.matrix_rank(A) < A.shape[0]:
@@ -220,30 +225,39 @@ def _solve_gaussian_sm(model: Model, data) -> FitResult:
                          "the data's scatter about its mean is singular")
     eta = np.linalg.solve(A, -b)
     d = model.dim
+    rows, cols = _vech_basis(d)[2]
     P = np.zeros((d, d))
-    P[np.tril_indices(d)] = eta[:-d]
-    P += np.tril(P, -1).T
+    P[rows, cols] = P[cols, rows] = eta[:-d]
     try:
         np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         raise ValueError("the sm solution's precision is not positive definite") from None
     cov = np.linalg.inv(P)
-    theta = gaussian_model(cov @ eta[-d:], (cov + cov.T) / 2).params
+    mu = cov @ eta[-d:]
+    cov = (cov + cov.T) / 2
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("the sm solution's covariance is not positive definite") from None
     gnorm = float(np.abs(2.0 * (A @ eta + b)).max())
-    return FitResult(theta_hat=theta, objective_value=float(b @ eta), grad_norm=gnorm, iters=0,
+    return FitResult(theta_hat=np.concatenate([mu, cov[rows, cols]]),
+                     objective_value=float(b @ eta), grad_norm=gnorm, iters=0,
                      converged=gnorm <= GRAD_TOL)
 
 
 def _solve_gaussian_mle(model: Model, data) -> FitResult:
     """The exact Gaussian mle: the data's mean and 1/N scatter about it
-    (`objectives.gaussian_moments`), judged by the mle objective's gradient
-    there.  A singular scatter raises ValueError."""
+    (`objectives.gaussian_moments`), written straight into the (mu, tril
+    Sigma) layout and judged by the mle objective's gradient there.  The
+    objective's domain check, one Cholesky of the scatter, is the singularity
+    check: a singular scatter raises ValueError."""
     moments = gaussian_moments(model, data)
+    rows, cols = _vech_basis(model.dim)[2]
+    theta = np.concatenate([moments.mean, moments.scatter[rows, cols]])
     try:
-        theta = gaussian_model(moments.mean, moments.scatter).params
-    except np.linalg.LinAlgError:
+        out = empirical_objective(model, ObjectiveKind.EXACT_MLE, moments)(theta)
+    except ParameterDomainError:
         raise ValueError("the data's scatter about its mean is singular") from None
-    out = empirical_objective(model, ObjectiveKind.EXACT_MLE, moments)(theta)
     gnorm = float(np.abs(out.grad_theta).max())
     return FitResult(theta_hat=theta, objective_value=out.value, grad_norm=gnorm, iters=0,
                      converged=gnorm <= GRAD_TOL)

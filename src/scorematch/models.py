@@ -451,22 +451,35 @@ def dataset_to_csv(data: Dataset) -> str:
 def read_dataset_csv(path, alphabet_size: int | None = None) -> Dataset:
     """Load a dataset CSV; pass alphabet_size to read symbols, else reals.
     Blank lines and '#' comments are skipped, and every other line must hold
-    one value per header column."""
+    one number per header column.  A line of another width, or a value that
+    is not a number, is a ValueError that names its line in the file (the
+    header is line 1) and, for a value, its column."""
     with open(path) as fh:
         header = fh.readline().strip()
         lines = fh.read().splitlines()
     cols = header.split(",")
     if cols != [f"x{i}" for i in range(len(cols))]:
         raise ValueError(f"bad dataset header: {header!r}")
-    for number, line in enumerate(lines, start=2):
-        row = line.partition("#")[0]
-        if row.strip() and row.count(",") + 1 != len(cols):
+    rows = [(number, row) for number, line in enumerate(lines, start=2)
+            if (row := line.partition("#")[0]).strip()]
+    for number, row in rows:
+        if row.count(",") + 1 != len(cols):
             raise ValueError(f"line {number} has {row.count(',') + 1} values, "
                              f"but the header names {len(cols)} columns")
-    with warnings.catch_warnings():
-        # A header with no rows is reported below, as an empty dataset.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        body = np.loadtxt(lines, delimiter=",", ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # A header with no rows is reported below, as an empty dataset.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError:
+        for number, row in rows:
+            for col, value in zip(cols, row.split(",")):
+                try:
+                    float(value)
+                except ValueError:
+                    raise ValueError(f"line {number}, column {col}: "
+                                     f"{value.strip()!r} is not a number") from None
+        raise
     if body.shape[0] == 0:
         raise ValueError("dataset needs at least one sample")
     if alphabet_size is not None:

@@ -40,11 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .grids import GridDensity, log_values, quad, require_same_geometry, support_mask
-from .operators import DiscreteJoint, grid_gradient, marginalize, squared_norm
+from .operators import DiscreteJoint, grid_gradient, squared_norm
 from .models import (
     DISCRETE_KINDS,
     GENGAUSS_EPS,
@@ -216,13 +217,17 @@ def empirical_objective(model: Model, objective: ObjectiveKind, data):
 def gaussian_moments(model: Model, data) -> GaussianMoments:
     """data checked against the Gaussian model, as its GaussianMoments: a
     Dataset's sample mean and 1/N scatter about it, or GaussianMoments
-    themselves."""
+    themselves.
+
+    The mean is one pass down the rows (`einsum`), which on C-ordered data
+    reads memory in order; for d >= 2 it equals `mean(axis=0)` to the bit,
+    and for d = 1 or other layouts it may differ in the last place."""
     if model.kind is not ModelKind.GAUSSIAN:
         raise ValueError(f"moments stand for data of a Gaussian model, not {model.kind.value}")
     _check_data(model, data)
     if isinstance(data, GaussianMoments):
         return data
-    xbar = data.values.mean(axis=0)
+    xbar = np.einsum("ij->j", data.values) / data.n
     centered = data.values - xbar
     return GaussianMoments(xbar, centered.T @ centered / data.n)
 
@@ -237,22 +242,39 @@ def gaussian_sm_normal_equations(model: Model, data) -> tuple[np.ndarray, np.nda
     mean xbar and the second moment C = E[x x'] of the data, with no
     per-sample rows: A has blocks tr(E_k E_l C), -E_k xbar and the identity,
     and b is -tr E_k over vech P and 0 over h.  A is singular exactly when
-    the scatter about the mean is.
+    the scatter about the mean is.  The E_k depend on d alone
+    (`_vech_basis`); A and b are new arrays on every call.
     """
     moments = gaussian_moments(model, data)
     xbar = moments.mean
     d = model.dim
+    E, neg_trace, _ = _vech_basis(d)
+    p = len(E)
+    A = np.empty((p + d, p + d))
+    np.matmul((E @ (moments.scatter + np.outer(xbar, xbar))).reshape(p, -1),
+              E.reshape(p, -1).T, out=A[:p, :p])
+    A_Ph = A[:p, p:]
+    np.matmul(E, xbar, out=A_Ph)
+    np.negative(A_Ph, out=A_Ph)
+    A[p:, :p] = A_Ph.T
+    A[p:, p:] = np.eye(d)
+    return A, np.concatenate([neg_trace, np.zeros(d)])
+
+
+@lru_cache(maxsize=8)
+def _vech_basis(d: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The symmetric d x d matrices E_k = dP/d(vech P)_k, stacked in tril
+    order, their negated traces, and the tril indices (rows, cols) that order
+    vech; all read-only, and shared by every Gaussian of dimension d."""
     rows, cols = np.tril_indices(d)
     p = rows.size
     E = np.zeros((p, d, d))
     E[np.arange(p), rows, cols] = 1.0
     E[np.arange(p), cols, rows] = 1.0
-    C = moments.scatter + np.outer(xbar, xbar)
-    A_PP = (E @ C).reshape(p, -1) @ E.reshape(p, -1).T
-    A_Ph = -(E @ xbar)
-    A = np.block([[A_PP, A_Ph], [A_Ph.T, np.eye(d)]])
-    b = np.concatenate([-np.trace(E, axis1=1, axis2=2), np.zeros(d)])
-    return A, b
+    neg_trace = -np.trace(E, axis1=1, axis2=2)
+    for a in (E, neg_trace, rows, cols):
+        a.flags.writeable = False
+    return E, neg_trace, (rows, cols)
 
 
 def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +395,7 @@ def _gaussian_scatter(model: Model, xbar: np.ndarray, S: np.ndarray):
 def _tril_grad(A: np.ndarray) -> np.ndarray:
     """The gradient in the tril covariance layout from the symmetric dl/dSigma
     = A: each off-diagonal parameter sets two entries of Sigma."""
-    rows, cols = np.tril_indices(A.shape[0])
+    rows, cols = _vech_basis(A.shape[0])[2]
     return np.where(rows == cols, A[rows, cols], 2.0 * A[rows, cols])
 
 
@@ -481,30 +503,40 @@ def gsm_discrete_population(p: DiscreteJoint, model: Model, theta) -> float:
 def ratio_matching_population(p: DiscreteJoint, model: Model, theta) -> float:
     """Population ratio-matching divergence via phi(u) = 1/(1+u) applied to
     leave-one-out joint ratios; independent route to the same divergence as
-    gsm_discrete_population.
+    gsm_discrete_population.  The ratios are taken in log space, from log p
+    and log q~, so no table is exponentiated and an extreme theta, whose
+    conditionals underflow, still gives a finite value.
     """
     _check_data(model, p)
+    with np.errstate(divide="ignore"):  # a state of p with probability 0 has log p = -inf
+        log_p = np.log(p.probs)
     log_q = _log_table(model, theta)
-    q_table = np.exp(log_q - log_q.max())
     total = 0.0
-    for i, (fp, fq) in enumerate(zip(_phi_of_ratios(p.probs), _phi_of_ratios(q_table))):
+    for i, (fp, fq) in enumerate(zip(_phi_of_ratios(log_p), _phi_of_ratios(log_q))):
         inner = ((fp - fq) ** 2).sum(axis=i, keepdims=True)
         total += float(np.sum(p.probs * inner))
     return total
 
 
-def _phi_of_ratios(table: np.ndarray):
-    """phi(f(xi,x)/f(~xi,x)) per coordinate, with phi(u) = 1/(1+u)."""
-    marg = marginalize(table)
-    for i in range(table.ndim):
-        rest = marg[i] - table  # f(~xi, x^{\i})
-        yield rest / marg[i]
+def _phi_of_ratios(log_f: np.ndarray):
+    """phi(f(xi,x)/f(~xi,x)) per coordinate, with phi(u) = 1/(1+u) and
+    f(~xi,x) the sum of f over site i's other symbols, from log f."""
+    for i in range(log_f.ndim):
+        # Taking symbol y - k at each y, for k = 1..m-1, visits every other
+        # symbol once.
+        symbols = np.arange(log_f.shape[i])
+        log_rest = np.take(log_f, symbols - 1, axis=i)
+        for k in range(2, symbols.size):
+            log_rest = np.logaddexp(log_rest, np.take(log_f, symbols - k, axis=i))
+        yield np.exp(-np.logaddexp(0.0, log_f - log_rest))
 
 
 def pseudo_likelihood_population(p: DiscreteJoint, model: Model, theta) -> float:
+    """-sum_x p(x) sum_i log q(xi|x^{\\i}), with each log conditional taken in
+    log space as log q~ minus its log-sum over site i's symbols."""
     _check_data(model, p)
-    qc = _conditionals_from_table(_log_table(model, theta), log_space=True)
-    logs = np.log(np.maximum(qc, 1e-300)).sum(axis=0)
+    table = _log_table(model, theta)
+    logs = sum(table - np.logaddexp.reduce(table, axis=i, keepdims=True) for i in range(p.d))
     return float(-np.sum(p.probs * logs))
 
 

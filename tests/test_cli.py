@@ -203,6 +203,19 @@ def test_fit_on_a_short_row_names_the_line(ising2, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_on_a_value_that_is_not_a_number_names_its_line_and_column(ising2, tmp_path,
+                                                                       capsys):
+    data = tmp_path / "text.csv"
+    data.write_text("x0,x1\n0,1\n0,a\n")
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--model", ising2, "--objective", "pl", "--data", str(data),
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: bad data file {data}: line 3, column x1: 'a' is not a number\n"
+    assert not out.exists()
+
+
 def test_fit_gaussian_sm_matches_sample_moments(gauss1, tmp_path):
     data_path = tmp_path / "g.csv"
     main(["generate", "--model", gauss1, "--n", "500", "--seed", "3",

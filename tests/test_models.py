@@ -446,6 +446,21 @@ def test_dataset_csv_names_the_line_whose_width_differs_from_the_header(tmp_path
                                      "but the header names 2 columns")
 
 
+@pytest.mark.parametrize("rows, line, column, value", [
+    ("0,1\n0,a\n", 3, "x1", "a"),
+    ("\n# a comment\n1,0\n x ,1 # trailing\n", 5, "x0", "x"),
+    ("0,1\n1,\n", 3, "x1", ""),
+])
+def test_dataset_csv_names_the_line_and_column_of_a_value_that_is_not_a_number(
+        tmp_path, rows, line, column, value):
+    path = tmp_path / "text.csv"
+    path.write_text("x0,x1\n" + rows)
+    for m in (2, None):
+        with pytest.raises(ValueError) as caught:
+            read_dataset_csv(str(path), alphabet_size=m)
+        assert str(caught.value) == f"line {line}, column {column}: {value!r} is not a number"
+
+
 def test_dataset_csv_skips_blank_lines_and_comments(tmp_path):
     path = tmp_path / "commented.csv"
     path.write_text("x0,x1\r\n0,1\r\n\r\n# a comment\r\n1,0 # a trailing one\r\n")

@@ -168,6 +168,40 @@ def test_gaussian_sm_normal_equations_reproduce_the_objective():
                 assert eta @ A @ eta + 2.0 * b @ eta == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
+def test_gaussian_sm_normal_equations_share_a_read_only_basis_and_return_fresh_arrays():
+    # The E_k of one dimension are built once and cannot be written through;
+    # every call still hands back its own A and b, which the caller may write.
+    E, neg_trace, (rows, cols) = objectives._vech_basis(3)
+    assert objectives._vech_basis(3)[0] is E
+    for a in (E, neg_trace, rows, cols):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1
+    model = gaussian_model(np.zeros(3), np.eye(3))
+    data = sample(gaussian_model([0.5, -1.0, 0.2], np.diag([1.0, 2.0, 0.7])), 80, seed=4)
+    A1, b1 = gaussian_sm_normal_equations(model, data)
+    A2, b2 = gaussian_sm_normal_equations(model, data)
+    assert np.array_equal(A1, A2) and np.array_equal(b1, b2)
+    assert A1.flags.writeable and b1.flags.writeable
+    assert not np.shares_memory(A1, A2) and not np.shares_memory(b1, b2)
+    A1[:] = 0.0
+    b1[:] = 0.0
+    A3, b3 = gaussian_sm_normal_equations(model, data)
+    assert np.array_equal(A3, A2) and np.array_equal(b3, b2)
+
+
+def test_gaussian_moments_mean_equals_the_axis_mean_on_c_ordered_data():
+    # One pass down the rows sums in the order mean(axis=0) does for d >= 2.
+    rng = np.random.default_rng(3)
+    for d in (2, 3, 4, 7):
+        for n in (1, 2, 5, 300, 5000):
+            values = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+            values += rng.standard_normal(d)
+            moments = objectives.gaussian_moments(gaussian_model(np.zeros(d), np.eye(d)),
+                                                  continuous_dataset(values))
+            assert np.array_equal(moments.mean, values.mean(axis=0))
+
+
 def test_gaussian_sm_normal_equations_reject_other_models():
     with pytest.raises(ValueError, match="Gaussian"):
         gaussian_sm_normal_equations(gen_gauss_model(1.0), continuous_dataset([[0.0], [1.0]]))
@@ -576,6 +610,44 @@ def test_pl_population_minimized_at_truth():
     p = exact_normalize(model)
     g = fd_gradient(lambda t: pseudo_likelihood_population(p, model, t), model.params)
     assert np.abs(g).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Extreme logits: conditionals that underflow or nearly do
+
+# A d=4 chain at couplings of 400, where the smallest conditionals underflow
+# to 0, and near 10, where the smallest lies between 1e-300 and 1e-12.  The
+# data are desk-ising4's joint (couplings 0.5).
+EXTREME_THETAS = {
+    "couplings 400": np.array([0.0, 0.0, 0.0, 0.0, 400.0, -400.0, 400.0]),
+    "couplings near 10": np.array([0.3, -0.2, 0.1, 0.0, 10.0, -9.5, 10.5]),
+}
+
+
+@pytest.mark.parametrize("theta", list(EXTREME_THETAS.values()), ids=list(EXTREME_THETAS))
+def test_discrete_objectives_are_exact_at_extreme_logits(theta):
+    from scorematch.estimation import fd_gradient
+
+    model = ising_model(np.zeros(4), np.zeros(3))
+    p = exact_normalize(ising_model(np.zeros(4), np.full(3, 0.5)))
+    if theta[4] < 100:
+        q = exact_normalize(model.with_params(theta)).probs
+        smallest = min((q / q.sum(axis=i, keepdims=True)).min() for i in range(4))
+        assert 1e-300 < smallest < 1e-12
+    forms = {kind: empirical_objective(model, kind, p) for kind in (PL, GSM, RM, MLE)}
+    for kind, form in forms.items():
+        out = form(theta)
+        assert np.isfinite(out.value) and np.all(np.isfinite(out.grad_theta)), kind
+        numeric = fd_gradient(lambda t: form(t).value, theta)
+        scale = max(1.0, np.abs(numeric).max())
+        assert np.abs(out.grad_theta - numeric).max() <= 1e-6 * scale, kind
+    # pl and mle are their oracles' own sums; rm's divergence is gsm's.
+    assert pseudo_likelihood_population(p, model, theta) == pytest.approx(
+        forms[PL](theta).value, rel=1e-12, abs=0)
+    assert exact_mle_population(p, model, theta) == pytest.approx(
+        forms[MLE](theta).value, rel=1e-12, abs=0)
+    assert ratio_matching_population(p, model, theta) == pytest.approx(
+        gsm_discrete_population(p, model, theta), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
