@@ -216,8 +216,9 @@ def _solve_gaussian_sm(model: Model, data) -> FitResult:
     written straight into the (mu, tril Sigma) layout.  The fit is judged in
     eta, where J is quadratic: its gradient is 2 (A eta + b), whose max-norm
     must pass GRAD_TOL, and its value there is b' eta.  A singular design (a
-    singular scatter, as from N <= d samples), or a precision or returned
-    covariance that is not positive definite, raises ValueError.
+    singular scatter, as from N <= d samples), a precision that is not
+    positive definite or that `inv` finds singular, or a returned covariance
+    that is not positive definite, raises ValueError.
     """
     A, b = gaussian_sm_normal_equations(model, data)
     if np.linalg.matrix_rank(A) < A.shape[0]:
@@ -232,7 +233,10 @@ def _solve_gaussian_sm(model: Model, data) -> FitResult:
         np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         raise ValueError("the sm solution's precision is not positive definite") from None
-    cov = np.linalg.inv(P)
+    try:
+        cov = np.linalg.inv(P)
+    except np.linalg.LinAlgError:
+        raise ValueError("the sm solution's precision is singular") from None
     mu = cov @ eta[-d:]
     cov = (cov + cov.T) / 2
     try:

@@ -394,17 +394,27 @@ def continuous_dataset(values) -> Dataset:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] < 1:
         raise ValueError("dataset needs at least one sample")
+    _require_finite(values)
     return Dataset(values, None)
 
 
 def discrete_dataset(values, m: int) -> Dataset:
     values = np.atleast_2d(np.asarray(values))
-    sym = values.astype(int)
-    if np.any(sym != values) or np.any(sym < 0) or np.any(sym >= m):
+    _require_finite(values)
+    # The range test precedes the cast, which a value beyond int64 would overflow.
+    if (np.any(values < 0) or np.any(values >= m)
+            or np.any((sym := values.astype(int)) != values)):
         raise ValueError(f"discrete entries must lie in 0..{m - 1}")
     if sym.shape[0] < 1:
         raise ValueError("dataset needs at least one sample")
     return Dataset(sym, m)
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """Dataset values are finite numbers; only float arrays can hold NaN or
+    an infinity, so integer samples are not scanned."""
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        raise ValueError("dataset values must be finite numbers")
 
 
 def sample(model: Model, n: int, seed: int) -> Dataset:
@@ -451,9 +461,9 @@ def dataset_to_csv(data: Dataset) -> str:
 def read_dataset_csv(path, alphabet_size: int | None = None) -> Dataset:
     """Load a dataset CSV; pass alphabet_size to read symbols, else reals.
     Blank lines and '#' comments are skipped, and every other line must hold
-    one number per header column.  A line of another width, or a value that
-    is not a number, is a ValueError that names its line in the file (the
-    header is line 1) and, for a value, its column."""
+    one finite number per header column.  A line of another width, or a
+    value that is not a finite number, is a ValueError that names its line in
+    the file (the header is line 1) and, for a value, its column."""
     with open(path) as fh:
         header = fh.readline().strip()
         lines = fh.read().splitlines()
@@ -472,19 +482,31 @@ def read_dataset_csv(path, alphabet_size: int | None = None) -> Dataset:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             body = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError:
-        for number, row in rows:
-            for col, value in zip(cols, row.split(",")):
-                try:
-                    float(value)
-                except ValueError:
-                    raise ValueError(f"line {number}, column {col}: "
-                                     f"{value.strip()!r} is not a number") from None
+        if (bad := _first_bad_value(rows, cols)) is not None:
+            raise ValueError(bad) from None
         raise
+    if not np.isfinite(body).all():
+        raise ValueError(_first_bad_value(rows, cols))
     if body.shape[0] == 0:
         raise ValueError("dataset needs at least one sample")
     if alphabet_size is not None:
         return discrete_dataset(body, alphabet_size)
     return continuous_dataset(body)
+
+
+def _first_bad_value(rows: list[tuple[int, str]], cols: list[str]) -> str | None:
+    """The message that names the first value of the numbered rows that is
+    not a finite number, by its line and column, or None if there is none."""
+    for number, row in rows:
+        for col, value in zip(cols, row.split(",")):
+            try:
+                if np.isfinite(float(value)):
+                    continue
+                what = "a finite number"
+            except ValueError:
+                what = "a number"
+            return f"line {number}, column {col}: {value.strip()!r} is not {what}"
+    return None
 
 
 def model_to_json(model: Model) -> str:

@@ -30,10 +30,14 @@ GaussianMoments, which may stand for a Gaussian population.  The exact-MLE
 oracle's partition uses a NumPy port of SciPy's `logsumexp`, so importing the
 package loads no SciPy module.  The population objectives are value-only:
 they are the enumeration oracles the estimators are checked against, so they
-keep their own independent route through `log_unnorm`.  A population fit
-minimizes the joint-weighted form, which differs from its oracle by a
-theta-independent constant, and calls the oracle once, at its estimate
-(`estimation.fit`).
+keep their own independent route through `log_unnorm`.  The gsm and pl
+oracles read q's singleton conditionals from one per-site helper,
+`_log_conditionals`, and rm keeps its leave-one-out ratios, so gsm and rm
+remain two routes to one divergence; both sum it over the support of p
+(`_squared_gap_sum`), where a fibre x^{\\i} with no mass adds 0.  A
+population fit minimizes the joint-weighted form, which differs from its
+oracle by a theta-independent constant, and calls the oracle once, at its
+estimate (`estimation.fit`).
 """
 
 from __future__ import annotations
@@ -169,18 +173,11 @@ def _log_table(model: Model, theta) -> np.ndarray:
     return np.asarray(log_unnorm(mod, state_cube(m, d))).reshape((m,) * d)
 
 
-def _conditionals_from_table(table: np.ndarray, log_space: bool) -> np.ndarray:
-    """Per-axis singleton conditionals on the state cube, shape (d,)+cube."""
-    d = table.ndim
-    out = np.empty((d,) + table.shape)
-    for i in range(d):
-        if log_space:
-            t = table - table.max(axis=i, keepdims=True)
-            e = np.exp(t)
-        else:
-            e = table
-        out[i] = e / e.sum(axis=i, keepdims=True)
-    return out
+def _log_conditionals(log_f: np.ndarray):
+    """log f(xi|x^{\\i}) on the state cube for each site i in turn: log f
+    minus its log-sum over site i's symbols."""
+    for i in range(log_f.ndim):
+        yield log_f - np.logaddexp.reduce(log_f, axis=i, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +484,11 @@ _EVALUATE = {
 # Discrete population objectives (enumeration oracles)
 
 def gsm_discrete_population(p: DiscreteJoint, model: Model, theta) -> float:
-    """Exact squared-conditional-difference divergence:
-    sum_x p(x) sum_i sum_xi (p(xi|x^{\\i}) - q(xi|x^{\\i}))^2.
-    """
-    _check_data(model, p)
-    pc = _conditionals_from_table(p.probs, log_space=False)
-    qc = _conditionals_from_table(_log_table(model, theta), log_space=True)
-    total = 0.0
-    for i in range(p.d):
-        inner = ((pc[i] - qc[i]) ** 2).sum(axis=i, keepdims=True)
-        total += float(np.sum(p.probs * inner))
-    return total
+    """Exact squared-conditional-difference divergence over the support of p:
+    sum_x p(x) sum_i sum_xi (p(xi|x^{\\i}) - q(xi|x^{\\i}))^2."""
+    return _squared_gap_sum(p, model, theta,
+                            lambda f: (f / f.sum(axis=i, keepdims=True) for i in range(f.ndim)),
+                            lambda log_q: map(np.exp, _log_conditionals(log_q)))
 
 
 def ratio_matching_population(p: DiscreteJoint, model: Model, theta) -> float:
@@ -505,17 +496,8 @@ def ratio_matching_population(p: DiscreteJoint, model: Model, theta) -> float:
     leave-one-out joint ratios; independent route to the same divergence as
     gsm_discrete_population.  The ratios are taken in log space, from log p
     and log q~, so no table is exponentiated and an extreme theta, whose
-    conditionals underflow, still gives a finite value.
-    """
-    _check_data(model, p)
-    with np.errstate(divide="ignore"):  # a state of p with probability 0 has log p = -inf
-        log_p = np.log(p.probs)
-    log_q = _log_table(model, theta)
-    total = 0.0
-    for i, (fp, fq) in enumerate(zip(_phi_of_ratios(log_p), _phi_of_ratios(log_q))):
-        inner = ((fp - fq) ** 2).sum(axis=i, keepdims=True)
-        total += float(np.sum(p.probs * inner))
-    return total
+    conditionals underflow, still gives a finite value."""
+    return _squared_gap_sum(p, model, theta, lambda f: _phi_of_ratios(np.log(f)), _phi_of_ratios)
 
 
 def _phi_of_ratios(log_f: np.ndarray):
@@ -531,13 +513,25 @@ def _phi_of_ratios(log_f: np.ndarray):
         yield np.exp(-np.logaddexp(0.0, log_f - log_rest))
 
 
+def _squared_gap_sum(p: DiscreteJoint, model: Model, theta, p_tables, q_tables) -> float:
+    """sum_x p(x) sum_i sum_y (a_i - b_i)^2 at (y, x^{\\i}) over the support of p,
+    with a_i and b_i site i's tables from p_tables(p.probs) and q_tables(log q~):
+    a fibre x^{\\i} with no mass adds 0, whatever a_i holds there (0/0, log 0 - log 0)."""
+    _check_data(model, p)
+    log_q = _log_table(model, theta)  # before any table of p's, so log_unnorm's peak stays the peak
+    support, total = p.probs > 0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (a, b) in enumerate(zip(p_tables(p.probs), q_tables(log_q))):
+            inner = ((a - b) ** 2).sum(axis=i, keepdims=True)
+            total += float((p.probs * inner)[support].sum())
+    return total
+
+
 def pseudo_likelihood_population(p: DiscreteJoint, model: Model, theta) -> float:
     """-sum_x p(x) sum_i log q(xi|x^{\\i}), with each log conditional taken in
-    log space as log q~ minus its log-sum over site i's symbols."""
+    log space (`_log_conditionals`)."""
     _check_data(model, p)
-    table = _log_table(model, theta)
-    logs = sum(table - np.logaddexp.reduce(table, axis=i, keepdims=True) for i in range(p.d))
-    return float(-np.sum(p.probs * logs))
+    return float(-np.sum(p.probs * sum(_log_conditionals(_log_table(model, theta)))))
 
 
 def exact_mle_population(p: DiscreteJoint, model: Model, theta) -> float:

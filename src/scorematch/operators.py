@@ -31,6 +31,8 @@ class DiscreteJoint:
 
 
 def discrete_joint(probs: np.ndarray) -> DiscreteJoint:
+    """A joint from an (m,)*d table of nonnegative finite weights, not all 0,
+    divided by their sum unless it is already 1 within 1e-12."""
     probs = np.asarray(probs, dtype=float)
     m = probs.shape[0]
     if any(s != m for s in probs.shape):
@@ -38,6 +40,10 @@ def discrete_joint(probs: np.ndarray) -> DiscreteJoint:
     if np.any(probs < 0):
         raise ValueError("joint probabilities must be nonnegative")
     total = probs.sum()
+    if not np.isfinite(total):  # a NaN entry passes the sign test, but not this one
+        raise ValueError("joint probabilities must be finite")
+    if total == 0:
+        raise ValueError("joint probabilities must not all be 0")
     if abs(total - 1.0) > 1e-12:
         probs = probs / total
     return DiscreteJoint(m=m, d=probs.ndim, probs=probs)

@@ -216,6 +216,45 @@ def test_fit_on_a_value_that_is_not_a_number_names_its_line_and_column(ising2, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, objective, text, where", [
+    ("gauss1", "sm", "x0\n0.5\nnan\n", "line 3, column x0: 'nan'"),
+    ("ising2", "pl", "x0,x1\n0,1\n1,inf\n", "line 3, column x1: 'inf'"),
+])
+def test_fit_on_a_value_that_is_not_finite_is_a_usage_error(request, tmp_path, capsys, model,
+                                                            objective, text, where):
+    data = tmp_path / "nonfinite.csv"
+    data.write_text(text)
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", "--model", request.getfixturevalue(model), "--objective", objective,
+                     "--data", str(data), "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: bad data file {data}: "
+                                       f"{where} is not a finite number\n")
+    assert caught == [] and not out.exists()
+
+
+@pytest.mark.parametrize("objective", ["gsm", "rm"])
+def test_fit_enumerate_on_a_joint_with_empty_fibres_reports_a_finite_value(tmp_path, objective):
+    # Couplings of +-400 leave most states of the chain with probability 0
+    # and many of their fibres with no mass, which add nothing.
+    truth = tmp_path / "chain400.json"
+    truth.write_text(model_to_json(ising_model(np.zeros(4), [400.0, 400.0, -400.0])))
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--model", str(truth), "--objective", objective,
+                     "--data", "enumerate", "--p-model", str(truth),
+                     "--out", str(out)]) == EXIT_OK
+
+    def reject(constant):  # NaN and Infinity are not JSON numbers
+        raise ValueError(f"{constant} is not valid JSON")
+
+    value = json.loads(out.read_text(), parse_constant=reject)["value"]
+    assert np.isfinite(value) and value >= 0
+
+
 def test_fit_gaussian_sm_matches_sample_moments(gauss1, tmp_path):
     data_path = tmp_path / "g.csv"
     main(["generate", "--model", gauss1, "--n", "500", "--seed", "3",

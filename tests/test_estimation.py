@@ -159,6 +159,19 @@ def test_fit_gaussian_sm_rejects_an_indefinite_solution(monkeypatch):
         fit(gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.SM_CONTINUOUS, data)
 
 
+def test_fit_gaussian_sm_names_a_precision_that_inv_finds_singular(monkeypatch):
+    # A precision with an eigenvalue near roundoff can pass its Cholesky and
+    # still fail `inv`; which ones do depends on the LAPACK build, so `inv`
+    # is made to fail here.
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    data = sample(gaussian_model(np.zeros(2), np.eye(2)), 50, seed=1)
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(ValueError, match="the sm solution's precision is singular"):
+        fit(gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.SM_CONTINUOUS, data)
+
+
 @pytest.mark.parametrize("objective", [ObjectiveKind.SM_CONTINUOUS, ObjectiveKind.EXACT_MLE])
 def test_gaussian_population_fit_recovers_truth(objective):
     # A Gaussian's own mean and covariance stand for its population: they are

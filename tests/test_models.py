@@ -390,6 +390,25 @@ def test_dataset_validation():
     assert data.n == 1 and data.dim == 2
 
 
+def test_discrete_dataset_rejects_a_symbol_beyond_the_integer_range_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (1e20, -1e20):
+            with pytest.raises(ValueError, match="discrete entries must lie in 0..1"):
+                discrete_dataset([[0.0, 1.0], [1.0, value]], m=2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_datasets_reject_values_that_are_not_finite(value):
+    # A NaN symbol would otherwise reach the integer cast (a RuntimeWarning)
+    # and be reported as out of range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (continuous_dataset, lambda v: discrete_dataset(v, m=2)):
+            with pytest.raises(ValueError, match="dataset values must be finite numbers"):
+                build([[0.0, 1.0], [1.0, value]])
+
+
 # ---------------------------------------------------------------------------
 # File formats
 
@@ -459,6 +478,23 @@ def test_dataset_csv_names_the_line_and_column_of_a_value_that_is_not_a_number(
         with pytest.raises(ValueError) as caught:
             read_dataset_csv(str(path), alphabet_size=m)
         assert str(caught.value) == f"line {line}, column {column}: {value!r} is not a number"
+
+
+@pytest.mark.parametrize("rows, line, column, value", [
+    ("0,1\nnan,1\n", 3, "x0", "nan"),
+    ("\n# a comment\n1,0\n0, inf # trailing\n", 5, "x1", "inf"),
+    ("0,-inf\n", 2, "x1", "-inf"),
+])
+def test_dataset_csv_names_the_line_and_column_of_a_value_that_is_not_finite(
+        tmp_path, rows, line, column, value):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("x0,x1\n" + rows)
+    for m in (2, None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                read_dataset_csv(str(path), alphabet_size=m)
+        assert str(caught.value) == f"line {line}, column {column}: {value!r} is not a finite number"
 
 
 def test_dataset_csv_skips_blank_lines_and_comments(tmp_path):

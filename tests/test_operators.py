@@ -212,6 +212,21 @@ def test_discrete_joint_rejects_non_cube_and_negative():
         discrete_joint(np.array([[0.5, 0.5], [0.5, -0.5]]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_discrete_joint_rejects_entries_that_are_not_finite(entry):
+    # NaN passes the sign test, and a table that already sums to 1 elsewhere
+    # would skip the renormalization.
+    with pytest.raises(ValueError, match="finite"):
+        discrete_joint(np.array([[0.5, 0.5], [0.0, entry]]))
+
+
+def test_discrete_joint_rejects_an_all_zero_table():
+    with np.errstate(all="raise"):
+        for zeros in (np.zeros((2, 2)), np.zeros((3, 3, 3), dtype=int)):
+            with pytest.raises(ValueError, match="must not all be 0"):
+                discrete_joint(zeros)
+
+
 def test_discrete_joint_flat_index_convention():
     # idx = sum_i x_i * m**(d-1-i): coordinate 0 slowest, C-order flattening.
     probs = np.arange(8, dtype=float).reshape(2, 2, 2)

@@ -1,6 +1,8 @@
 """Property-based tests for the numerical identities that must hold for
 arbitrary inputs, not just the hand-picked fixtures."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -222,15 +224,46 @@ def test_population_value_is_the_oracle_at_every_theta(seed):
     # neighbours.
     rng = np.random.default_rng(seed)
     model, d, m, _ = _random_pairwise(rng)
-    joint = discrete_joint(rng.random((m,) * d) + 0.05)
+    _assert_forms_track_their_oracles(rng, model, discrete_joint(rng.random((m,) * d) + 0.05))
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(**SETTINGS)
+def test_population_value_is_the_oracle_on_a_joint_with_empty_fibres(seed):
+    # Where a fibre x^{\i} has no mass, p's conditional is 0/0; the fibre adds
+    # nothing to any divergence, so every oracle stays finite.
+    rng = np.random.default_rng(seed)
+    model, d, m, _ = _random_pairwise(rng)
+    probs = rng.random((m,) * d) + 0.05
+    probs[rng.random(probs.shape) < rng.random()] = 0.0
+    # Empty one whole fibre of a random site i, and keep one state outside it.
+    i, state = int(rng.integers(d)), rng.integers(0, m, d)
+    probs[tuple(slice(None) if k == i else state[k] for k in range(d))] = 0.0
+    state[(i + 1) % d] = (state[(i + 1) % d] + 1) % m
+    probs[tuple(state)] = 1.0
+    _assert_forms_track_their_oracles(rng, model, discrete_joint(probs))
+
+
+def _assert_forms_track_their_oracles(rng, model, joint):
+    """At three random thetas each population form plus its offset at the
+    start point is its oracle, every oracle is finite, and the gsm and rm
+    oracles, two routes to one divergence, agree; no RuntimeWarning."""
     theta0 = estimation.default_init(model)
-    for kind, oracle in POPULATION_ORACLES.items():
-        form = empirical_objective(model, POPULATION_FORMS[kind], joint)
-        offset = oracle(joint, model, theta0) - form(theta0).value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forms = {kind: empirical_objective(model, POPULATION_FORMS[kind], joint)
+                 for kind in POPULATION_ORACLES}
+        offsets = {kind: oracle(joint, model, theta0) - forms[kind](theta0).value
+                   for kind, oracle in POPULATION_ORACLES.items()}
         for _ in range(3):
             theta = rng.uniform(-2, 2, model.n_params)
-            value, want = form(theta).value + offset, oracle(joint, model, theta)
-            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+            want = {kind: oracle(joint, model, theta) for kind, oracle in POPULATION_ORACLES.items()}
+            assert all(np.isfinite(v) for v in want.values())
+            for kind, form in forms.items():
+                value = form(theta).value + offsets[kind]
+                assert abs(value - want[kind]) <= 1e-12 * max(1.0, abs(want[kind]))
+            gsm, rm = want[ObjectiveKind.GSM_DISCRETE], want[ObjectiveKind.RATIO_MATCHING]
+            assert gsm >= 0 and rm >= 0 and abs(gsm - rm) <= 1e-12
 
 
 @given(seed=st.integers(0, 10_000), shortfall=st.none() | st.sampled_from([0, 1]))
