@@ -157,6 +157,7 @@ def cmd_fit(args) -> int:
         "grad_norm": result.grad_norm,
         "iters": result.iters,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
     }
     _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

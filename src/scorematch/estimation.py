@@ -1,5 +1,5 @@
-"""Deterministic estimators: an L-BFGS fit over any objective, an exact
-linear solve for Gaussian score matching, closed forms for the Gaussian
+"""Deterministic estimators: a damped Newton fit over any objective, an
+exact linear solve for Gaussian score matching, closed forms for the Gaussian
 score-matching and maximum-likelihood estimates, a central-difference
 gradient check, and a multi-estimator comparison harness.
 
@@ -16,14 +16,19 @@ data in one moments pass and writes its estimate straight into the
 (mu, tril Sigma) layout, where one Cholesky factorization of the estimate's
 covariance checks that it is positive definite.
 
-Every other fit is L-BFGS (Nocedal 1980; Liu & Nocedal 1989) with a
-fixed line search: a unit trial step along the L-BFGS direction (along the
-negative gradient scaled to max-norm at most 1 while no curvature pair is
-stored), halved until the Armijo condition with constant 1e-4 holds.
-Every fit starts at `default_init` and stops at the module's `MAX_ITERS`
-and `GRAD_TOL`, read at call time.  Every objective is one callable
-theta -> (value, exact gradient), so each trial point costs one evaluation:
-`objectives.empirical_objective` builds its theta-free design once per fit.
+Every other fit is a damped Newton iteration on the curvature matrix that
+each objective returns beside its value and gradient (Nocedal & Wright 2006,
+ch. 3).  The direction is -sum v v'g / |lambda| over the eigenpairs of that
+matrix whose |lambda| lies above a floor of machine precision
+(`_newton_direction`), projected off each Potts site's gauge, and for the
+objectives that are not convex (gsm, rm and sm) scaled to max-norm at most 1.
+A unit trial step is halved until the Armijo condition with constant 1e-4
+holds, up to `ARMIJO_ULPS` ulps of the value.  Every fit starts at
+`default_init`, stops at the module's `MAX_ITERS` and `GRAD_TOL`, read at
+call time, and reports which exit it took (`FitResult.stop_reason`).  Every
+objective is one callable theta -> (value, exact gradient, curvature), so
+each trial point costs one evaluation: `objectives.empirical_objective`
+builds its theta-free design once per fit.
 A population fit, on a DiscreteJoint, minimizes the objective's empirical
 form on the joint, which differs from the enumeration oracle by a
 theta-independent constant and so has the same minimizer; it calls the
@@ -34,7 +39,6 @@ against; no fit calls it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +75,25 @@ FD_CHECK_STEP = 1e-5
 MAX_ITERS = 2000
 GRAD_TOL = 1e-7
 
+# The Armijo test accepts a trial value up to this many ulps of |J| above its
+# bound: near the minimum a Newton step changes J by less than J's own
+# roundoff, and refusing it would stall the fit short of GRAD_TOL.
+ARMIJO_ULPS = 64
+
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit's estimate, the objective and its gradient's max-norm there, the
+    Newton iterations taken, and why the fit stopped: `grad_tol`,
+    `max_iters`, `line_search` (no trial step of at least 1e-20 along the
+    Newton direction passed the Armijo test) or `solved` (a closed form)."""
+
     theta_hat: np.ndarray
     objective_value: float
     grad_norm: float
     iters: int
     converged: bool
+    stop_reason: str
 
 
 def default_init(model: Model) -> np.ndarray:
@@ -111,6 +126,15 @@ def fd_gradient(fun, theta) -> np.ndarray:
     return out
 
 
+# The objectives that are convex in theta: negative log-likelihoods of an
+# exponential family, whose stationary points are their minima.  gsm, rm and
+# sm are not, and their surfaces have plateaus where conditionals saturate
+# at 0 or 1 and the gradient vanishes far above the minimum; a long Newton
+# step can land on one and pass the Armijo test, so their steps are scaled
+# to max-norm at most 1.
+_CONVEX = (ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE)
+
+
 # Each population objective's enumeration oracle, and the empirical form that
 # a population fit builds (`objectives.empirical_objective`) on the joint and
 # minimizes instead.  Each form differs from its oracle by a theta-independent
@@ -127,12 +151,14 @@ _POPULATION = {
 
 
 def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
-    """L-BFGS over the last 10 curvature pairs with a backtracking Armijo line
-    search; deterministic.  A trial point whose value or gradient is not
-    finite fails the Armijo test, and one outside the model's domain (a
-    non-positive generalized-Gaussian exponent) evaluates to +inf.  The fit
-    stops at |g|_inf <= GRAD_TOL, after MAX_ITERS steps, or when the line
-    search stalls below a step of 1e-20.
+    """Damped Newton steps on the objective's curvature (`_newton_direction`),
+    capped at max-norm 1 for the objectives that are not convex (`_CONVEX`),
+    with a backtracking Armijo line search; deterministic.  A trial point that
+    is not finite, lies outside the model's domain (a non-positive
+    generalized-Gaussian exponent), or has a value, gradient or curvature that
+    is not finite fails the Armijo test.  The fit stops at |g|_inf <=
+    GRAD_TOL, after MAX_ITERS steps, or when the line search finds no step of
+    at least 1e-20, and names that exit in `stop_reason`.
 
     Gaussian sm and mle are instead solved exactly (`_solve_gaussian_sm`,
     `_solve_gaussian_mle`), with 0 iterations.  A fit on a DiscreteJoint
@@ -153,60 +179,76 @@ def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
         oracle, form = _POPULATION[objective]
     objective_at = empirical_objective(model, form, data)
 
-    def value_and_grad(theta):
+    def evaluate(theta):
+        """The objective at theta, or None where the trial fails."""
+        if not np.isfinite(theta).all():
+            return None
         try:
             out = objective_at(theta)
         except ParameterDomainError:
-            return np.inf, None
-        return out.value, out.grad_theta
+            return None
+        finite = (np.isfinite(out.value) and np.isfinite(out.grad_theta).all()
+                  and np.isfinite(out.curvature).all())
+        return out if finite else None
 
     theta = default_init(model)
     # Trial points may overflow on the way to a non-finite value, which the
     # line search rejects; the warning would say nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
-        v, g = value_and_grad(theta)
-        if not np.isfinite(v):
+        at = evaluate(theta)
+        if at is None:
             raise ValueError(f"objective is not finite at the initial point {theta}")
-        pairs = deque(maxlen=10)  # curvature pairs (s, y, 1 / s'y), oldest first
         iters = 0
-        while iters < MAX_ITERS:
-            gnorm = float(np.abs(g).max())
-            if gnorm <= GRAD_TOL:
+        while True:
+            if float(np.abs(at.grad_theta).max()) <= GRAD_TOL:
+                stop_reason = "grad_tol"
                 break
-            direction = -_two_loop(g, pairs)
-            slope = float(g @ direction)
-            if not (pairs and slope < 0):
-                # With no curvature yet (or no descent direction), step along
-                # the gradient scaled to max-norm at most 1: a unit step along
-                # a large early gradient can jump into a flat far-field valley
-                # that the Armijo test still accepts.  Scaling the direction
-                # rather than the step keeps the slope free of overflow.
-                direction = -g * (1.0 / max(1.0, gnorm))
-                slope = float(g @ direction)
+            if iters >= MAX_ITERS:
+                stop_reason = "max_iters"
+                break
+            # Eigenvectors of small kept eigenvalues can carry roundoff along
+            # a Potts site's gauge, so the step is also projected off it.
+            direction = zero_sum_gauge(model, _newton_direction(at.grad_theta, at.curvature))
+            if form not in _CONVEX:
+                direction *= 1.0 / max(1.0, float(np.abs(direction).max()))
+            slope = float(at.grad_theta @ direction)
+            bound = at.value + ARMIJO_ULPS * np.spacing(abs(at.value))
             step = 1.0
-            while step >= 1e-20:
+            # A direction that is not downhill (the gradient lies wholly in
+            # the dropped eigenspace) has no step to search for.
+            while slope < 0 and step >= 1e-20:
                 cand = theta + step * direction
-                v_new, g_new = value_and_grad(cand)
-                armijo = np.isfinite(v_new) and v_new <= v + 1e-4 * step * slope
-                if armijo and np.all(np.isfinite(g_new)):
+                trial = evaluate(cand)
+                if trial is not None and trial.value <= bound + 1e-4 * step * slope:
                     break
                 step *= 0.5
             else:
-                break  # the line search stalled at roundoff
-            s, y = cand - theta, g_new - g
-            sy = float(s @ y)
-            if sy > 1e-10 * float(y @ y):
-                pairs.append((s, y, 1.0 / sy))
-            theta, v, g = cand, v_new, g_new
+                stop_reason = "line_search"
+                break
+            theta, at = cand, trial
             iters += 1
-    gnorm = float(np.abs(g).max())
+    gnorm = float(np.abs(at.grad_theta).max())
     return FitResult(
         theta_hat=theta,
-        objective_value=float(v) if oracle is None else oracle(data, model, theta),
+        objective_value=float(at.value) if oracle is None else oracle(data, model, theta),
         grad_norm=gnorm,
         iters=iters,
         converged=gnorm <= GRAD_TOL,
+        stop_reason=stop_reason,
     )
+
+
+def _newton_direction(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """-sum v v'g / |lambda| over the eigenpairs (lambda, v) of the symmetric
+    H whose |lambda| exceeds its order times machine epsilon times the largest
+    |lambda|.  Taking |lambda| keeps the step downhill where H is indefinite
+    (gsm, rm and generalized-Gaussian sm need not be convex), and the floor
+    drops the directions along which H vanishes up to roundoff, such as each
+    Potts site's gauge, so no step moves along them."""
+    lam, V = np.linalg.eigh(H)
+    size = np.abs(lam)
+    size[size <= H.shape[0] * np.finfo(float).eps * size.max()] = np.inf
+    return -V @ ((g @ V) / size)
 
 
 def _solve_gaussian_sm(model: Model, data) -> FitResult:
@@ -246,7 +288,7 @@ def _solve_gaussian_sm(model: Model, data) -> FitResult:
     gnorm = float(np.abs(2.0 * (A @ eta + b)).max())
     return FitResult(theta_hat=np.concatenate([mu, cov[rows, cols]]),
                      objective_value=float(b @ eta), grad_norm=gnorm, iters=0,
-                     converged=gnorm <= GRAD_TOL)
+                     converged=gnorm <= GRAD_TOL, stop_reason="solved")
 
 
 def _solve_gaussian_mle(model: Model, data) -> FitResult:
@@ -264,24 +306,7 @@ def _solve_gaussian_mle(model: Model, data) -> FitResult:
         raise ValueError("the data's scatter about its mean is singular") from None
     gnorm = float(np.abs(out.grad_theta).max())
     return FitResult(theta_hat=theta, objective_value=out.value, grad_norm=gnorm, iters=0,
-                     converged=gnorm <= GRAD_TOL)
-
-
-def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
-    """The L-BFGS inverse-Hessian approximation applied to g (Nocedal 1980),
-    with the initial matrix scaled by s'y / y'y of the newest pair."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        q -= a * y
-        alphas.append(a)
-    if pairs:
-        s, y, rho = pairs[-1]
-        q *= 1.0 / (rho * float(y @ y))
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * float(y @ q)) * s
-    return q
+                     converged=gnorm <= GRAD_TOL, stop_reason="solved")
 
 
 def closed_form_gaussian_sm(data: Dataset) -> np.ndarray:

@@ -7,7 +7,12 @@ quantities the estimators minimize.  Every objective except exact MLE is
 partition-free: it only sees log q~ through derivatives or conditional ratios.
 
 Every empirical objective returns its exact parameter gradient, built from the
-intermediates its value already computes.  One builder, `empirical_objective`,
+intermediates its value already computes, and every one that `estimation.fit`
+iterates on also returns a curvature matrix for its Newton steps: the exact
+Hessian for gsm, rm, pl and generalized-Gaussian sm, and for the discrete mle
+the outer-product curvature sum_s c_s (T_s - E_q T)(T_s - E_q T)' over the
+cube (Berndt, Hall, Hall & Hausman 1974), which equals the exact Hessian
+N Cov_q[T] at a population optimum.  One builder, `empirical_objective`,
 checks the data against the model and builds the objective's theta-free
 design once; each evaluation at a theta reuses it, through the one per-theta
 evaluation that `_EVALUATE` names for the (model kind, objective) pair.  The
@@ -20,7 +25,10 @@ their sufficient statistic (`models.sufficient_statistics`), over sets of
 alternatives: the m symbols of one site in one configuration of its
 neighbours for gsm, rm and pl, and the whole state cube for mle
 (`_discrete_design`).  Each evaluation is one product z = D theta, a softmax
-over each set, and one product back for the gradient.
+over each set, and one product back for the gradient.  The curvature of gsm,
+rm and pl is one weighted Gram product of the same rows, centred on each set
+(`_centred_gram`); that of mle is built from the data's moments of T, which
+the design holds, and E_q[T] from the gradient pass.
 Discrete data is a Dataset or a DiscreteJoint, which stands for its state
 cube weighted by its probabilities.  The data enter gsm, rm and pl only
 through each site's blanket: a joint's marginals on the blankets, which a
@@ -75,8 +83,13 @@ class ObjectiveKind(Enum):
 
 @dataclass(frozen=True)
 class ObjectiveValue:
+    """An objective's value at theta, its exact gradient and, for the
+    objectives that `estimation.fit` iterates on, a symmetric curvature matrix
+    that its Newton steps take (None for the Gaussian closed forms)."""
+
     value: float
     grad_theta: np.ndarray
+    curvature: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -208,6 +221,8 @@ def empirical_objective(model: Model, objective: ObjectiveKind, data):
         design = (data.values,)
     else:
         design = _discrete_design(model, objective, data)
+        if objective is ObjectiveKind.EXACT_MLE:
+            design += _weighted_moments(*design)
     return lambda theta: evaluate(model.with_params(theta), *design)
 
 
@@ -330,6 +345,20 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
     return (T - T[:, :1]).reshape(-1, T.shape[-1]), c
 
 
+def _weighted_moments(D: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The data's weighted second and first moments of the cube statistic,
+    G = sum_s c_s T_s T_s' and a = sum_s c_s T_s, over the rows T_s of D.
+    G is summed over blocks of rows no larger than one column of D or G
+    itself, so no weighted copy of D is made."""
+    w = c.ravel()
+    rows = max(D.shape[0] // D.shape[1], D.shape[1])
+    G = np.zeros((D.shape[1], D.shape[1]))
+    for start in range(0, D.shape[0], rows):
+        block = D[start:start + rows]
+        G += block.T @ (w[start:start + rows, None] * block)
+    return G, w @ D
+
+
 def _blanket_rows(values: np.ndarray, blanket: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of values[:, blanket] in lexicographic order and the
     fraction of the rows equal to each, found by sorting the rows' base-m
@@ -409,10 +438,17 @@ def _gen_gauss_sm(mod: Model, X: np.ndarray) -> ObjectiveValue:
     # g and lap both carry the factor alpha * u^(alpha/2), u = x^2 + eps^2,
     # whose log-derivative in alpha is 1/alpha + log(u)/2; lap also has the
     # term -alpha x^2 u^(alpha/2 - 2) = g x / u.
+    # Differentiating once more, with dlog' = -1/alpha^2 and (g x / u)' =
+    # (g x / u) dlog, gives the second derivative.
+    alpha = mod.params[0]
     u = x * x + GENGAUSS_EPS**2
-    dlog = 1.0 / mod.params[0] + 0.5 * np.log(u)
-    grad = np.array([np.mean(2.0 * (g * g + lap) * dlog + 2.0 * g * x / u)])
-    return ObjectiveValue(value, grad)
+    dlog = 1.0 / alpha + 0.5 * np.log(u)
+    g2 = g * g
+    gxu = g * x / u
+    grad = np.array([np.mean(2.0 * (g2 + lap) * dlog + 2.0 * gxu)])
+    curvature = np.mean(2.0 * dlog**2 * (2.0 * g2 + lap) + 4.0 * gxu * dlog
+                        - 2.0 * (g2 + lap) / alpha**2)
+    return ObjectiveValue(value, grad, np.array([[curvature]]))
 
 
 def _row_softmax(mod: Model, D: np.ndarray, c: np.ndarray):
@@ -426,23 +462,51 @@ def _row_softmax(mod: Model, D: np.ndarray, c: np.ndarray):
     return z, s, q
 
 
-def _through_softmax(q: np.ndarray, g: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """The gradient in theta from g = dl/dq through q = softmax(z) over each
-    row and z = D theta."""
+def _through_softmax(q: np.ndarray, g: np.ndarray, h, D: np.ndarray):
+    """The gradient and Hessian in theta of sum_ry l_ry(q_ry), through
+    q = softmax(z) over each row and z = D theta, from g = dl/dq and the
+    diagonal h = d2l/dq2: the gradient is dz' D with dz = q (g - sum_y q g),
+    and the Hessian has the weights w = h q^2 + dz (`_centred_gram`)."""
     dz = q * (g - np.sum(q * g, axis=1, keepdims=True))
-    return dz.ravel() @ D
+    return dz.ravel() @ D, _centred_gram(q, h * q * q + dz, D)
 
 
-def _log_loss(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
-    # pl and mle: sum c (logsumexp_row(z) - z), the weighted -log q of each
-    # alternative, whose gradient in z is n q - c with n the row weights.  pl
-    # is the negative mean log product of the singleton conditionals.  mle is
-    # the negative mean log normalized likelihood over one row, the enumerated
-    # cube, so its gradient is E_q[T] - E_data[T] of the sufficient statistic
-    # T = dlog q~/dtheta.
+def _centred_gram(q: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """sum_ry w_ry D~_ry D~_ry' over the rows of D centred on each set of
+    alternatives, D~_ry = D_ry - sum_y' q_ry' D_ry': the Hessian in theta of
+    any sum of per-alternative losses of the row softmax q, with weights w."""
+    rows = D.reshape(q.shape + (D.shape[1],))
+    centred = (rows - np.einsum("ry,ryp->rp", q, rows)[:, None, :]).reshape(D.shape)
+    return (centred * w.reshape(-1, 1)).T @ centred
+
+
+def _pl(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
+    # sum c (logsumexp_row(z) - z), the weighted -log q of each alternative:
+    # the negative mean log product of the singleton conditionals.  Its
+    # gradient in z is n q - c with n the row weights, and its Hessian is the
+    # softmax covariance of each row weighted by n, so w = n q.
     z, s, q = _row_softmax(mod, D, c)
-    dz = q * c.sum(axis=1, keepdims=True) - c
-    return ObjectiveValue(float(np.sum(c * (np.log(s) - z))), dz.ravel() @ D)
+    nq = q * c.sum(axis=1, keepdims=True)
+    return ObjectiveValue(float(np.sum(c * (np.log(s) - z))), (nq - c).ravel() @ D,
+                          _centred_gram(q, nq, D))
+
+
+def _mle(mod: Model, D: np.ndarray, c: np.ndarray, G: np.ndarray, a: np.ndarray) -> ObjectiveValue:
+    # The negative mean log normalized likelihood, n log Z - c z over the one
+    # row of D, the enumerated cube, with n = sum c.  Its gradient is
+    # n E_q[T] - a of the sufficient statistic T = dlog q~/dtheta, and its
+    # curvature G - a mu' - mu a' + n mu mu' with mu = E_q[T], from the
+    # design's moments (`_weighted_moments`).  The logits are exponentiated
+    # in place: one array of the cube's size at a time.
+    z = D @ mod.params
+    z -= z.max()
+    n, cz = c.sum(), float(c.ravel() @ z)
+    q = np.exp(z, out=z)
+    s = q.sum()
+    q /= s
+    mu = q @ D
+    cross = np.outer(mu, 0.5 * n * mu - a)
+    return ObjectiveValue(float(n * np.log(s) - cz), n * mu - a, G + cross + cross.T)
 
 
 def _gsm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
@@ -453,8 +517,10 @@ def _gsm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
     # the two differ by sum_x p(x) sum_i sum_y p(y|x^{\i})^2, which does not
     # depend on theta.  That constant needs p and is not added here.
     _, _, q = _row_softmax(mod, D, c)
-    nq = q * c.sum(axis=1, keepdims=True)
-    return ObjectiveValue(float(np.sum((nq - 2.0 * c) * q)), _through_softmax(q, 2.0 * (nq - c), D))
+    n = c.sum(axis=1, keepdims=True)
+    nq = q * n
+    return ObjectiveValue(float(np.sum((nq - 2.0 * c) * q)),
+                          *_through_softmax(q, 2.0 * (nq - c), 2.0 * n, D))
 
 
 def _rm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
@@ -466,7 +532,8 @@ def _rm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
     # rejects such models.
     _, _, q = _row_softmax(mod, D, c)
     miss = 1.0 - q
-    return ObjectiveValue(float(np.sum(c * miss**2)), _through_softmax(q, -2.0 * c * miss, D))
+    return ObjectiveValue(float(np.sum(c * miss**2)),
+                          *_through_softmax(q, -2.0 * c * miss, 2.0 * c, D))
 
 
 # Each model kind's per-theta evaluation of each objective that applies to it.
@@ -476,7 +543,7 @@ _EVALUATE = {
     (ModelKind.GEN_GAUSS_1D, ObjectiveKind.SM_CONTINUOUS): _gen_gauss_sm,
     **{(kind, objective): evaluate for kind in DISCRETE_KINDS for objective, evaluate in (
         (ObjectiveKind.GSM_DISCRETE, _gsm), (ObjectiveKind.RATIO_MATCHING, _rm),
-        (ObjectiveKind.PSEUDO_LIKELIHOOD, _log_loss), (ObjectiveKind.EXACT_MLE, _log_loss))},
+        (ObjectiveKind.PSEUDO_LIKELIHOOD, _pl), (ObjectiveKind.EXACT_MLE, _mle))},
 }
 
 

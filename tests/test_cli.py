@@ -266,7 +266,7 @@ def test_fit_gaussian_sm_matches_sample_moments(gauss1, tmp_path):
     ref = closed_form_gaussian_sm(read_dataset_csv(str(data_path)))
     assert np.abs(np.array(result["theta_hat"]) - ref).max() < 1e-6
     assert result["objective"] == "sm"
-    assert result["converged"] is True
+    assert result["converged"] is True and result["stop_reason"] == "solved"
 
 
 def test_fit_population_mode_recovers_truth(ising2, tmp_path):
@@ -278,6 +278,7 @@ def test_fit_population_mode_recovers_truth(ising2, tmp_path):
                  "--out", str(out)]) == EXIT_OK
     result = json.loads(out.read_text())
     assert np.abs(np.array(result["theta_hat"]) - [0.0, 0.0, 0.5]).max() < 1e-5
+    assert result["converged"] is True and result["stop_reason"] == "grad_tol"
 
 
 def test_fit_incompatible_objective_reports_both_kinds(gauss1, tmp_path, capsys):

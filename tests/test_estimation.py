@@ -24,6 +24,7 @@ from scorematch.models import (
     ising_model,
     potts_model,
     sample,
+    zero_sum_gauge,
 )
 from scorematch.objectives import (
     GaussianMoments,
@@ -91,19 +92,18 @@ def _gaussian_sm_gap(res, data):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_fit_gaussian_sm_with_covariance_scales_100_apart(seed):
-    # L-BFGS ended 4e-4 to 9e-4 from the closed form here after 2000
-    # iterations; the solve is exact whatever the scales.
+    # The solve is exact whatever the scales.
     d = 3
     data = sample(gaussian_model(np.zeros(d), np.diag([0.01, 1.0, 100.0])), 200, seed=seed)
     res = fit(gaussian_model(np.zeros(d), np.eye(d)), ObjectiveKind.SM_CONTINUOUS, data)
-    assert res.converged and res.iters == 0
+    assert res.converged and res.iters == 0 and res.stop_reason == "solved"
     assert _gaussian_sm_gap(res, data) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_fit_gaussian_sm_at_condition_number_5(seed):
-    # A random rotation of the spectrum geomspace(1, 5, 4): L-BFGS stopped at
-    # |g| <= 1e-7 up to 1.8e-6 from the closed form.
+    # A random rotation of the spectrum geomspace(1, 5, 4), where an iterative
+    # fit that stops at |g| <= 1e-7 can still be 1.8e-6 from the closed form.
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     cov = (q * np.geomspace(1.0, 5.0, 4)) @ q.T
@@ -235,18 +235,20 @@ def test_fit_gen_gauss_alpha_recovery():
 
 def test_fit_gen_gauss_stays_in_alpha_domain(monkeypatch):
     # From alpha = 0.05 the smoothed-cusp SM objective falls towards alpha = 0.
+    # Trial points at or below 0, or not finite, fail the line search, which
+    # in the end finds no step that decreases the objective.
     data = sample(gen_gauss_model(1.5), 2000, seed=1)
     monkeypatch.setattr(estimation, "default_init", lambda model: np.array([0.05]))
     res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
     assert res.theta_hat[0] > 0
-    assert not res.converged
+    assert not res.converged and res.stop_reason == "line_search"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_rejects_overflowing_trials_without_warning(monkeypatch):
     # From alpha = 60 the objective is ~1e246 and its gradient ~2.8e247; the
-    # first direction is scaled to max-norm 1, so the fit neither stalls at
-    # the start nor warns on the overflowing trial points it rejects.
+    # fit neither stalls at the start nor warns on the overflowing trial
+    # points it rejects.
     data = sample(gen_gauss_model(0.5), 2000, seed=1)
     ref = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
     monkeypatch.setattr(estimation, "default_init", lambda model: np.array([60.0]))
@@ -271,6 +273,19 @@ def test_fit_gen_gauss_sm_is_biased_for_alpha_at_most_one(alpha, seed, alpha_hat
     assert res.theta_hat[0] - alpha > 0.25
 
 
+@pytest.mark.parametrize("alpha, seed", [(1.5, 1), (3.0, 1)])
+def test_fit_gen_gauss_takes_the_last_newton_step_below_the_value_roundoff(alpha, seed):
+    # Both fits end near alpha = 0.14 (the known wrong minimizer of sm on the
+    # smoothed cusp), where J is about -31 and, a mean over 5e3 samples,
+    # carries a roundoff of tens of ulps.  At alpha = 1.5 a Newton step from
+    # |g| = 4.9e-6 changes J by 1.7e-14, below that roundoff.  Refusing such
+    # steps would leave the fit taking ever smaller ones until MAX_ITERS.
+    data = sample(gen_gauss_model(alpha), 5000, seed=seed)
+    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
+    assert res.converged and res.stop_reason == "grad_tol"
+    assert res.iters <= 12
+
+
 def _no_fd(*args, **kwargs):
     raise AssertionError("fit fell back to finite differences")
 
@@ -292,6 +307,7 @@ def test_fit_gaussian_mle_is_the_sample_moments():
     data = sample(gaussian_model(rng.standard_normal(4), a @ a.T + 0.5 * np.eye(4)), 5000, seed=1)
     res = fit(gaussian_model(np.zeros(4), np.eye(4)), ObjectiveKind.EXACT_MLE, data)
     assert res.iters == 0 and res.converged and res.grad_norm <= 1e-12
+    assert res.stop_reason == "solved"
     assert np.abs(res.theta_hat - closed_form_gaussian_sm(data)).max() <= 1e-12
     with pytest.raises(ValueError, match="scatter about its mean is singular"):
         fit(gaussian_model(np.zeros(2), np.eye(2)), ObjectiveKind.EXACT_MLE,
@@ -364,6 +380,75 @@ def test_population_fit_calls_the_oracle_once(monkeypatch, objective, truth):
     assert res.objective_value >= 0.0
 
 
+@pytest.mark.parametrize("objective", list(POPULATION_ORACLES))
+def test_population_fits_on_the_desk_chain_take_few_newton_steps(objective):
+    # Newton steps on each objective's own curvature reach GRAD_TOL in 4 or 5
+    # iterations here.  A wrong curvature still converges, only in more.
+    model = DESK_ISING4_TRUTH.with_params(np.zeros(DESK_ISING4_TRUTH.n_params))
+    res = fit(model, objective, exact_normalize(DESK_ISING4_TRUTH))
+    assert res.converged and res.stop_reason == "grad_tol"
+    assert res.iters <= 6
+    assert np.abs(res.theta_hat - DESK_ISING4_TRUTH.params).max() < 1e-5
+
+
+def test_fit_stops_at_max_iters():
+    data = sample(ising_model([0.1, -0.2, 0.3], [0.5, 0.5]), 500, seed=9)
+    model = ising_model(np.zeros(3), np.zeros(2))
+    full = fit(model, ObjectiveKind.PSEUDO_LIKELIHOOD, data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "MAX_ITERS", 2)
+        capped = fit(model, ObjectiveKind.PSEUDO_LIKELIHOOD, data)
+    assert full.converged and full.stop_reason == "grad_tol" and full.iters > 2
+    assert capped.iters == 2 and not capped.converged and capped.stop_reason == "max_iters"
+
+
+# A four-site Potts model (a triangle on sites 0, 1 and 3) on which a
+# population gsm fit whose steps are not projected off the gauge drifts about
+# 1e-12 off the zero-sum slice: eigenvectors of the curvature's small kept
+# eigenvalues carry roundoff along a site's gauge.
+SATURATING_POTTS = potts_model(
+    [[-0.6509443677119431, 0.7432705483753128, 0.08788280152699635, 0.8044301594319767],
+     [-0.04569295232158743, -0.13900744454117375, 0.5778934350886589, 0.9683059998622427],
+     [-0.26054841469514245, 0.9378657386324698, 0.8580527755308389, -0.6446148284760378],
+     [0.21770323368909517, 0.4097294911294851, 0.8856073582583344, 0.33131483393150685]],
+    [-0.7332084890966137, -0.004264802429251091, -0.012760332087770276],
+    [(0, 1), (0, 3), (1, 3)],
+)
+
+
+@pytest.mark.parametrize("objective", [ObjectiveKind.PSEUDO_LIKELIHOOD,
+                                       ObjectiveKind.GSM_DISCRETE, ObjectiveKind.EXACT_MLE])
+@pytest.mark.parametrize("population", [False, True])
+def test_newton_direction_drops_the_potts_gauge(objective, population):
+    # The curvature vanishes along each site's gauge up to roundoff, and so
+    # does the gradient; the eigenvalue floor keeps the ratio of the two out
+    # of the step.
+    data = exact_normalize(POTTS_TRUTH) if population else sample(POTTS_TRUTH, 2000, seed=3)
+    model = POTTS_TRUTH.with_params(np.zeros(POTTS_TRUTH.n_params))
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        out = objectives.empirical_objective(model, objective, data)(
+            rng.uniform(-1, 1, model.n_params))
+        step = estimation._newton_direction(out.grad_theta, out.curvature)
+        gap = np.abs(zero_sum_gauge(model, step) - step).max()
+        assert gap <= 1e-12 * np.abs(step).max()
+
+
+@pytest.mark.parametrize("objective", [ObjectiveKind.PSEUDO_LIKELIHOOD,
+                                       ObjectiveKind.GSM_DISCRETE, ObjectiveKind.EXACT_MLE])
+@pytest.mark.parametrize("truth", [POTTS_TRUTH, SATURATING_POTTS], ids=["potts", "saturating"])
+@pytest.mark.parametrize("population", [False, True])
+def test_potts_fits_stay_on_the_zero_sum_slice(objective, truth, population):
+    # Each site's fields are identified only up to a constant; the curvature
+    # vanishes along that gauge, and a fit from the neutral start never moves
+    # along it.
+    data = exact_normalize(truth) if population else sample(truth, 2000, seed=3)
+    model = truth.with_params(np.zeros(truth.n_params))
+    res = fit(model, objective, data)
+    assert res.converged
+    assert np.abs(zero_sum_gauge(model, res.theta_hat) - res.theta_hat).max() <= 1e-12
+
+
 def test_mle_fit_refuses_a_cube_past_the_enumeration_cap(monkeypatch):
     # The mle design enumerates the state cube, which past MAX_ENUM_STATES is
     # refused before it is allocated; pl's blanket cells enumerate nothing.
@@ -380,6 +465,21 @@ def test_mle_fit_refuses_a_cube_past_the_enumeration_cap(monkeypatch):
     data = discrete_dataset(np.random.default_rng(0).integers(0, 2, (50, 40)), 2)
     with pytest.raises(ValueError, match=r"state space 2\*\*40 too large to enumerate"):
         fit(chain, ObjectiveKind.EXACT_MLE, data)
+
+
+@pytest.mark.parametrize("objective", [ObjectiveKind.GSM_DISCRETE, ObjectiveKind.RATIO_MATCHING])
+def test_population_fit_does_not_stop_on_a_saturated_plateau(objective):
+    # From the neutral start the full Newton step here has max-norm 85 and
+    # lands where the conditionals saturate: the gradient vanishes there with
+    # the divergence about 0.21, far above its minimum 0 at the truth.
+    truth = potts_model([[-0.86201, 0.40560, -0.36208, -0.09981],
+                         [0.96123, -0.87114, -0.63264, -0.78336]], [0.69722])
+    joint = exact_normalize(truth)
+    model = truth.with_params(np.zeros(truth.n_params))
+    res = fit(model, objective, joint)
+    assert res.converged and res.objective_value < 1e-12
+    error = zero_sum_gauge(model, res.theta_hat) - zero_sum_gauge(model, truth.params)
+    assert np.abs(error).max() < 1e-5
 
 
 def test_population_rm_fit_converges_on_potts():
@@ -502,7 +602,7 @@ def test_fit_result_converged_implies_grad_tol():
     res = fit(ising_model(np.zeros(2), np.zeros(1)), ObjectiveKind.PSEUDO_LIKELIHOOD, data)
     assert isinstance(res, FitResult)
     if res.converged:
-        assert res.grad_norm <= estimation.GRAD_TOL
+        assert res.grad_norm <= estimation.GRAD_TOL and res.stop_reason == "grad_tol"
 
 
 def test_population_fit_rejects_objective_without_population_form():

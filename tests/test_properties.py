@@ -15,6 +15,7 @@ from scorematch.estimation import (
     fit,
 )
 from scorematch.models import (
+    ModelKind,
     continuous_dataset,
     discrete_dataset,
     exact_normalize,
@@ -146,9 +147,22 @@ def _random_pairwise(rng):
     return model, d, m, rng.uniform(-1, 1, model.n_params)
 
 
+def _fd_curvature(objective, theta):
+    """Central differences of the exact gradient, one column per parameter,
+    with the gradient check's step."""
+    step = estimation.FD_CHECK_STEP * np.eye(theta.size)
+    return np.column_stack([(objective(theta + h).grad_theta - objective(theta - h).grad_theta)
+                            / (2.0 * estimation.FD_CHECK_STEP) for h in step])
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(**SETTINGS)
+@example(seed=2)  # an Ising model
+@example(seed=0)  # a Potts model
 def test_discrete_objective_gradients_match_fd(seed):
+    # The exact gradient against central differences of the value, and the
+    # exact Hessian of gsm, rm and pl against central differences of that
+    # gradient; mle's curvature is the outer-product one, checked below.
     rng = np.random.default_rng(seed)
     model, d, m, theta = _random_pairwise(rng)
     data = discrete_dataset(rng.integers(0, m, (30, d)), m=m)
@@ -157,9 +171,49 @@ def test_discrete_objective_gradients_match_fd(seed):
         kinds.append(ObjectiveKind.RATIO_MATCHING)
     for kind in kinds:
         objective = empirical_objective(model, kind, data)
-        exact = objective(theta).grad_theta
+        out = objective(theta)
         numeric = fd_gradient(lambda t: objective(t).value, theta)
-        assert np.abs(exact - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
+        assert np.abs(out.grad_theta - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
+        if kind is not ObjectiveKind.EXACT_MLE:
+            numeric = _fd_curvature(objective, theta)
+            assert np.abs(out.curvature - numeric).max() <= 1e-8 * max(1.0, np.abs(numeric).max())
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.3, 2.2])
+def test_gen_gauss_sm_curvature_matches_fd_of_the_gradient(alpha):
+    data = sample(gen_gauss_model(1.5), 2000, seed=3)
+    objective = empirical_objective(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
+    theta = np.array([alpha])
+    numeric = _fd_curvature(objective, theta)[0, 0]
+    assert abs(objective(theta).curvature[0, 0] - numeric) <= 1e-8 * max(1.0, abs(numeric))
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(**SETTINGS)
+def test_mle_curvature_is_the_covariance_of_t_at_a_population_optimum(seed):
+    # On the model's own joint the data's moments of T are the model's, so
+    # the outer-product curvature is the exact Hessian Cov_q[T].  Anywhere it
+    # is a weighted sum of outer products: positive semidefinite, and zero
+    # along each Potts site's gauge (all of its fields moved by one constant).
+    rng = np.random.default_rng(seed)
+    model, d, m, theta = _random_pairwise(rng)
+    joint = exact_normalize(model.with_params(theta))
+    T = sufficient_statistics(model, state_cube(m, d))
+    p = joint.probs.ravel()
+    centred = T - p @ T
+    want = centred.T @ (p[:, None] * centred)
+    got = empirical_objective(model, ObjectiveKind.EXACT_MLE, joint)(theta).curvature
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    data = discrete_dataset(rng.integers(0, m, (30, d)), m=m)
+    H = empirical_objective(model, ObjectiveKind.EXACT_MLE, data)(
+        rng.uniform(-1, 1, model.n_params)).curvature
+    scale = np.abs(H).max()
+    assert np.linalg.eigvalsh(H).min() >= -1e-12 * scale
+    if model.kind is ModelKind.POTTS:
+        for i in range(d):
+            gauge = np.zeros(model.n_params)
+            gauge[i * m:(i + 1) * m] = 1.0
+            assert np.abs(H @ gauge).max() <= 1e-12 * scale
 
 
 GRAPHS = {
