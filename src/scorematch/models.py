@@ -5,9 +5,12 @@ objectives must be invariant to adding any constant to it.  Discrete symbols
 are integers 0..m-1; Ising spins use the fixed map {0 -> -1, 1 -> +1}.
 
 Ising and Potts are exponential families: their sufficient statistic T
-(`sufficient_statistics`) gives log q~ = T(x) . theta, and it is all that the
-discrete objectives see of the model (`objectives.empirical_objective`).  The
-two kinds differ only in their site pattern (`_edge_pattern`).
+(`sufficient_statistics`) gives log q~ = T(x) . theta, and the two kinds
+differ only in their site pattern S (`site_pattern`).  The discrete
+objectives see the model only through these (`objectives.empirical_objective`):
+mle through T rows of the state cube, and gsm, rm and pl through S alone,
+since a change of one site's symbol moves only that site's fields and its
+incident edges.
 
 The Potts layout is overcomplete (Wainwright & Jordan 2008): adding c to all
 of one site's fields adds c to log q~ at every state, so the distribution
@@ -281,32 +284,30 @@ def laplacian_x_log(model: Model, x) -> float | np.ndarray:
 _SPIN = np.array([-1.0, 1.0])
 
 
-def _edge_pattern(model: Model):
-    """Edge endpoints i, j and the site pattern S of an Ising or Potts model:
-    S[:, y] is symbol y's column of field statistics, [[-1, +1]] (the spins)
-    for Ising and I_m for Potts, and its Gram matrix S'S is the (m, m)
-    symbol-pair pattern of the couplings of both kinds."""
+def site_pattern(model: Model) -> np.ndarray:
+    """The site pattern S of an Ising or Potts model: S[:, y] is symbol y's
+    column of field statistics, [[-1, +1]] (the spins) for Ising and I_m for
+    Potts, and its Gram matrix S'S is the (m, m) symbol-pair pattern of the
+    couplings of both kinds."""
     _require_discrete(model)
-    site = _SPIN[None, :] if model.kind is ModelKind.ISING else np.eye(model.alphabet_size)
-    i, j = np.asarray(model.edges, dtype=int).reshape(-1, 2).T
-    return i, j, site
+    return _SPIN[None, :] if model.kind is ModelKind.ISING else np.eye(model.alphabet_size)
 
 
 def sufficient_statistics(model: Model, X) -> np.ndarray:
     """T(x) = dlog q~/dtheta of an Ising or Potts model at discrete points, as
     C-ordered rows (N, p) with log q~(x) = T(x) . theta: with S the site
-    pattern of `_edge_pattern`, the column S[:, x_i] per site (the spin for
+    pattern (`site_pattern`), the column S[:, x_i] per site (the spin for
     Ising, the one-hot symbol for Potts), filled one site at a time, and
     (S'S)[x_a, x_b] per edge (a, b)."""
-    i, j, site = _edge_pattern(model)
+    site = site_pattern(model)
     pts = _check_points(model, np.atleast_2d(X))
-    k, n_fields = site.shape[0], model.n_params - len(i)
+    k, n_fields = site.shape[0], model.n_params - len(model.edges)
     T = np.empty((pts.shape[0], model.n_params))
     for a in range(model.dim):
         T[:, a * k:(a + 1) * k] = site.T[pts[:, a]]
     pair = site.T @ site
-    for e in range(len(i)):
-        T[:, n_fields + e] = pair[pts[:, i[e]], pts[:, j[e]]]
+    for e, (a, b) in enumerate(model.edges):
+        T[:, n_fields + e] = pair[pts[:, a], pts[:, b]]
     return T
 
 

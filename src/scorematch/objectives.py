@@ -20,15 +20,17 @@ Gaussian sm and mle are closed forms in the precision and the sample scatter,
 and Gaussian sm is also exactly quadratic in its natural parameters, whose
 normal equations `gaussian_sm_normal_equations` builds from the same moments.
 Generalized-Gaussian sm differentiates its own score and Laplacian terms in
-alpha.  The discrete gsm, rm, pl and mle see Ising and Potts only through
-their sufficient statistic (`models.sufficient_statistics`), over sets of
-alternatives: the m symbols of one site in one configuration of its
-neighbours for gsm, rm and pl, and the whole state cube for mle
-(`_discrete_design`).  Each evaluation is one product z = D theta, a softmax
-over each set, and one product back for the gradient.  The curvature of gsm,
-rm and pl is one weighted Gram product of the same rows, centred on each set
-(`_centred_gram`); that of mle is built from the data's moments of T, which
-the design holds, and E_q[T] from the gradient pass.
+alpha.  The discrete gsm, rm, pl and mle see Ising and Potts only through a
+linear design over sets of alternatives (`_discrete_design`): the whole
+state cube for mle, whose rows are T of the cube
+(`models.sufficient_statistics`), and for gsm, rm and pl the m symbols of
+one site in one configuration of its neighbours, whose rows are filled from
+the site pattern (`models.site_pattern`) in the site's field block and
+incident edge columns alone.  Each evaluation is one product z = D theta, a
+softmax over each set, and one product back for the gradient.  The
+curvature of gsm, rm and pl is one weighted Gram product of the same rows,
+centred on each set (`_centred_gram`); that of mle is built from the data's
+moments of T, which the design holds, and E_q[T] from the gradient pass.
 Discrete data is a Dataset or a DiscreteJoint, which stands for its state
 cube weighted by its probabilities.  The data enter gsm, rm and pl only
 through each site's blanket: a joint's marginals on the blankets, which a
@@ -68,6 +70,7 @@ from .models import (
     grad_x_log,
     laplacian_x_log,
     log_unnorm,
+    site_pattern,
     state_cube,
     sufficient_statistics,
 )
@@ -296,17 +299,22 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
     matching rows of D their sufficient statistics, so the logits z = D theta
     (reshaped like c) are log q~ of the alternatives up to a per-row constant.
     For mle there is one row, the state cube: D = T(cube) and c the data's
-    weight on each cube state.  For gsm, rm and pl there is one row per site i
-    and per configuration of i's neighbours that occurs in the data (Besag
-    1975): D[r, y] = T(x with x_i := y) - T(x with x_i := 0), which is
-    non-zero only in i's fields and incident edges, and c[r, y] is the data's
-    weight on the configuration with symbol y at i.
+    weight on each cube state; it is the only design that builds T rows.  For
+    gsm, rm and pl there is one row per site i and per configuration of i's
+    neighbours that occurs in the data (Besag 1975): D[r, y] = T(x with
+    x_i := y) - T(x with x_i := 0), and c[r, y] is the data's weight on the
+    configuration with symbol y at i.  That difference is S[:, y] - S[:, 0]
+    in i's field block and (S'S)[y, u] - (S'S)[0, u] in each incident edge's
+    column, with S the site pattern and u the neighbour's symbol, and 0
+    elsewhere: D is allocated once, zeroed, and each site's rows are filled
+    with those entries alone.  Each is a difference of small integers, so D
+    equals T of the alternatives minus T of the symbol-0 one, bit for bit.
 
     A Dataset is read as its empirical joint, one bincount of its base-m
     state codes, when its cube is counted anyway: for mle, or when it has no
     more states than samples.  A joint gives site i's weights as its marginal
     on i's blanket (the sorted neighbours, then i); a Dataset with more states
-    than samples gives them as its counted blanket rows (`_blanket_rows`).
+    than samples gives them as its counted blanket rows (`_blanket_cells`).
     """
     if objective is ObjectiveKind.RATIO_MATCHING and model.alphabet_size != 2:
         raise ValueError(
@@ -320,29 +328,64 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
         data = DiscreteJoint(m, d, (_state_counts(data.values, m) / data.n).reshape((m,) * d))
     if objective is ObjectiveKind.EXACT_MLE:
         return sufficient_statistics(model, cube), data.probs.reshape(1, -1)
-    cells, weights = [], []
+    # One pass over the edges gives each site's neighbours and incident edge
+    # columns, in edge order; a repeated edge is its own column.
+    neighbours, incident = [[] for _ in range(d)], [[] for _ in range(d)]
+    for e, (a, b) in enumerate(model.edges):
+        neighbours[a].append(b)
+        incident[a].append(e)
+        neighbours[b].append(a)
+        incident[b].append(e)
+    far_symbols, weights = [], []
     for i in range(d):
-        blanket = sorted({j for e in model.edges if i in e for j in e} - {i}) + [i]
-        if isinstance(data, Dataset):
-            rows, w = _blanket_rows(data.values, blanket, m)
-        else:
-            marginal = data.probs.sum(axis=tuple(a for a in range(d) if a not in blanket))
-            marginal = np.moveaxis(marginal, sorted(blanket).index(i), -1)
-            flat = np.flatnonzero(marginal)
-            rows, w = np.column_stack(np.unravel_index(flat, marginal.shape)), marginal.ravel()[flat]
-        # The rows are sorted, so each cell's rows are adjacent.
-        new_cell = np.concatenate(([True], np.any(rows[1:, :-1] != rows[:-1, :-1], axis=1)))
-        cell = np.cumsum(new_cell) - 1
-        c_i = np.zeros((cell[-1] + 1, m))
-        c_i[cell, rows[:, -1]] = w
-        alternatives = np.zeros((len(c_i), m, d), dtype=np.int64)
-        alternatives[:, :, blanket] = rows[new_cell, None, :]
-        alternatives[:, :, i] = np.arange(m)
-        cells.append(alternatives)
+        blanket = sorted(set(neighbours[i])) + [i]
+        where = {j: p for p, j in enumerate(blanket)}
+        u, c_i = _blanket_cells(data, blanket, [where[j] for j in neighbours[i]], m)
+        # Held until D is allocated, so in the narrowest dtype that holds a symbol.
+        far_symbols.append(u.astype(np.min_scalar_type(m - 1)))
         weights.append(c_i)
     c = np.concatenate(weights)
-    T = sufficient_statistics(model, np.concatenate(cells).reshape(-1, d)).reshape(c.shape + (-1,))
-    return (T - T[:, :1]).reshape(-1, T.shape[-1]), c
+    # field[y] = S[:, y] - S[:, 0] and edge[u, y] = (S'S)[y, u] - (S'S)[0, u].
+    S = site_pattern(model)
+    k, n_fields = S.shape[0], model.n_params - len(model.edges)
+    pair = S.T @ S
+    field, edge = S.T - S.T[0], (pair - pair[0]).T
+    D = np.zeros((c.size, model.n_params))
+    start = 0
+    for i, u in enumerate(far_symbols):
+        stop = start + u.shape[0] * m
+        rows = D[start:stop].reshape(-1, m, model.n_params)
+        rows[:, :, i * k:(i + 1) * k] = field
+        # Written through the (cell, column, symbol) view, whose order edge[u] has.
+        rows.transpose(0, 2, 1)[:, [n_fields + e for e in incident[i]]] = edge[u]
+        start = stop
+    return D, c
+
+
+def _blanket_cells(data, blanket: list[int], far: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of site i = blanket[-1], the configurations of its sorted
+    neighbours blanket[:-1] that occur in the data, in lexicographic order:
+    each cell's symbols at the blanket positions far, and c_i, the data's
+    weight on each cell with each symbol y at i.
+
+    A joint gives c_i as the rows with weight of its marginal on the blanket,
+    i's axis last, and each cell's symbols as the digits of its row index in
+    base m; a Dataset gives both from its counted blanket rows
+    (`_blanket_rows`)."""
+    if isinstance(data, DiscreteJoint):
+        axes = sorted(blanket)  # the marginal's
+        marginal = data.probs.sum(axis=tuple(a for a in range(data.d) if a not in blanket))
+        table = marginal.transpose([axes.index(j) for j in blanket]).reshape(-1, m)
+        kept = table.any(axis=1).nonzero()[0]
+        place = np.array([m ** (len(blanket) - 2 - p) for p in far], dtype=np.int64)
+        return kept[:, None] // place % m, table[kept]
+    rows, w = _blanket_rows(data.values, blanket, m)
+    # The rows are sorted, so each cell's rows are adjacent.
+    new_cell = np.concatenate(([True], np.any(rows[1:, :-1] != rows[:-1, :-1], axis=1)))
+    cell = np.cumsum(new_cell) - 1
+    c_i = np.zeros((cell[-1] + 1, m))
+    c_i[cell, rows[:, -1]] = w
+    return rows[new_cell][:, far], c_i
 
 
 def _weighted_moments(D: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -494,21 +494,28 @@ def test_population_rm_fit_converges_on_potts():
     assert np.abs(fitted.probs - joint.probs).max() < 1e-7
 
 
-@pytest.mark.parametrize("objective, population, builds", [
-    (ObjectiveKind.PSEUDO_LIKELIHOOD, False, 1),  # T of each blanket cell's alternatives
-    (ObjectiveKind.GSM_DISCRETE, False, 1),
-    (ObjectiveKind.RATIO_MATCHING, False, 1),
-    (ObjectiveKind.EXACT_MLE, False, 1),  # T of the cube, which the data weight
-    (ObjectiveKind.GSM_DISCRETE, True, 1),
-    (ObjectiveKind.EXACT_MLE, True, 1),
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call of objectives.<name> from here on."""
+    calls, build = [], getattr(objectives, name)
+    monkeypatch.setattr(objectives, name, lambda *args: calls.append(args) or build(*args))
+    return calls
+
+
+@pytest.mark.parametrize("objective, population", [
+    (ObjectiveKind.PSEUDO_LIKELIHOOD, False),
+    (ObjectiveKind.GSM_DISCRETE, False),
+    (ObjectiveKind.RATIO_MATCHING, False),
+    (ObjectiveKind.EXACT_MLE, False),
+    (ObjectiveKind.GSM_DISCRETE, True),
+    (ObjectiveKind.EXACT_MLE, True),
 ])
-def test_fit_builds_sufficient_statistics_once(monkeypatch, objective, population, builds):
-    # Each fit builds its design (D, c) once, with one sufficient-statistic
-    # build, and evaluates every trial point on it.
-    calls = []
-    build = objectives.sufficient_statistics
-    monkeypatch.setattr(objectives, "sufficient_statistics",
-                        lambda *args: calls.append(args) or build(*args))
+def test_fit_builds_its_design_once(monkeypatch, objective, population):
+    # Each objective and each fit builds its design (D, c) once and evaluates
+    # every trial point on it.  Only mle's build takes T, of the cube; a
+    # blanket design is filled from each site's fields and incident edges.
+    designs = _count_calls(monkeypatch, "_discrete_design")
+    statistics = _count_calls(monkeypatch, "sufficient_statistics")
+    statistics_per_design = 1 if objective is ObjectiveKind.EXACT_MLE else 0
     truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
     data = exact_normalize(truth) if population else sample(truth, 500, seed=4)
     # gsm and mle are their own population forms.
@@ -517,10 +524,10 @@ def test_fit_builds_sufficient_statistics_once(monkeypatch, objective, populatio
     rng = np.random.default_rng(0)
     for _ in range(5):
         objective_at(rng.standard_normal(truth.n_params))
-    assert len(calls) == builds
+    assert (len(designs), len(statistics)) == (1, statistics_per_design)
     res = fit(ising_model(np.zeros(3), np.zeros(2)), objective, data)
     assert res.converged and res.iters > 1
-    assert len(calls) == 2 * builds
+    assert (len(designs), len(statistics)) == (2, 2 * statistics_per_design)
 
 
 def test_population_mle_design_equals_the_dataset_route():

@@ -381,6 +381,20 @@ def test_pl_design_holds_the_codes_and_little_else(d):
     assert peak <= 1.25 * n * 8 + D.nbytes + c.nbytes
 
 
+def test_dense_graph_pl_design_is_filled_in_place():
+    # On a complete d = 10 graph each blanket row has 10 non-zero columns of
+    # 55.  Its design is allocated once and filled site by site; T rows of the
+    # alternatives would add a second D-sized array.  At J = 0 all 512
+    # configurations of each site's 9 neighbours occur in 2e4 samples.
+    n, d = 20_000, 10
+    edges = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    model = ising_model(np.zeros(d), np.zeros(len(edges)), edges)
+    data = sample(model, n, seed=6)
+    (D, c), peak = _peak_bytes(_discrete_design, model, PL, data)
+    assert D.shape == (d * 2**(d - 1) * 2, d + len(edges))
+    assert peak <= D.nbytes + 2 * c.nbytes + 1.25 * n * 8
+
+
 def test_mle_design_holds_little_beside_the_cube_statistics():
     # The d = 12 chain's mle design holds T of the 4096-state cube.  The N
     # codes, an int64 cube and its checked copy would add 0.79 MiB beside it.

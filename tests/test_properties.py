@@ -1,6 +1,7 @@
 """Property-based tests for the numerical identities that must hold for
 arbitrary inputs, not just the hand-picked fixtures."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from scorematch.estimation import (
     fit,
 )
 from scorematch.models import (
+    Dataset,
     ModelKind,
     continuous_dataset,
     discrete_dataset,
@@ -35,6 +37,7 @@ from scorematch.models import (
 )
 from scorematch.objectives import (
     ObjectiveKind,
+    _discrete_design,
     empirical_objective,
     exact_mle_population,
     gaussian_sm_normal_equations,
@@ -44,6 +47,7 @@ from scorematch.objectives import (
     ratio_matching_population,
 )
 from scorematch.operators import (
+    DiscreteJoint,
     brook_ratio,
     discrete_joint,
     joint_conditionals,
@@ -346,6 +350,103 @@ def test_a_dataset_and_its_empirical_joint_evaluate_alike(seed, shortfall):
         b = empirical_objective(model, kind, joint)(theta)
         assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))
         assert np.abs(a.grad_theta - b.grad_theta).max() <= 1e-12 * max(1.0, np.abs(a.grad_theta).max())
+
+
+def _reference_blanket_design(model, data):
+    """The gsm/rm/pl design (D, c) built from T: for each site i and each
+    configuration of its neighbours that has weight, in lexicographic order,
+    T of the m alternatives minus T of the one with symbol 0 at i, and the
+    data's weight on each alternative.  A Dataset with no more cube states
+    than samples is read as its empirical joint."""
+    m, d = model.alphabet_size, model.dim
+    if isinstance(data, Dataset) and m**d <= data.n:
+        counts = np.bincount(data.values @ (m ** np.arange(d - 1, -1, -1)), minlength=m**d)
+        data = DiscreteJoint(m, d, (counts / data.n).reshape((m,) * d))
+    D, c = [], []
+    for i in range(d):
+        neighbours = sorted({j for e in model.edges if i in e for j in e} - {i})
+        blanket = neighbours + [i]
+        weights = {}  # in insertion order, which is lexicographic
+        if isinstance(data, DiscreteJoint):
+            marginal = data.probs.sum(axis=tuple(a for a in range(d) if a not in blanket))
+            marginal = np.moveaxis(marginal, sorted(blanket).index(i), -1)
+            for config in itertools.product(range(m), repeat=len(neighbours)):
+                if marginal[config].any():
+                    weights[config] = marginal[config]
+        else:
+            rows, counts = np.unique(data.values[:, blanket], axis=0, return_counts=True)
+            for row, count in zip(rows, counts):
+                weights.setdefault(tuple(row[:-1]), np.zeros(m))[row[-1]] = count / data.n
+        for config, w in weights.items():
+            alternatives = np.zeros((m, d), dtype=int)
+            alternatives[:, neighbours] = config
+            alternatives[:, i] = np.arange(m)
+            T = sufficient_statistics(model, alternatives)
+            D.append(T - T[0])
+            c.append(w)
+    return np.concatenate(D), np.array(c)
+
+
+def _assert_blanket_designs_are_the_reference(model, data):
+    want = _reference_blanket_design(model, data)
+    kinds = [ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.GSM_DISCRETE]
+    if model.alphabet_size == 2:
+        kinds.append(ObjectiveKind.RATIO_MATCHING)
+    for kind in kinds:
+        for got, ref in zip(_discrete_design(model, kind, data), want, strict=True):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+BLANKET_GRAPHS = {
+    **GRAPHS,
+    "potts, repeated edge": [(0, 1), (1, 2), (0, 1), (2, 3)],
+    "complete d=6": [(i, j) for i in range(6) for j in range(i + 1, 6)],
+    "random": None,
+}
+
+
+@given(seed=st.integers(0, 10_000), graph=st.sampled_from(sorted(BLANKET_GRAPHS)),
+       m=st.sampled_from([2, 3]), route=st.sampled_from(["joint", "counted", "blanket rows"]))
+@example(seed=0, graph="potts, repeated edge", m=2, route="counted")
+@example(seed=1, graph="complete d=6", m=3, route="joint")
+@settings(**SETTINGS)
+def test_blanket_design_is_the_sufficient_statistic_build_byte_for_byte(seed, graph, m, route):
+    # Each blanket row is filled from its site's fields and incident edges; D
+    # and c must equal, byte for byte, T of each cell's alternatives minus the
+    # symbol-0 row and the data's weights, on each route the weights take: a
+    # joint with empty cells, a Dataset that is counted into its empirical
+    # joint, and one read through its blanket rows.  m = 2 is Ising except
+    # where the graph says Potts; the random graph draws its own m and kind.
+    rng = np.random.default_rng(seed)
+    edges = BLANKET_GRAPHS[graph]
+    if edges is None:
+        model, d, m, _ = _random_pairwise(rng)
+    else:
+        d = max(max(e) for e in edges) + 1
+        if m == 2 and "potts" not in graph:
+            model = ising_model(rng.uniform(-1, 1, d), rng.uniform(-1, 1, len(edges)), edges)
+        else:
+            model = potts_model(rng.uniform(-1, 1, (d, m)), rng.uniform(-1, 1, len(edges)), edges)
+    if route == "joint":
+        probs = rng.random((m,) * d) + 0.05
+        probs[rng.random(probs.shape) < 0.5] = 0.0
+        probs.flat[rng.integers(probs.size)] = 1.0
+        data = discrete_joint(probs)
+    else:
+        n = m**d + int(rng.integers(0, 20)) if route == "counted" else int(rng.integers(1, m**d))
+        data = discrete_dataset(rng.integers(0, m, (n, d)), m=m)
+    _assert_blanket_designs_are_the_reference(model, data)
+
+
+def test_blanket_design_of_the_64_leaf_star_is_the_reference():
+    # The hub's blanket codes would overflow int64, so its rows are sorted
+    # themselves; each leaf's blanket is (hub, leaf).
+    rng = np.random.default_rng(8)
+    hub = rng.integers(0, 2, (300, 1))
+    leaves = np.where(rng.random((300, 64)) < 0.8, hub, 1 - hub)
+    edges = [(0, k) for k in range(1, 65)]
+    model = ising_model(rng.uniform(-1, 1, 65), rng.uniform(-1, 1, 64), edges)
+    _assert_blanket_designs_are_the_reference(model, discrete_dataset(np.hstack([hub, leaves]), 2))
 
 
 @given(seed=st.integers(0, 10_000), m=st.sampled_from([2, 3]), d=st.integers(2, 3),
