@@ -6,11 +6,13 @@ are integers 0..m-1; Ising spins use the fixed map {0 -> -1, 1 -> +1}.
 
 Ising and Potts are exponential families: their sufficient statistic T
 (`sufficient_statistics`) gives log q~ = T(x) . theta, and the two kinds
-differ only in their site pattern S (`site_pattern`).  The discrete
-objectives see the model only through these (`objectives.empirical_objective`):
-mle through T rows of the state cube, and gsm, rm and pl through S alone,
-since a change of one site's symbol moves only that site's fields and its
-incident edges.
+differ only in their site pattern S (`site_pattern`).  log q~ is one sum
+over S, at points (`log_unnorm`) and on the state cube's open axes
+(`log_table`), so no enumeration builds an array of states.  The discrete
+objectives (`objectives.empirical_objective`) see the model only through T
+and S: mle through T rows of the state cube, and gsm, rm and pl through S
+alone, since a change of one site's symbol moves only that site's fields and
+its incident edges.
 
 The Potts layout is overcomplete (Wainwright & Jordan 2008): adding c to all
 of one site's fields adds c to log q~ at every state, so the distribution
@@ -166,16 +168,6 @@ def gaussian_parts(model: Model) -> tuple[np.ndarray, np.ndarray]:
     return mu, cov
 
 
-def ising_parts(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    d = model.dim
-    return model.params[:d], model.params[d:]
-
-
-def potts_parts(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    d, m = model.dim, model.alphabet_size
-    return model.params[: d * m].reshape(d, m), model.params[d * m:]
-
-
 def zero_sum_gauge(model: Model, theta) -> np.ndarray:
     """theta with each Potts site's field mean subtracted from its fields, the
     representative of its gauge class whose field rows sum to zero; theta
@@ -225,19 +217,8 @@ def log_unnorm(model: Model, x) -> float | np.ndarray:
     elif model.kind is ModelKind.GEN_GAUSS_1D:
         alpha = model.params[0]
         out = -((pts[:, 0] ** 2 + GENGAUSS_EPS**2) ** (alpha / 2.0))
-    elif model.kind is ModelKind.ISING:
-        h, coup = ising_parts(model)
-        s = 2.0 * pts - 1.0
-        out = s @ h
-        for k, (i, j) in enumerate(model.edges):
-            out = out + coup[k] * s[:, i] * s[:, j]
-    elif model.kind is ModelKind.POTTS:
-        fields, coup = potts_parts(model)
-        out = fields[np.arange(model.dim), pts].sum(axis=1)
-        for k, (i, j) in enumerate(model.edges):
-            out = out + coup[k] * (pts[:, i] == pts[:, j])
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {model.kind}")
+    else:
+        out = _site_pattern_sum(model, pts.T)
     return float(out[0]) if single else out
 
 
@@ -311,6 +292,32 @@ def sufficient_statistics(model: Model, X) -> np.ndarray:
     return T
 
 
+def _site_pattern_sum(model: Model, symbols) -> np.ndarray:
+    """log q~ at the symbol arrays symbols[i] of sites i, which broadcast
+    together: with S the site pattern, each site's (fields @ S)[i, x_i], then
+    each edge's J_e (S'S)[x_a, x_b], added in place into one array."""
+    S = site_pattern(model)
+    k, n_fields = S.shape[0], model.n_params - len(model.edges)
+    site, pair = model.params[:n_fields].reshape(model.dim, k) @ S, S.T @ S
+    out = np.zeros(np.broadcast_shapes(*(x.shape for x in symbols)))
+    for i, x in enumerate(symbols):
+        out += site[i, x]
+    for J, (a, b) in zip(model.params[n_fields:], model.edges):
+        out += J * pair[symbols[a], symbols[b]]
+    return out
+
+
+def log_table(model: Model) -> np.ndarray:
+    """log q~ of an Ising or Potts model on its state cube, the (m,)*d table
+    of a DiscreteJoint, summed on the cube's open axes with no array of
+    states; refused, as `state_cube` refuses, past MAX_ENUM_STATES states."""
+    _require_discrete(model)
+    m, d = model.alphabet_size, model.dim
+    if m**d > MAX_ENUM_STATES:
+        raise ValueError(f"state space {m}**{d} too large to enumerate")
+    return _site_pattern_sum(model, np.indices((m,) * d, sparse=True))
+
+
 def state_cube(m: int, d: int) -> np.ndarray:
     """All m**d states of {0..m-1}^d as rows, in C order (coordinate 0
     slowest), the flattening order of a DiscreteJoint's table.  A cube of
@@ -345,12 +352,11 @@ def exact_normalize(model: Model, n: int | None = None):
     continuous 1-D/2-D kinds.
     """
     if model.kind in DISCRETE_KINDS:
-        m, d = model.alphabet_size, model.dim
-        logs = log_unnorm(model, state_cube(m, d))
-        logs = logs - logs.max()
-        probs = np.exp(logs)
+        logs = log_table(model)
+        logs -= logs.max()
+        probs = np.exp(logs, out=logs)
         probs /= probs.sum()
-        return discrete_joint(probs.reshape((m,) * d))
+        return discrete_joint(probs)
     if model.dim > 2:
         raise ValueError("continuous quadrature supported in 1-D and 2-D only")
     box = default_box(model)

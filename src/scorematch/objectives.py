@@ -40,8 +40,8 @@ GaussianMoments, which may stand for a Gaussian population.  The exact-MLE
 oracle's partition uses a NumPy port of SciPy's `logsumexp`, so importing the
 package loads no SciPy module.  The population objectives are value-only:
 they are the enumeration oracles the estimators are checked against, so they
-keep their own independent route through `log_unnorm`.  The gsm and pl
-oracles read q's singleton conditionals from one per-site helper,
+read log q~ on the cube from `models.log_table`, not from a design.  The gsm
+and pl oracles read q's singleton conditionals from one per-site helper,
 `_log_conditionals`, and rm keeps its leave-one-out ratios, so gsm and rm
 remain two routes to one divergence; both sum it over the support of p
 (`_squared_gap_sum`), where a fibre x^{\\i} with no mass adds 0.  A
@@ -69,7 +69,7 @@ from .models import (
     gaussian_parts,
     grad_x_log,
     laplacian_x_log,
-    log_unnorm,
+    log_table,
     site_pattern,
     state_cube,
     sufficient_statistics,
@@ -180,13 +180,6 @@ def _check_data(model: Model, data) -> None:
     if got != want:
         raise ValueError(f"the {model.kind.value} model needs data of shape "
                          f"(dimension, alphabet size) = {want}, got {got}")
-
-
-def _log_table(model: Model, theta) -> np.ndarray:
-    """log q~ on the full state cube, shape (m,)*d."""
-    mod = model.with_params(theta)
-    m, d = mod.alphabet_size, mod.dim
-    return np.asarray(log_unnorm(mod, state_cube(m, d))).reshape((m,) * d)
 
 
 def _log_conditionals(log_f: np.ndarray):
@@ -628,7 +621,7 @@ def _squared_gap_sum(p: DiscreteJoint, model: Model, theta, p_tables, q_tables) 
     with a_i and b_i site i's tables from p_tables(p.probs) and q_tables(log q~):
     a fibre x^{\\i} with no mass adds 0, whatever a_i holds there (0/0, log 0 - log 0)."""
     _check_data(model, p)
-    log_q = _log_table(model, theta)  # before any table of p's, so log_unnorm's peak stays the peak
+    log_q = log_table(model.with_params(theta))  # before p's tables, so their peaks do not add
     support, total = p.probs > 0, 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, (a, b) in enumerate(zip(p_tables(p.probs), q_tables(log_q))):
@@ -641,11 +634,11 @@ def pseudo_likelihood_population(p: DiscreteJoint, model: Model, theta) -> float
     """-sum_x p(x) sum_i log q(xi|x^{\\i}), with each log conditional taken in
     log space (`_log_conditionals`)."""
     _check_data(model, p)
-    return float(-np.sum(p.probs * sum(_log_conditionals(_log_table(model, theta)))))
+    return float(-np.sum(p.probs * sum(_log_conditionals(log_table(model.with_params(theta))))))
 
 
 def exact_mle_population(p: DiscreteJoint, model: Model, theta) -> float:
     """Cross entropy of p against the exactly normalized model."""
     _check_data(model, p)
-    table = _log_table(model, theta)
+    table = log_table(model.with_params(theta))
     return float(-np.sum(p.probs * (table - logsumexp(table))))

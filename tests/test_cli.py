@@ -177,6 +177,19 @@ def test_fit_mle_past_the_enumeration_cap_is_a_usage_error(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_fit_enumerate_past_the_enumeration_cap_is_a_usage_error(tmp_path, capsys):
+    # --data enumerate normalizes the --p-model, whose 2**25-state table is
+    # refused before it is allocated.
+    chain = tmp_path / "chain25.json"
+    chain.write_text(model_to_json(ising_model(np.zeros(25), np.zeros(24))))
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--model", str(chain), "--objective", "pl", "--data", "enumerate",
+                 "--p-model", str(chain), "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "too large to enumerate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_on_a_header_only_dataset_is_a_usage_error(ising2, tmp_path, capsys):
     data = tmp_path / "empty.csv"
     data.write_text("x0,x1\n")

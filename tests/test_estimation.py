@@ -363,12 +363,12 @@ def test_population_fit_calls_the_oracle_once(monkeypatch, objective, truth):
     joint = exact_normalize(truth)
     calls = []
 
-    def counted_log_unnorm(*args):
+    def counted_log_table(*args):
         calls.append(1)
-        return log_unnorm(*args)
+        return log_table(*args)
 
-    log_unnorm = objectives.log_unnorm
-    monkeypatch.setattr(objectives, "log_unnorm", counted_log_unnorm)
+    log_table = objectives.log_table
+    monkeypatch.setattr(objectives, "log_table", counted_log_table)
     model = truth.with_params(np.zeros(truth.n_params))
     res = fit(model, objective, joint)
     assert res.iters > 1

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scorematch import models, objectives
+from scorematch import models, objectives, verify
 from scorematch.grids import gaussian_1d
 from scorematch.models import (
     ParameterDomainError,
@@ -404,6 +404,35 @@ def test_mle_design_holds_little_beside_the_cube_statistics():
     assert peak <= D.nbytes + 0.25 * 2**20
 
 
+def test_enumerations_hold_a_few_cube_tables():
+    # On the d = 18 chain one (2,)*18 float64 table is 2 MiB.  log q~ is summed
+    # into one table on the cube's open axes; the cube's states (4.5 MiB) and a
+    # float spin matrix of them (36 MiB) would take many tables more.
+    model = ising_model(np.full(18, 0.1), np.full(17, 0.5))
+    table = 2**18 * 8
+    joint, peak = _peak_bytes(exact_normalize, model)
+    assert peak <= 2 * table
+    for oracle in (pseudo_likelihood_population, exact_mle_population):
+        _, peak = _peak_bytes(oracle, joint, model, model.params)
+        assert peak <= 4 * table, oracle.__name__
+
+
+def test_enumerations_build_no_state_cube(monkeypatch):
+    def refuse(m, d):
+        raise AssertionError(f"built the {m}**{d} state cube")
+
+    monkeypatch.setattr(models, "state_cube", refuse)
+    monkeypatch.setattr(objectives, "state_cube", refuse)
+    star = [(0, 1), (0, 2), (0, 3)]
+    for model in (ising_model([0.2, -0.1, 0.0, 0.3], [0.5, 0.5, -0.4]),
+                  potts_model(np.linspace(-0.5, 0.5, 12).reshape(4, 3), [0.6, -0.4, 0.5], star)):
+        joint = exact_normalize(model)
+        sample(model, 10, seed=1)
+        for oracle in (gsm_discrete_population, ratio_matching_population,
+                       pseudo_likelihood_population, exact_mle_population):
+            oracle(joint, model, model.params)
+
+
 def test_logsumexp_equals_scipy_bit_for_bit():
     scipy_logsumexp = pytest.importorskip("scipy.special").logsumexp
     rng = np.random.default_rng(41)
@@ -694,3 +723,12 @@ def test_population_objectives_reject_shape_mismatch():
                pseudo_likelihood_population, exact_mle_population):
         with pytest.raises(ValueError, match="shape"):
             fn(p, model, model.params)
+
+
+def test_gradcheck_suite_passes():
+    # Exact gradients of every empirical objective and every population form
+    # against central differences of the value, or of the enumeration oracle.
+    checks = verify.run_suite("gradcheck")
+    assert len(checks) == 18
+    assert all(c.passed for c in checks), [f"{c.name}: {c.residual:.3e}"
+                                           for c in checks if not c.passed]

@@ -26,6 +26,7 @@ from scorematch.models import (
     grad_x_log,
     ising_model,
     laplacian_x_log,
+    log_table,
     log_unnorm,
     model_from_json,
     model_to_json,
@@ -244,6 +245,47 @@ def test_sufficient_statistics_reproduce_log_unnorm(seed, kind, m, graph, cube):
     assert T.shape == (X.shape[0], model.n_params) and T.flags.c_contiguous
     want = log_unnorm(model, X)
     assert np.all(np.abs(T @ model.params - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _reference_log_q(model, X):
+    """log q~ written out from each kind's own formula, with no site pattern:
+    Ising spins s = 2x - 1 give s . h + sum_e J_e s_a s_b, and Potts gives
+    sum_i fields[i, x_i] + sum_e J_e [x_a = x_b]."""
+    d, X = model.dim, np.asarray(X, dtype=np.int64)
+    couplings = model.params[model.n_params - len(model.edges):]
+    if model.kind is ModelKind.ISING:
+        s = 2.0 * X - 1.0
+        out = s @ model.params[:d]
+        terms = [s[:, a] * s[:, b] for a, b in model.edges]
+    else:
+        fields = model.params[:d * model.alphabet_size].reshape(d, -1)
+        out = fields[np.arange(d), X].sum(axis=1)
+        terms = [X[:, a] == X[:, b] for a, b in model.edges]
+    for J, term in zip(couplings, terms):
+        out = out + J * term
+    return out
+
+
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(["ising", "potts"]),
+       m=st.sampled_from([2, 3, 4]), graph=st.sampled_from(sorted(GRAPHS) + ["repeated edge"]))
+@settings(**SETTINGS)
+def test_log_q_is_the_spin_and_equality_formula(seed, kind, m, graph):
+    # log_unnorm at random points and log_table on the whole cube both sum
+    # log q~ from the site pattern; the reference does not.  An Ising model
+    # has m = 2 whatever m is drawn.
+    rng = np.random.default_rng(seed)
+    edges = GRAPHS.get(graph, [(0, 1), (1, 2), (0, 1), (2, 3)])
+    if kind == "ising":
+        model = ising_model(rng.uniform(-2, 2, 4), rng.uniform(-2, 2, len(edges)), edges)
+    else:
+        model = potts_model(rng.uniform(-2, 2, (4, m)), rng.uniform(-2, 2, len(edges)), edges)
+    m = model.alphabet_size
+    X = rng.integers(0, m, (int(rng.integers(1, 60)), 4))
+    table = log_table(model)
+    assert table.shape == (m,) * 4
+    for got, want in ((log_unnorm(model, X), _reference_log_q(model, X)),
+                      (table.ravel(), _reference_log_q(model, state_cube(m, 4)))):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 POPULATION_ORACLES = {
