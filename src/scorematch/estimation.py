@@ -357,29 +357,24 @@ def compare_estimators(model: Model, n_list, seeds, objectives) -> list[dict]:
     return rows
 
 
+# The comparison CSV's columns, in order: the keys of each row.
+COMPARISON_COLUMNS = ("objective", "n", "seed", "converged", "iters", "stop_reason",
+                      "linf_error", "objective_value", "grad_norm")
+COMPARISON_HEADER = ",".join(COMPARISON_COLUMNS)
+
+
 def _row(model: Model, objective, n, seed, res: FitResult) -> dict:
+    """A comparison row: the fit's own fields by name, and its error in the
+    zero-sum gauge."""
     error = zero_sum_gauge(model, res.theta_hat) - zero_sum_gauge(model, model.params)
-    return {
-        "objective": objective.value,
-        "n": n,
-        "seed": seed,
-        "converged": res.converged,
-        "iters": res.iters,
-        "linf_error": float(np.abs(error).max()),
-        "objective_value": res.objective_value,
-        "grad_norm": res.grad_norm,
-    }
+    own = {"objective": objective.value, "n": n, "seed": seed, "linf_error": float(np.abs(error).max())}
+    return {k: own[k] if k in own else getattr(res, k) for k in COMPARISON_COLUMNS}
 
 
-COMPARISON_HEADER = "objective,n,seed,converged,iters,linf_error,objective_value,grad_norm"
+def _csv_field(v) -> str:
+    return str(v).lower() if isinstance(v, bool) else f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def comparison_to_csv(rows) -> str:
-    lines = [COMPARISON_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['objective']},{r['n']},{r['seed']},{str(r['converged']).lower()},"
-            f"{r['iters']},{r['linf_error']:.17g},{r['objective_value']:.17g},"
-            f"{r['grad_norm']:.17g}"
-        )
+    lines = [COMPARISON_HEADER] + [",".join(_csv_field(r[k]) for k in COMPARISON_COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"

@@ -20,41 +20,43 @@ Gaussian sm and mle are closed forms in the precision and the sample scatter,
 and Gaussian sm is also exactly quadratic in its natural parameters, whose
 normal equations `gaussian_sm_normal_equations` builds from the same moments.
 Generalized-Gaussian sm differentiates its own score and Laplacian terms in
-alpha.  The discrete gsm, rm, pl and mle see Ising and Potts only through a
-linear design over sets of alternatives (`_discrete_design`): the whole
-state cube for mle, whose rows are T of the cube
-(`models.sufficient_statistics`), and for gsm, rm and pl the m symbols of
-one site in one configuration of its neighbours, whose rows are filled from
-the site pattern (`models.site_pattern`) in the site's field block and
-incident edge columns alone.  Each evaluation is one product z = D theta, a
-softmax over each set, and one product back for the gradient.  The
-curvature of gsm, rm and pl is one weighted Gram product of the same rows,
-centred on each set (`_centred_gram`); that of mle is built from the data's
-moments of T, which the design holds, and E_q[T] from the gradient pass.
-Discrete data is a Dataset or a DiscreteJoint, which stands for its state
-cube weighted by its probabilities.  The data enter gsm, rm and pl only
-through each site's blanket: a joint's marginals on the blankets, which a
-Dataset that fits its cube becomes by one count, or a larger Dataset's
-counted blanket rows.  Gaussian data is a Dataset or
+alpha.  The discrete objectives see Ising and Potts only through a linear
+design over sets of alternatives (`_discrete_design`): for mle the whole state
+cube, whose rows are T of the cube (`models.sufficient_statistics`), and for
+pl, gsm and rm the m symbols of one site in one configuration of its
+neighbours, whose rows are filled from the site pattern
+(`models.site_pattern`) in the site's field block and incident edge columns
+alone.  Each evaluation is one product z = D theta, a softmax q over each set,
+and one product back for the gradient.  pl, gsm and rm are proper scoring
+rules of those singleton conditionals (`_RULES`: the log, Brier and binary
+ratio scores), each giving its value, u = q dl/dq and v = q^2 d2l/dq2, which
+one evaluator (`_scored`) takes through the softmax; their curvature is one
+weighted Gram product of the same rows, centred on each set (`_centred_gram`).
+mle's is built from the data's moments of T, which the design holds, and
+E_q[T] from the gradient pass.  Discrete data is a Dataset or a DiscreteJoint,
+which stands for its state cube weighted by its probabilities.  The data enter
+pl, gsm and rm only through each site's blanket: a joint's marginals on the
+blankets, which a Dataset that fits its cube becomes by one count, or a larger
+Dataset's counted blanket rows.  Gaussian data is a Dataset or
 GaussianMoments, which may stand for a Gaussian population.  The exact-MLE
 oracle's partition uses a NumPy port of SciPy's `logsumexp`, so importing the
-package loads no SciPy module.  The population objectives are value-only:
-they are the enumeration oracles the estimators are checked against, so they
-read log q~ on the cube from `models.log_table`, not from a design.  The gsm
-and pl oracles read q's singleton conditionals from one per-site helper,
+package loads no SciPy module.  The population objectives are value-only: they
+are the enumeration oracles the estimators are checked against, so they read
+log q~ on the cube from `models.log_table`, not from a design.  The gsm and pl
+oracles read q's singleton conditionals from one per-site helper,
 `_log_conditionals`, and rm keeps its leave-one-out ratios, so gsm and rm
 remain two routes to one divergence; both sum it over the support of p
-(`_squared_gap_sum`), where a fibre x^{\\i} with no mass adds 0.  A
-population fit minimizes the joint-weighted form, which differs from its
-oracle by a theta-independent constant, and calls the oracle once, at its
-estimate (`estimation.fit`).
+(`_squared_gap_sum`), where a fibre x^{\\i} with no mass adds 0.  A population
+fit minimizes the joint-weighted form, which differs from its oracle by a
+theta-independent constant, and calls the oracle once, at its estimate
+(`estimation.fit`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -498,15 +500,6 @@ def _row_softmax(mod: Model, D: np.ndarray, c: np.ndarray):
     return z, s, q
 
 
-def _through_softmax(q: np.ndarray, g: np.ndarray, h, D: np.ndarray):
-    """The gradient and Hessian in theta of sum_ry l_ry(q_ry), through
-    q = softmax(z) over each row and z = D theta, from g = dl/dq and the
-    diagonal h = d2l/dq2: the gradient is dz' D with dz = q (g - sum_y q g),
-    and the Hessian has the weights w = h q^2 + dz (`_centred_gram`)."""
-    dz = q * (g - np.sum(q * g, axis=1, keepdims=True))
-    return dz.ravel() @ D, _centred_gram(q, h * q * q + dz, D)
-
-
 def _centred_gram(q: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
     """sum_ry w_ry D~_ry D~_ry' over the rows of D centred on each set of
     alternatives, D~_ry = D_ry - sum_y' q_ry' D_ry': the Hessian in theta of
@@ -516,15 +509,41 @@ def _centred_gram(q: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
     return (centred * w.reshape(-1, 1)).T @ centred
 
 
-def _pl(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
-    # sum c (logsumexp_row(z) - z), the weighted -log q of each alternative:
-    # the negative mean log product of the singleton conditionals.  Its
-    # gradient in z is n q - c with n the row weights, and its Hessian is the
-    # softmax covariance of each row weighted by n, so w = n q.
+def _scored(rule, mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
+    """sum_ry l(q_ry) of a scoring rule l of the row softmax q, from the rule's
+    value, u = q dl/dq and v = q^2 d2l/dq2: the gradient is dz' D with
+    dz = u - q sum_y u, and the Hessian has the weights v + dz (`_centred_gram`)."""
     z, s, q = _row_softmax(mod, D, c)
+    value, u, v = rule(c, z, s, q)
+    dz = u - q * u.sum(axis=1, keepdims=True)
+    return ObjectiveValue(float(value), dz.ravel() @ D, _centred_gram(q, v + dz, D))
+
+
+def _log_score(c, z, s, q):
+    # pl: sum c (log s - z), the weighted -log q of each alternative, with
+    # log q = z - log s and no 1/q, so a conditional that underflows still
+    # scores finitely; l = -c log q gives u = -c and v = c.
+    return np.sum(c * (np.log(s) - z)), -c, c
+
+
+def _brier_score(c, z, s, q):
+    # gsm: sum_r n_r sum_y q^2 - 2 c q, the Brier score of each cell's
+    # conditional.  Expanding gsm_discrete_population, its p-weighted cross
+    # term sum_y p(y|x^{\i}) q(y|x^{\i}) averages to q at the observed symbol,
+    # so the two differ by sum_x p(x) sum_i sum_y p(y|x^{\i})^2, which does not
+    # depend on theta; that constant needs p and is not added here.
     nq = q * c.sum(axis=1, keepdims=True)
-    return ObjectiveValue(float(np.sum(c * (np.log(s) - z))), (nq - c).ravel() @ D,
-                          _centred_gram(q, nq, D))
+    return np.sum((nq - 2.0 * c) * q), 2.0 * q * (nq - c), 2.0 * nq * q
+
+
+def _ratio_score(c, z, s, q):
+    # rm: Hyvarinen's binary ratio matching, sum c (1 - q)^2.  For binary data
+    # it is (gsm + d) / 2, so under p its expectation is half of
+    # ratio_matching_population plus a theta-independent constant.  For m > 2
+    # the observed-symbol form is no longer a constant away from that
+    # divergence, so `_discrete_design` rejects such models.
+    miss = 1.0 - q
+    return np.sum(c * miss**2), -2.0 * c * miss * q, 2.0 * c * q * q
 
 
 def _mle(mod: Model, D: np.ndarray, c: np.ndarray, G: np.ndarray, a: np.ndarray) -> ObjectiveValue:
@@ -545,41 +564,23 @@ def _mle(mod: Model, D: np.ndarray, c: np.ndarray, G: np.ndarray, a: np.ndarray)
     return ObjectiveValue(float(n * np.log(s) - cz), n * mu - a, G + cross + cross.T)
 
 
-def _gsm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
-    # sum_r n_r sum_y q^2 - 2 c q, the Brier score of each cell's conditional:
-    # the sample form mean sum_i [sum_y q(y|x^{\i})^2 - 2 q(xi|x^{\i})].
-    # Expanding gsm_discrete_population, the p-weighted cross term
-    # sum_y p(y|x^{\i}) q(y|x^{\i}) averages to q at the observed symbol, so
-    # the two differ by sum_x p(x) sum_i sum_y p(y|x^{\i})^2, which does not
-    # depend on theta.  That constant needs p and is not added here.
-    _, _, q = _row_softmax(mod, D, c)
-    n = c.sum(axis=1, keepdims=True)
-    nq = q * n
-    return ObjectiveValue(float(np.sum((nq - 2.0 * c) * q)),
-                          *_through_softmax(q, 2.0 * (nq - c), 2.0 * n, D))
+# Each blanket-design objective's proper scoring rule of the singleton conditionals.
+_RULES = {
+    ObjectiveKind.PSEUDO_LIKELIHOOD: _log_score,
+    ObjectiveKind.GSM_DISCRETE: _brier_score,
+    ObjectiveKind.RATIO_MATCHING: _ratio_score,
+}
 
 
-def _rm(mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
-    # Hyvarinen's binary ratio matching, sum c (1 - q)^2 over each symbol's
-    # weight and conditional.  For binary data this is (gsm + d) / 2, so under
-    # p its expectation is half of ratio_matching_population plus a
-    # theta-independent constant.  For m > 2 the observed-symbol form is no
-    # longer a constant away from that divergence, so `_discrete_design`
-    # rejects such models.
-    _, _, q = _row_softmax(mod, D, c)
-    miss = 1.0 - q
-    return ObjectiveValue(float(np.sum(c * miss**2)),
-                          *_through_softmax(q, -2.0 * c * miss, 2.0 * c, D))
-
-
-# Each model kind's per-theta evaluation of each objective that applies to it.
+# Each model kind's per-theta evaluation of each objective that applies to it;
+# each discrete one but mle is `_scored` with its rule.
 _EVALUATE = {
     (ModelKind.GAUSSIAN, ObjectiveKind.SM_CONTINUOUS): _gaussian_sm,
     (ModelKind.GAUSSIAN, ObjectiveKind.EXACT_MLE): _gaussian_mle,
     (ModelKind.GEN_GAUSS_1D, ObjectiveKind.SM_CONTINUOUS): _gen_gauss_sm,
-    **{(kind, objective): evaluate for kind in DISCRETE_KINDS for objective, evaluate in (
-        (ObjectiveKind.GSM_DISCRETE, _gsm), (ObjectiveKind.RATIO_MATCHING, _rm),
-        (ObjectiveKind.PSEUDO_LIKELIHOOD, _pl), (ObjectiveKind.EXACT_MLE, _mle))},
+    **{(kind, objective): partial(_scored, rule)
+       for kind in DISCRETE_KINDS for objective, rule in _RULES.items()},
+    **{(kind, ObjectiveKind.EXACT_MLE): _mle for kind in DISCRETE_KINDS},
 }
 
 

@@ -632,9 +632,16 @@ def test_compare_estimators_row_count_and_csv():
     pop = [r for r in rows if r["seed"] == ""]
     assert all(r["n"] == "inf" for r in pop)
     assert all(r["linf_error"] < 1e-5 for r in pop)
+    assert all(r["stop_reason"] == "grad_tol" for r in rows)
     lines = comparison_to_csv(rows).splitlines()
-    assert lines[0] == COMPARISON_HEADER
+    assert lines[0] == COMPARISON_HEADER == (
+        "objective,n,seed,converged,iters,stop_reason,linf_error,objective_value,grad_norm")
     assert len(lines) == 1 + len(rows)
+    # Each row's fields sit under their header names.
+    for line, r in zip(lines[1:], rows):
+        fields = dict(zip(lines[0].split(","), line.split(",")))
+        assert fields["stop_reason"] == r["stop_reason"] and fields["converged"] == "true"
+        assert float(fields["linf_error"]) == r["linf_error"] and int(fields["iters"]) == r["iters"]
 
 
 def test_compare_estimators_errors_shrink_with_n():

@@ -139,10 +139,11 @@ def test_a_built_objective_is_theta_free(seed):
         assert np.array_equal(again.grad_theta, first.grad_theta)
 
 
-def _random_pairwise(rng):
-    """An Ising or Potts model over a random d, m and edge set, with a random
-    theta in its parameter layout."""
-    d, m = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+def _random_pairwise(rng, d=None, m=None):
+    """An Ising or Potts model over a random edge set and, unless given, a
+    random d and m, with a random theta in its parameter layout."""
+    d = int(rng.integers(2, 5)) if d is None else d
+    m = int(rng.integers(2, 4)) if m is None else m
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     edges = [e for e in pairs if rng.random() < 0.5] or pairs[:1]
     if m == 2 and rng.random() < 0.5:
@@ -182,6 +183,52 @@ def test_discrete_objective_gradients_match_fd(seed):
         if kind is not ObjectiveKind.EXACT_MLE:
             numeric = _fd_curvature(objective, theta)
             assert np.abs(out.curvature - numeric).max() <= 1e-8 * max(1.0, np.abs(numeric).max())
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(**SETTINGS)
+def test_each_discrete_objective_is_strictly_proper_on_the_models_own_joint(seed):
+    # pl, gsm and rm are proper scoring rules of the singleton conditionals,
+    # and mle is the log score of the joint, so on the model's own joint each
+    # form is stationary at theta*; they are strictly proper, so there its
+    # curvature is positive definite off the Potts gauge and a population fit
+    # recovers theta* (the benchmark's population tolerance, 1e-5).  rm's own
+    # form is binary-only; its population fit takes gsm's form at every m.
+    rng = np.random.default_rng(seed)
+    model, d, m, theta = _random_pairwise(rng)
+    joint = exact_normalize(model.with_params(theta))
+    # An orthonormal basis of the zero-sum slice: the eigenvectors of the
+    # gauge projection with eigenvalue 1.
+    w, V = np.linalg.eigh(np.column_stack([zero_sum_gauge(model, e) for e in np.eye(model.n_params)]))
+    Q = V[:, w > 0.5]
+    kinds = [ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.GSM_DISCRETE, ObjectiveKind.EXACT_MLE]
+    for kind in kinds + [ObjectiveKind.RATIO_MATCHING] * (m == 2):
+        at = empirical_objective(model, kind, joint)(theta)
+        assert np.abs(at.grad_theta).max() <= 1e-12 * max(1.0, np.abs(at.curvature).max())
+        lam = np.linalg.eigvalsh(Q.T @ at.curvature @ Q)
+        assert lam[0] >= 1e-4 * lam[-1]
+    for kind in kinds + [ObjectiveKind.RATIO_MATCHING]:
+        res = fit(model, kind, joint)
+        assert np.abs(zero_sum_gauge(model, res.theta_hat) - zero_sum_gauge(model, theta)).max() <= 1e-5
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(**SETTINGS)
+def test_rm_is_half_of_gsm_plus_d_on_binary_data(seed):
+    # On binary data each cell's ratio score c0 q1^2 + c1 q0^2 is half of its
+    # Brier score n (q0^2 + q1^2) - 2 (c0 q0 + c1 q1) plus its weight n, and
+    # each site's cells weigh 1 in all, so rm = (gsm + d) / 2 with half of
+    # gsm's gradient and curvature.  N below and above 2**d reads a Dataset
+    # through its counted blanket rows and through its empirical joint.
+    rng = np.random.default_rng(seed)
+    model, d, m, theta = _random_pairwise(rng, d=int(rng.integers(2, 6)), m=2)
+    for data in (discrete_dataset(rng.integers(0, 2, (int(rng.integers(1, 60)), d)), m=2),
+                 discrete_joint(rng.random((2,) * d) + 0.05)):
+        rm = empirical_objective(model, ObjectiveKind.RATIO_MATCHING, data)(theta)
+        gsm = empirical_objective(model, ObjectiveKind.GSM_DISCRETE, data)(theta)
+        assert abs(rm.value - (gsm.value + d) / 2) <= 1e-12 * max(1.0, abs(rm.value))
+        for a, b in ((rm.grad_theta, gsm.grad_theta), (rm.curvature, gsm.curvature)):
+            assert np.abs(a - b / 2).max() <= 1e-12 * max(1.0, np.abs(a).max())
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.3, 2.2])
