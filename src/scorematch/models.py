@@ -7,12 +7,13 @@ are integers 0..m-1; Ising spins use the fixed map {0 -> -1, 1 -> +1}.
 Ising and Potts are exponential families: their sufficient statistic T
 (`sufficient_statistics`) gives log q~ = T(x) . theta, and the two kinds
 differ only in their site pattern S (`site_pattern`).  log q~ is one sum
-over S, at points (`log_unnorm`) and on the state cube's open axes
-(`log_table`), so no enumeration builds an array of states.  The discrete
-objectives (`objectives.empirical_objective`) see the model only through T
-and S: mle through T rows of the state cube, and gsm, rm and pl through S
-alone, since a change of one site's symbol moves only that site's fields and
-its incident edges.
+over S and T one walk over S, each taking one symbol array per site, so
+both run at points and on the state cube's open axes (`_cube_axes`, which
+alone refuses a cube past MAX_ENUM_STATES states): no enumeration builds an
+array of states.  The discrete objectives (`objectives.empirical_objective`)
+see the model only through T and S: mle through T of the state cube, and
+gsm, rm and pl through S alone, since a change of one site's symbol moves
+only that site's fields and its incident edges.
 
 The Potts layout is overcomplete (Wainwright & Jordan 2008): adding c to all
 of one site's fields adds c to log q~ at every state, so the distribution
@@ -276,19 +277,25 @@ def site_pattern(model: Model) -> np.ndarray:
 
 def sufficient_statistics(model: Model, X) -> np.ndarray:
     """T(x) = dlog q~/dtheta of an Ising or Potts model at discrete points, as
-    C-ordered rows (N, p) with log q~(x) = T(x) . theta: with S the site
-    pattern (`site_pattern`), the column S[:, x_i] per site (the spin for
-    Ising, the one-hot symbol for Potts), filled one site at a time, and
-    (S'S)[x_a, x_b] per edge (a, b)."""
-    site = site_pattern(model)
-    pts = _check_points(model, np.atleast_2d(X))
-    k, n_fields = site.shape[0], model.n_params - len(model.edges)
-    T = np.empty((pts.shape[0], model.n_params))
-    for a in range(model.dim):
-        T[:, a * k:(a + 1) * k] = site.T[pts[:, a]]
-    pair = site.T @ site
+    C-ordered rows (N, p) with log q~(x) = T(x) . theta
+    (`_site_pattern_statistics`)."""
+    _require_discrete(model)
+    return _site_pattern_statistics(model, _check_points(model, np.atleast_2d(X)).T)
+
+
+def _site_pattern_statistics(model: Model, symbols) -> np.ndarray:
+    """T at the symbol arrays symbols[i] of sites i, which broadcast together,
+    C-ordered with T's p entries on the last axis: with S the site pattern,
+    the column S[:, x_i] per site (the spin for Ising, the one-hot symbol for
+    Potts), filled one site at a time, and (S'S)[x_a, x_b] per edge (a, b)."""
+    S = site_pattern(model)
+    k, n_fields = S.shape[0], model.n_params - len(model.edges)
+    T = np.empty(np.broadcast_shapes(*(x.shape for x in symbols)) + (model.n_params,))
+    for i, x in enumerate(symbols):
+        T[..., i * k:(i + 1) * k] = S.T[x]
+    pair = S.T @ S
     for e, (a, b) in enumerate(model.edges):
-        T[:, n_fields + e] = pair[pts[:, a], pts[:, b]]
+        T[..., n_fields + e] = pair[symbols[a], symbols[b]]
     return T
 
 
@@ -307,28 +314,24 @@ def _site_pattern_sum(model: Model, symbols) -> np.ndarray:
     return out
 
 
-def log_table(model: Model) -> np.ndarray:
-    """log q~ of an Ising or Potts model on its state cube, the (m,)*d table
-    of a DiscreteJoint, summed on the cube's open axes with no array of
-    states; refused, as `state_cube` refuses, past MAX_ENUM_STATES states."""
+def _cube_axes(model: Model) -> tuple[np.ndarray, ...]:
+    """The open axes of an Ising or Potts model's state cube {0..m-1}^d, one
+    symbol array per site that broadcast together to the (m,)*d cube in C
+    order (coordinate 0 slowest), the layout of a DiscreteJoint's table.  A
+    cube of more than MAX_ENUM_STATES states is refused before anything is
+    allocated."""
     _require_discrete(model)
     m, d = model.alphabet_size, model.dim
     if m**d > MAX_ENUM_STATES:
         raise ValueError(f"state space {m}**{d} too large to enumerate")
-    return _site_pattern_sum(model, np.indices((m,) * d, sparse=True))
+    return np.indices((m,) * d, sparse=True)
 
 
-def state_cube(m: int, d: int) -> np.ndarray:
-    """All m**d states of {0..m-1}^d as rows, in C order (coordinate 0
-    slowest), the flattening order of a DiscreteJoint's table.  A cube of
-    more than MAX_ENUM_STATES states is refused before anything is allocated.
-
-    The symbols have the narrowest unsigned dtype that holds m - 1 (uint8 up
-    to m = 256), an eighth of an int64 cube; arithmetic on them must go
-    through int64, as the base-m state codes do."""
-    if m**d > MAX_ENUM_STATES:
-        raise ValueError(f"state space {m}**{d} too large to enumerate")
-    return np.indices((m,) * d, dtype=np.min_scalar_type(m - 1)).reshape(d, -1).T
+def log_table(model: Model) -> np.ndarray:
+    """log q~ of an Ising or Potts model on its state cube, the (m,)*d table
+    of a DiscreteJoint, summed on the cube's open axes (`_cube_axes`) with no
+    array of states."""
+    return _site_pattern_sum(model, _cube_axes(model))
 
 
 def default_box(model: Model) -> tuple[float, float]:

@@ -22,34 +22,34 @@ normal equations `gaussian_sm_normal_equations` builds from the same moments.
 Generalized-Gaussian sm differentiates its own score and Laplacian terms in
 alpha.  The discrete objectives see Ising and Potts only through a linear
 design over sets of alternatives (`_discrete_design`): for mle the whole state
-cube, whose rows are T of the cube (`models.sufficient_statistics`), and for
-pl, gsm and rm the m symbols of one site in one configuration of its
-neighbours, whose rows are filled from the site pattern
-(`models.site_pattern`) in the site's field block and incident edge columns
-alone.  Each evaluation is one product z = D theta, a softmax q over each set,
-and one product back for the gradient.  pl, gsm and rm are proper scoring
-rules of those singleton conditionals (`_RULES`: the log, Brier and binary
-ratio scores), each giving its value, u = q dl/dq and v = q^2 d2l/dq2, which
-one evaluator (`_scored`) takes through the softmax; their curvature is one
-weighted Gram product of the same rows, centred on each set (`_centred_gram`).
-mle's is built from the data's moments of T, which the design holds, and
-E_q[T] from the gradient pass.  Discrete data is a Dataset or a DiscreteJoint,
-which stands for its state cube weighted by its probabilities.  The data enter
-pl, gsm and rm only through each site's blanket: a joint's marginals on the
-blankets, which a Dataset that fits its cube becomes by one count, or a larger
-Dataset's counted blanket rows.  Gaussian data is a Dataset or
-GaussianMoments, which may stand for a Gaussian population.  The exact-MLE
-oracle's partition uses a NumPy port of SciPy's `logsumexp`, so importing the
-package loads no SciPy module.  The population objectives are value-only: they
-are the enumeration oracles the estimators are checked against, so they read
-log q~ on the cube from `models.log_table`, not from a design.  The gsm and pl
-oracles read q's singleton conditionals from one per-site helper,
-`_log_conditionals`, and rm keeps its leave-one-out ratios, so gsm and rm
-remain two routes to one divergence; both sum it over the support of p
-(`_squared_gap_sum`), where a fibre x^{\\i} with no mass adds 0.  A population
-fit minimizes the joint-weighted form, which differs from its oracle by a
-theta-independent constant, and calls the oracle once, at its estimate
-(`estimation.fit`).
+cube, whose rows are T of the cube, filled on the cube's open axes by the walk
+that `models.sufficient_statistics` takes at points, and for pl, gsm and rm
+the m symbols of one site in one configuration of its neighbours, whose rows
+are filled from the site pattern (`models.site_pattern`) in the site's field
+block and incident edge columns alone.  Each evaluation is one product
+z = D theta, a softmax q over each set, and one product back for the gradient.
+pl, gsm and rm are proper scoring rules of those singleton conditionals
+(`_RULES`: the log, Brier and binary ratio scores), each giving its value,
+u = q dl/dq and v = q^2 d2l/dq2, which one evaluator (`_scored`) takes through
+the softmax; their curvature is one weighted Gram product of the same rows,
+centred on each set (`_centred_gram`).  mle's is built from the data's moments
+of T, which the design holds, and E_q[T] from the gradient pass.  Discrete
+data is a Dataset or a DiscreteJoint, which stands for its state cube weighted
+by its probabilities.  The data enter pl, gsm and rm only through each site's
+blanket: a joint's marginals on the blankets, which a Dataset that fits its
+cube becomes by one count, or a larger Dataset's counted blanket rows.
+Gaussian data is a Dataset or GaussianMoments, which may stand for a Gaussian
+population.  The exact-MLE oracle takes log Z as the table's maximum plus the
+log-sum of exp of the table less it, as `models.exact_normalize` normalizes.
+The population objectives are value-only: they are the enumeration oracles the
+estimators are checked against, so they read log q~ on the cube from
+`models.log_table`, not from a design.  The gsm and pl oracles read q's
+singleton conditionals from one per-site helper, `_log_conditionals`, and rm
+keeps its leave-one-out ratios, so gsm and rm remain two routes to one
+divergence; both sum it over the support of p (`_squared_gap_sum`), where a
+fibre x^{\\i} with no mass adds 0.  A population fit minimizes the
+joint-weighted form, which differs from its oracle by a theta-independent
+constant, and calls the oracle once, at its estimate (`estimation.fit`).
 """
 
 from __future__ import annotations
@@ -68,13 +68,13 @@ from .models import (
     Dataset,
     Model,
     ModelKind,
+    _cube_axes,
+    _site_pattern_statistics,
     gaussian_parts,
     grad_x_log,
     laplacian_x_log,
     log_table,
     site_pattern,
-    state_cube,
-    sufficient_statistics,
 )
 
 
@@ -149,22 +149,6 @@ def fisher_exact(p: GridDensity, q: GridDensity) -> float:
 
 # ---------------------------------------------------------------------------
 # Shared helpers
-
-def logsumexp(a) -> float:
-    """log(sum(exp(a))) over all entries of a finite array, computed as SciPy
-    1.17's `scipy.special.logsumexp` computes it, and equal to it bit for bit.
-
-    The maxima are taken out of the sum: with M the maximum and k the number of
-    entries equal to it, the result is log1p(s / k) + log k + M, where s sums
-    exp(a - M) over the other entries.
-    """
-    a = np.asarray(a, dtype=float)
-    top = a.max()
-    tied = a == top
-    k = float(np.count_nonzero(tied))
-    s = np.exp(np.where(tied, -np.inf, a) - top).sum()
-    return float(np.log1p(s / k) + np.log(k) + top)
-
 
 def _check_data(model: Model, data) -> None:
     """data has the model's dimension and alphabet size (None for continuous
@@ -293,13 +277,13 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
     Each row r of c holds the data's weight on a set of alternatives, and the
     matching rows of D their sufficient statistics, so the logits z = D theta
     (reshaped like c) are log q~ of the alternatives up to a per-row constant.
-    For mle there is one row, the state cube: D = T(cube) and c the data's
-    weight on each cube state; it is the only design that builds T rows.  For
-    gsm, rm and pl there is one row per site i and per configuration of i's
-    neighbours that occurs in the data (Besag 1975): D[r, y] = T(x with
-    x_i := y) - T(x with x_i := 0), and c[r, y] is the data's weight on the
-    configuration with symbol y at i.  That difference is S[:, y] - S[:, 0]
-    in i's field block and (S'S)[y, u] - (S'S)[0, u] in each incident edge's
+    For mle there is one row, the state cube: D = T(cube), filled on the
+    cube's open axes, and c the data's weight on each cube state; it is the
+    only design that builds T rows.  For gsm, rm and pl there is one row per
+    site i and per configuration of i's neighbours that occurs in the data
+    (Besag 1975): D[r, y] = T(x with x_i := y) - T(x with x_i := 0), and
+    c[r, y] is the data's weight on the configuration with symbol y at i.
+    That difference is S[:, y] - S[:, 0] in i's field block and (S'S)[y, u] - (S'S)[0, u] in each incident edge's
     column, with S the site pattern and u the neighbour's symbol, and 0
     elsewhere: D is allocated once, zeroed, and each site's rows are filled
     with those entries alone.  Each is a difference of small integers, so D
@@ -318,11 +302,12 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
         )
     m, d = model.alphabet_size, model.dim
     if objective is ObjectiveKind.EXACT_MLE:
-        cube = state_cube(m, d)  # refuses too large a cube before anything is counted
+        axes = _cube_axes(model)  # refuses too large a cube before anything is counted
     if isinstance(data, Dataset) and (objective is ObjectiveKind.EXACT_MLE or m**d <= data.n):
         data = DiscreteJoint(m, d, (_state_counts(data.values, m) / data.n).reshape((m,) * d))
     if objective is ObjectiveKind.EXACT_MLE:
-        return sufficient_statistics(model, cube), data.probs.reshape(1, -1)
+        # T is filled after the count, so the N state codes are gone by then.
+        return _site_pattern_statistics(model, axes).reshape(m**d, -1), data.probs.reshape(1, -1)
     # One pass over the edges gives each site's neighbours and incident edge
     # columns, in edge order; a repeated edge is its own column.
     neighbours, incident = [[] for _ in range(d)], [[] for _ in range(d)]
@@ -418,7 +403,7 @@ def _blanket_rows(values: np.ndarray, blanket: list[int], m: int) -> tuple[np.nd
 def _state_counts(states: np.ndarray, m: int) -> np.ndarray:
     """How often each of the m**d cube states occurs among the rows, indexed
     by the state's base-m code, first coordinate most significant: its index
-    in the C-ordered `state_cube` and a DiscreteJoint's flat index.  The cube
+    in the C-ordered cube, a DiscreteJoint's flat index.  The cube
     is counted only when it has at most N or MAX_ENUM_STATES states, so the
     codes fit in int64."""
     codes = states @ (m ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64))
@@ -642,4 +627,6 @@ def exact_mle_population(p: DiscreteJoint, model: Model, theta) -> float:
     """Cross entropy of p against the exactly normalized model."""
     _check_data(model, p)
     table = log_table(model.with_params(theta))
-    return float(-np.sum(p.probs * (table - logsumexp(table))))
+    top = table.max()
+    log_z = top + np.log(np.exp(table - top).sum())
+    return float(-np.sum(p.probs * (table - log_z)))

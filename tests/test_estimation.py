@@ -511,10 +511,11 @@ def _count_calls(monkeypatch, name):
 ])
 def test_fit_builds_its_design_once(monkeypatch, objective, population):
     # Each objective and each fit builds its design (D, c) once and evaluates
-    # every trial point on it.  Only mle's build takes T, of the cube; a
-    # blanket design is filled from each site's fields and incident edges.
+    # every trial point on it.  Only mle's build fills T, on the cube's open
+    # axes; a blanket design is filled from each site's fields and incident
+    # edges.
     designs = _count_calls(monkeypatch, "_discrete_design")
-    statistics = _count_calls(monkeypatch, "sufficient_statistics")
+    statistics = _count_calls(monkeypatch, "_site_pattern_statistics")
     statistics_per_design = 1 if objective is ObjectiveKind.EXACT_MLE else 0
     truth = ising_model([0.2, -0.1, 0.3], [0.5, -0.4])
     data = exact_normalize(truth) if population else sample(truth, 500, seed=4)

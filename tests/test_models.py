@@ -26,11 +26,12 @@ from scorematch.models import (
     potts_model,
     read_dataset_csv,
     sample,
-    state_cube,
     sufficient_statistics,
     zero_sum_gauge,
 )
 from scorematch.objectives import ObjectiveKind, _discrete_design, _row_softmax
+
+from cube_helpers import state_cube
 
 E = np.e
 

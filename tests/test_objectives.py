@@ -23,7 +23,7 @@ from scorematch.models import (
     log_unnorm,
     potts_model,
     sample,
-    state_cube,
+    sufficient_statistics,
 )
 from scorematch.objectives import (
     GaussianMoments,
@@ -35,11 +35,12 @@ from scorematch.objectives import (
     gaussian_sm_normal_equations,
     gsm_discrete_population,
     kl_exact,
-    logsumexp,
     pseudo_likelihood_population,
     ratio_matching_population,
 )
 from scorematch.operators import discrete_joint
+
+from cube_helpers import state_cube
 
 SM, GSM, RM, PL, MLE = (ObjectiveKind.SM_CONTINUOUS, ObjectiveKind.GSM_DISCRETE,
                         ObjectiveKind.RATIO_MATCHING, ObjectiveKind.PSEUDO_LIKELIHOOD,
@@ -329,34 +330,32 @@ def test_pl_gsm_rm_equal_a_per_sample_reference_past_the_cube(edges):
         assert got == pytest.approx(want[kind], rel=1e-12)
 
 
-@pytest.mark.parametrize("m, d", [(17, 2), (257, 1)])
-def test_narrow_state_cube_gives_the_int64_results(monkeypatch, m, d):
-    # The cube's symbols are uint8 up to m = 256 and uint16 above.  Every
-    # result must equal the int64 cube's: a cell index cell * m + y computed
-    # in uint8 would wrap at m = 17 (16 * 17 + 16 > 255), and uint8 cannot
-    # hold the symbol 256.  rm takes binary data only.
-    rng = np.random.default_rng(m)
-    model = potts_model(rng.uniform(-1, 1, (d, m)), rng.uniform(-1, 1, d - 1))
-    assert state_cube(m, d).dtype == (np.uint8 if m <= 256 else np.uint16)
+@pytest.mark.parametrize("kind, m, d, edges", [
+    ("ising", 2, 4, chain_edges(4)),
+    ("potts", 3, 4, [(0, 1), (0, 2), (0, 3)]),
+    ("ising", 2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    ("potts", 2, 4, [(0, 1), (1, 2), (0, 1), (2, 3)]),
+    ("potts", 3, 6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+    ("potts", 17, 2, chain_edges(2)),
+    ("potts", 257, 1, chain_edges(1)),
+], ids=["chain", "star", "4-cycle", "potts, repeated edge", "complete d=6", "m=17", "m=257"])
+def test_mle_design_is_the_statistics_of_the_state_cube(kind, m, d, edges):
+    # The mle design fills T on the cube's open axes; it must equal T of the
+    # cube's rows bit for bit, whichever route the data's weights take.  The
+    # rows are uint8 up to m = 256 and uint16 at m = 257.
+    rng = np.random.default_rng(m * d)
+    if kind == "ising":
+        model = ising_model(rng.uniform(-1, 1, d), rng.uniform(-1, 1, len(edges)), edges)
+    else:
+        model = potts_model(rng.uniform(-1, 1, (d, m)), rng.uniform(-1, 1, len(edges)), edges)
+    want = sufficient_statistics(model, state_cube(m, d))
     joint = exact_normalize(model)
-    data = sample(model, 2 * m**d, seed=m)
-
-    def results():
-        out = [exact_normalize(model).probs]
-        for kind in (PL, GSM, MLE):
-            for source in (data, joint):
-                out += _discrete_design(model, kind, source)
-                out.append(empirical_objective(model, kind, source)(model.params).grad_theta)
-        return out
-
-    def int64_cube(m, d):
-        return state_cube(m, d).astype(np.int64)
-
-    narrow = results()
-    monkeypatch.setattr(models, "state_cube", int64_cube)
-    monkeypatch.setattr(objectives, "state_cube", int64_cube)
-    for a, b in zip(narrow, results(), strict=True):
-        assert np.array_equal(a, b)
+    data = sample(model, 500, seed=m)
+    counts = np.bincount(np.ravel_multi_index(data.values.T, (m,) * d), minlength=m**d)
+    for source, weights in ((joint, joint.probs.ravel()), (data, counts / data.n)):
+        D, c = _discrete_design(model, MLE, source)
+        assert D.shape == want.shape and D.tobytes() == want.tobytes()
+        assert np.array_equal(c, weights[None, :])
 
 
 def _peak_bytes(fn, *args):
@@ -398,10 +397,14 @@ def test_dense_graph_pl_design_is_filled_in_place():
 def test_mle_design_holds_little_beside_the_cube_statistics():
     # The d = 12 chain's mle design holds T of the 4096-state cube.  The N
     # codes, an int64 cube and its checked copy would add 0.79 MiB beside it.
+    # On the d = 16 chain's joint, T is filled on the cube's open axes: an
+    # array of the cube's states would add 1 MiB even as uint8.
     model = ising_model(np.full(12, 0.1), np.full(11, 0.5))
     data = sample(model, 50_000, seed=5)
-    (D, _), peak = _peak_bytes(_discrete_design, model, MLE, data)
-    assert peak <= D.nbytes + 0.25 * 2**20
+    model16 = ising_model(np.full(16, 0.1), np.full(15, 0.5))
+    for model, data in ((model, data), (model16, exact_normalize(model16))):
+        (D, _), peak = _peak_bytes(_discrete_design, model, MLE, data)
+        assert peak <= D.nbytes + 0.25 * 2**20
 
 
 def test_enumerations_hold_a_few_cube_tables():
@@ -418,11 +421,20 @@ def test_enumerations_hold_a_few_cube_tables():
 
 
 def test_enumerations_build_no_state_cube(monkeypatch):
-    def refuse(m, d):
-        raise AssertionError(f"built the {m}**{d} state cube")
+    # exact_normalize, sample and the oracles read log q~ on the cube's open
+    # axes: no dense array of indices, and no T of the cube.
+    def dense_indices(shape, dtype=int, sparse=False):
+        if not sparse:
+            raise AssertionError(f"built the dense {shape} indices")
+        return indices(shape, dtype, sparse)
 
-    monkeypatch.setattr(models, "state_cube", refuse)
-    monkeypatch.setattr(objectives, "state_cube", refuse)
+    def refuse(*args):
+        raise AssertionError("built T of the state cube")
+
+    indices = np.indices
+    monkeypatch.setattr(np, "indices", dense_indices)
+    monkeypatch.setattr(models, "_site_pattern_statistics", refuse)
+    monkeypatch.setattr(objectives, "_site_pattern_statistics", refuse)
     star = [(0, 1), (0, 2), (0, 3)]
     for model in (ising_model([0.2, -0.1, 0.0, 0.3], [0.5, 0.5, -0.4]),
                   potts_model(np.linspace(-0.5, 0.5, 12).reshape(4, 3), [0.6, -0.4, 0.5], star)):
@@ -431,19 +443,6 @@ def test_enumerations_build_no_state_cube(monkeypatch):
         for oracle in (gsm_discrete_population, ratio_matching_population,
                        pseudo_likelihood_population, exact_mle_population):
             oracle(joint, model, model.params)
-
-
-def test_logsumexp_equals_scipy_bit_for_bit():
-    scipy_logsumexp = pytest.importorskip("scipy.special").logsumexp
-    rng = np.random.default_rng(41)
-    for k in range(2000):
-        shape = (1,) if k % 10 == 0 else tuple(rng.integers(1, 7, rng.integers(1, 4)))
-        a = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 50.0, 800.0])
-        if k % 3 == 0:  # tied maxima
-            a.flat[rng.integers(0, a.size, rng.integers(1, 4))] = a.max()
-        if k % 7 == 0:  # whole-number entries tie often
-            a = np.round(a)
-        assert logsumexp(a) == float(scipy_logsumexp(a))
 
 
 # ---------------------------------------------------------------------------

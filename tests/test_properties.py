@@ -32,7 +32,6 @@ from scorematch.models import (
     model_to_json,
     potts_model,
     sample,
-    state_cube,
     sufficient_statistics,
     zero_sum_gauge,
 )
@@ -56,6 +55,8 @@ from scorematch.operators import (
     reconstruct_joint,
 )
 from scorematch.scalespace import smooth
+
+from cube_helpers import state_cube
 
 SETTINGS = dict(deadline=None, max_examples=25)
 
