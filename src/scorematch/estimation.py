@@ -1,4 +1,4 @@
-"""Deterministic estimators: a damped Newton fit over any objective, an
+"""Deterministic estimators: a trust-region Newton fit over any objective, an
 exact linear solve for Gaussian score matching, closed forms for the Gaussian
 score-matching and maximum-likelihood estimates, a central-difference
 gradient check, and a multi-estimator comparison harness.
@@ -16,19 +16,12 @@ data in one moments pass and writes its estimate straight into the
 (mu, tril Sigma) layout, where one Cholesky factorization of the estimate's
 covariance checks that it is positive definite.
 
-Every other fit is a damped Newton iteration on the curvature matrix that
-each objective returns beside its value and gradient (Nocedal & Wright 2006,
-ch. 3).  The direction is -sum v v'g / |lambda| over the eigenpairs of that
-matrix whose |lambda| lies above a floor of machine precision
-(`_newton_direction`), projected off each Potts site's gauge, and for the
-objectives that are not convex (gsm, rm and sm) scaled to max-norm at most 1.
-A unit trial step is halved until the Armijo condition with constant 1e-4
-holds, up to `ARMIJO_ULPS` ulps of the value.  Every fit starts at
-`default_init`, stops at the module's `MAX_ITERS` and `GRAD_TOL`, read at
-call time, and reports which exit it took (`FitResult.stop_reason`).  Every
-objective is one callable theta -> (value, exact gradient, curvature), so
-each trial point costs one evaluation: `objectives.empirical_objective`
-builds its theta-free design once per fit.
+Every other fit is a trust-region Newton iteration (Nocedal & Wright 2006,
+ch. 4 and 7) on the curvature product v -> Hv that each objective returns
+beside its value and gradient, so no step forms or factorizes a P x P
+matrix.  It starts at `default_init`, stops at `MAX_ITERS` or `GRAD_TOL`,
+read at call time, and reports its exit (`FitResult.stop_reason`).  Each
+trial costs one evaluation of the design built once per fit.
 A population fit, on a DiscreteJoint, minimizes the objective's empirical
 form on the joint, which differs from the enumeration oracle by a
 theta-independent constant and so has the same minimizer; it calls the
@@ -75,18 +68,18 @@ FD_CHECK_STEP = 1e-5
 MAX_ITERS = 2000
 GRAD_TOL = 1e-7
 
-# The Armijo test accepts a trial value up to this many ulps of |J| above its
-# bound: near the minimum a Newton step changes J by less than J's own
-# roundoff, and refusing it would stall the fit short of GRAD_TOL.
+# The ratio test credits a trial step with this many ulps of |J|: near the
+# minimum a Newton step changes J by less than J's own roundoff, and refusing
+# it would stall the fit short of GRAD_TOL.
 ARMIJO_ULPS = 64
 
 
 @dataclass(frozen=True)
 class FitResult:
     """A fit's estimate, the objective and its gradient's max-norm there, the
-    Newton iterations taken, and why the fit stopped: `grad_tol`,
-    `max_iters`, `line_search` (no trial step of at least 1e-20 along the
-    Newton direction passed the Armijo test) or `solved` (a closed form)."""
+    Newton steps taken, and why the fit stopped: `grad_tol`, `max_iters`,
+    `trust_region` (steps that failed the ratio test shrank the trust region
+    below radius 1e-20) or `solved` (a closed form)."""
 
     theta_hat: np.ndarray
     objective_value: float
@@ -126,15 +119,6 @@ def fd_gradient(fun, theta) -> np.ndarray:
     return out
 
 
-# The objectives that are convex in theta: negative log-likelihoods of an
-# exponential family, whose stationary points are their minima.  gsm, rm and
-# sm are not, and their surfaces have plateaus where conditionals saturate
-# at 0 or 1 and the gradient vanishes far above the minimum; a long Newton
-# step can land on one and pass the Armijo test, so their steps are scaled
-# to max-norm at most 1.
-_CONVEX = (ObjectiveKind.PSEUDO_LIKELIHOOD, ObjectiveKind.EXACT_MLE)
-
-
 # Each population objective's enumeration oracle, and the empirical form that
 # a population fit builds (`objectives.empirical_objective`) on the joint and
 # minimizes instead.  Each form differs from its oracle by a theta-independent
@@ -151,20 +135,21 @@ _POPULATION = {
 
 
 def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
-    """Damped Newton steps on the objective's curvature (`_newton_direction`),
-    capped at max-norm 1 for the objectives that are not convex (`_CONVEX`),
-    with a backtracking Armijo line search; deterministic.  A trial point that
-    is not finite, lies outside the model's domain (a non-positive
-    generalized-Gaussian exponent), or has a value, gradient or curvature that
-    is not finite fails the Armijo test.  The fit stops at |g|_inf <=
-    GRAD_TOL, after MAX_ITERS steps, or when the line search finds no step of
-    at least 1e-20, and names that exit in `stop_reason`.
+    """Trust-region Newton steps, each Steihaug-Toint CG on the objective's
+    curvature products (`_steihaug`); deterministic.  CG stops at the
+    boundary along a direction of negative curvature, so gsm, rm and sm need
+    no other safeguard, and the radius, which starts at 1, caps every step.
+    A step is taken when the objective falls by over 1e-4 of the decrease
+    its quadratic model predicts, up to `ARMIJO_ULPS` ulps of the value; the
+    radius shrinks to a quarter of a step that gains under a quarter of that
+    and grows to twice one that gains over three quarters.  A trial point
+    outside the model's domain, or whose value or gradient is not finite, is
+    refused.  The fit stops at |g|_inf <= GRAD_TOL, after MAX_ITERS steps or
+    when the radius falls below 1e-20, and names that exit in `stop_reason`.
 
-    Gaussian sm and mle are instead solved exactly (`_solve_gaussian_sm`,
-    `_solve_gaussian_mle`), with 0 iterations.  A fit on a DiscreteJoint
-    minimizes the population objective's empirical form on the joint
-    (`_POPULATION`) and reports the enumeration oracle's divergence at the
-    estimate.
+    Gaussian sm and mle are closed forms with 0 iterations.  A fit on a
+    DiscreteJoint minimizes the population objective's empirical form on the
+    joint (`_POPULATION`) and reports the oracle's divergence at the estimate.
     """
     if model.kind is ModelKind.GAUSSIAN and objective is ObjectiveKind.SM_CONTINUOUS:
         return _solve_gaussian_sm(model, data)
@@ -173,82 +158,74 @@ def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
     oracle, form = None, objective
     if isinstance(data, DiscreteJoint):
         if objective not in _POPULATION:
-            raise ValueError(
-                f"{objective.value} has no population form over an enumerated joint"
-            )
+            raise ValueError(f"{objective.value} has no population form over an enumerated joint")
         oracle, form = _POPULATION[objective]
     objective_at = empirical_objective(model, form, data)
 
     def evaluate(theta):
         """The objective at theta, or None where the trial fails."""
-        if not np.isfinite(theta).all():
-            return None
         try:
             out = objective_at(theta)
         except ParameterDomainError:
             return None
-        finite = (np.isfinite(out.value) and np.isfinite(out.grad_theta).all()
-                  and np.isfinite(out.curvature).all())
-        return out if finite else None
+        return out if np.isfinite(out.value) and np.isfinite(out.grad_theta).all() else None
 
-    theta = default_init(model)
+    theta, radius, iters = default_init(model), 1.0, 0
     # Trial points may overflow on the way to a non-finite value, which the
-    # line search rejects; the warning would say nothing more.
+    # ratio test refuses; the warning would say nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
         at = evaluate(theta)
         if at is None:
             raise ValueError(f"objective is not finite at the initial point {theta}")
-        iters = 0
-        while True:
-            if float(np.abs(at.grad_theta).max()) <= GRAD_TOL:
-                stop_reason = "grad_tol"
-                break
-            if iters >= MAX_ITERS:
-                stop_reason = "max_iters"
-                break
-            # Eigenvectors of small kept eigenvalues can carry roundoff along
-            # a Potts site's gauge, so the step is also projected off it.
-            direction = zero_sum_gauge(model, _newton_direction(at.grad_theta, at.curvature))
-            if form not in _CONVEX:
-                direction *= 1.0 / max(1.0, float(np.abs(direction).max()))
-            slope = float(at.grad_theta @ direction)
-            bound = at.value + ARMIJO_ULPS * np.spacing(abs(at.value))
-            step = 1.0
-            # A direction that is not downhill (the gradient lies wholly in
-            # the dropped eigenspace) has no step to search for.
-            while slope < 0 and step >= 1e-20:
-                cand = theta + step * direction
-                trial = evaluate(cand)
-                if trial is not None and trial.value <= bound + 1e-4 * step * slope:
-                    break
-                step *= 0.5
-            else:
-                stop_reason = "line_search"
-                break
-            theta, at = cand, trial
-            iters += 1
+        while np.abs(at.grad_theta).max() > GRAD_TOL and iters < MAX_ITERS and radius >= 1e-20:
+            step, predicted = _steihaug(model, at.grad_theta, at.curvature, radius)
+            trial = evaluate(theta + step)
+            gain = -np.inf if trial is None else (
+                at.value - trial.value + ARMIJO_ULPS * np.spacing(abs(at.value)))
+            accepted = gain > 1e-4 * predicted
+            if not (accepted and gain >= 0.25 * predicted):
+                radius = 0.25 * np.sqrt(step @ step)
+            elif gain > 0.75 * predicted:
+                radius = max(radius, 2.0 * np.sqrt(step @ step))
+            if accepted:
+                theta, at, iters = theta + step, trial, iters + 1
     gnorm = float(np.abs(at.grad_theta).max())
-    return FitResult(
-        theta_hat=theta,
-        objective_value=float(at.value) if oracle is None else oracle(data, model, theta),
-        grad_norm=gnorm,
-        iters=iters,
-        converged=gnorm <= GRAD_TOL,
-        stop_reason=stop_reason,
-    )
+    stop = "grad_tol" if gnorm <= GRAD_TOL else "max_iters" if iters >= MAX_ITERS else "trust_region"
+    value = float(at.value) if oracle is None else oracle(data, model, theta)
+    return FitResult(theta_hat=theta, objective_value=value, grad_norm=gnorm, iters=iters,
+                     converged=gnorm <= GRAD_TOL, stop_reason=stop)
 
 
-def _newton_direction(g: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """-sum v v'g / |lambda| over the eigenpairs (lambda, v) of the symmetric
-    H whose |lambda| exceeds its order times machine epsilon times the largest
-    |lambda|.  Taking |lambda| keeps the step downhill where H is indefinite
-    (gsm, rm and generalized-Gaussian sm need not be convex), and the floor
-    drops the directions along which H vanishes up to roundoff, such as each
-    Potts site's gauge, so no step moves along them."""
-    lam, V = np.linalg.eigh(H)
-    size = np.abs(lam)
-    size[size <= H.shape[0] * np.finfo(float).eps * size.max()] = np.inf
-    return -V @ ((g @ V) / size)
+def _steihaug(model: Model, g: np.ndarray, hess, radius: float) -> tuple[np.ndarray, float]:
+    """A step p, |p| <= radius, and the decrease of the model g'p + p'Hp/2
+    there: CG on Hp = -g from 0 until the residual is at most
+    min(0.01, |g|_inf) |g|, or to the boundary along non-positive curvature
+    or past it (Steihaug 1983), in units of |g|_inf so that no dot product
+    overflows, with g and each product hess(v) projected off the gauge."""
+    scale = float(np.abs(g).max())
+    g = zero_sum_gauge(model, g / scale)
+    r, d, p = g, -g, np.zeros(g.size)
+    rr = float(r @ r)
+    tol = min(0.01, scale) ** 2 * rr
+    for _ in range(g.size):
+        hd = zero_sum_gauge(model, hess(d))
+        dhd = float(d @ hd)
+        if dhd > 0:
+            alpha = rr / dhd
+            nxt = p + (scale * alpha) * d
+            if nxt @ nxt < radius * radius:
+                p, r = nxt, r + alpha * hd
+                rr, last = float(r @ r), rr
+                if rr <= tol:
+                    break
+                d = (rr / last) * d - r
+                continue
+        # To the boundary along d: the root t >= 0 of |p + t d| = radius.
+        dd, pd = float(d @ d), float(p @ d)
+        t = (np.sqrt(pd * pd + dd * (radius * radius - float(p @ p))) - pd) / dd
+        p, r = p + t * d, r + (t / scale) * hd
+        break
+    return p, -0.5 * scale * float(p @ (g + r))
 
 
 def _solve_gaussian_sm(model: Model, data) -> FitResult:

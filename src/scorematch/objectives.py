@@ -8,7 +8,7 @@ partition-free: it only sees log q~ through derivatives or conditional ratios.
 
 Every empirical objective returns its exact parameter gradient, built from the
 intermediates its value already computes, and every one that `estimation.fit`
-iterates on also returns a curvature matrix for its Newton steps: the exact
+iterates on also returns the product v -> Hv with its curvature: the exact
 Hessian for gsm, rm, pl and generalized-Gaussian sm, and for the discrete mle
 the outer-product curvature sum_s c_s (T_s - E_q T)(T_s - E_q T)' over the
 cube (Berndt, Hall, Hall & Hausman 1974), which equals the exact Hessian
@@ -31,10 +31,10 @@ z = D theta, a softmax q over each set, and one product back for the gradient.
 pl, gsm and rm are proper scoring rules of those singleton conditionals
 (`_RULES`: the log, Brier and binary ratio scores), each giving its value,
 u = q dl/dq and v = q^2 d2l/dq2, which one evaluator (`_scored`) takes through
-the softmax; their curvature is one weighted Gram product of the same rows,
-centred on each set (`_centred_gram`).  mle's is built from the data's moments
-of T, which the design holds, and E_q[T] from the gradient pass.  Discrete
-data is a Dataset or a DiscreteJoint, which stands for its state cube weighted
+the softmax; their Hessian product is one product with D and one with D',
+centred on each set, and forms no P x P matrix.  mle's is built from the
+data's moments of T, which the design holds, and E_q[T].  Discrete data is a
+Dataset or a DiscreteJoint, which stands for its state cube weighted
 by its probabilities.  The data enter pl, gsm and rm only through each site's
 blanket: a joint's marginals on the blankets, which a Dataset that fits its
 cube becomes by one count, or a larger Dataset's counted blanket rows.
@@ -54,6 +54,7 @@ constant, and calls the oracle once, at its estimate (`estimation.fit`).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -89,12 +90,12 @@ class ObjectiveKind(Enum):
 @dataclass(frozen=True)
 class ObjectiveValue:
     """An objective's value at theta, its exact gradient and, for the
-    objectives that `estimation.fit` iterates on, a symmetric curvature matrix
-    that its Newton steps take (None for the Gaussian closed forms)."""
+    objectives that `estimation.fit` iterates on, the product v -> Hv with a
+    symmetric curvature H (None for the Gaussian closed forms)."""
 
     value: float
     grad_theta: np.ndarray
-    curvature: np.ndarray | None = None
+    curvature: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -471,7 +472,7 @@ def _gen_gauss_sm(mod: Model, X: np.ndarray) -> ObjectiveValue:
     grad = np.array([np.mean(2.0 * (g2 + lap) * dlog + 2.0 * gxu)])
     curvature = np.mean(2.0 * dlog**2 * (2.0 * g2 + lap) + 4.0 * gxu * dlog
                         - 2.0 * (g2 + lap) / alpha**2)
-    return ObjectiveValue(value, grad, np.array([[curvature]]))
+    return ObjectiveValue(value, grad, lambda x: curvature * x)
 
 
 def _row_softmax(mod: Model, D: np.ndarray, c: np.ndarray):
@@ -485,23 +486,25 @@ def _row_softmax(mod: Model, D: np.ndarray, c: np.ndarray):
     return z, s, q
 
 
-def _centred_gram(q: np.ndarray, w: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """sum_ry w_ry D~_ry D~_ry' over the rows of D centred on each set of
-    alternatives, D~_ry = D_ry - sum_y' q_ry' D_ry': the Hessian in theta of
-    any sum of per-alternative losses of the row softmax q, with weights w."""
-    rows = D.reshape(q.shape + (D.shape[1],))
-    centred = (rows - np.einsum("ry,ryp->rp", q, rows)[:, None, :]).reshape(D.shape)
-    return (centred * w.reshape(-1, 1)).T @ centred
-
-
 def _scored(rule, mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
     """sum_ry l(q_ry) of a scoring rule l of the row softmax q, from the rule's
     value, u = q dl/dq and v = q^2 d2l/dq2: the gradient is dz' D with
-    dz = u - q sum_y u, and the Hessian has the weights v + dz (`_centred_gram`)."""
+    dz = u - q sum_y u, and the Hessian sum_ry w_ry D~_ry D~_ry', w = v + dz,
+    over the rows centred on each set, D~_ry = D_ry - sum_y' q_ry' D_ry': its
+    product is D' of w D~x, centred again by the transposed centring."""
     z, s, q = _row_softmax(mod, D, c)
     value, u, v = rule(c, z, s, q)
     dz = u - q * u.sum(axis=1, keepdims=True)
-    return ObjectiveValue(float(value), dz.ravel() @ D, _centred_gram(q, v + dz, D))
+    w = v + dz
+
+    def curvature(x):
+        y = (D @ x).reshape(q.shape)
+        y -= (q * y).sum(axis=1, keepdims=True)
+        y *= w
+        y -= q * y.sum(axis=1, keepdims=True)
+        return y.ravel() @ D
+
+    return ObjectiveValue(float(value), dz.ravel() @ D, curvature)
 
 
 def _log_score(c, z, s, q):
@@ -536,8 +539,8 @@ def _mle(mod: Model, D: np.ndarray, c: np.ndarray, G: np.ndarray, a: np.ndarray)
     # row of D, the enumerated cube, with n = sum c.  Its gradient is
     # n E_q[T] - a of the sufficient statistic T = dlog q~/dtheta, and its
     # curvature G - a mu' - mu a' + n mu mu' with mu = E_q[T], from the
-    # design's moments (`_weighted_moments`).  The logits are exponentiated
-    # in place: one array of the cube's size at a time.
+    # design's moments (`_weighted_moments`), as a product.  The logits are
+    # exponentiated in place: one array of the cube's size at a time.
     z = D @ mod.params
     z -= z.max()
     n, cz = c.sum(), float(c.ravel() @ z)
@@ -545,8 +548,9 @@ def _mle(mod: Model, D: np.ndarray, c: np.ndarray, G: np.ndarray, a: np.ndarray)
     s = q.sum()
     q /= s
     mu = q @ D
-    cross = np.outer(mu, 0.5 * n * mu - a)
-    return ObjectiveValue(float(n * np.log(s) - cz), n * mu - a, G + cross + cross.T)
+    b = 0.5 * n * mu - a
+    return ObjectiveValue(float(n * np.log(s) - cz), n * mu - a,
+                          lambda x: G @ x + (b @ x) * mu + (mu @ x) * b)
 
 
 # Each blanket-design objective's proper scoring rule of the singleton conditionals.

@@ -206,10 +206,13 @@ def suite_gradcheck() -> list[Check]:
     checks.append(Check("gaussian mle exact vs FD gradient (rel)", worst, 1e-6))
     sm = empirical_objective(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS,
                              sample(gen_gauss_model(1.5), 200, seed=23))
-    worst = max(_rel_gap(sm([alpha]).grad_theta, lambda th: sm(th).value, [alpha])
-                for alpha in np.linspace(0.05, 4.0, 8))
+    alphas = [np.array([alpha]) for alpha in np.linspace(0.05, 4.0, 8)]
+    worst = max(_rel_gap(sm(a).grad_theta, lambda th: sm(th).value, a) for a in alphas)
     checks.append(Check("gen-gauss SM exact vs FD gradient (rel)", worst, 1e-6))
+    worst = max(_product_gap(sm, a, np.ones(1)) for a in alphas)
+    checks.append(Check("gen-gauss SM curvature product vs FD gradient (rel)", worst, 1e-6))
     star = [(0, 1), (0, 2), (0, 3)]
+    directions = np.random.default_rng(29)  # the products' v, apart from rng's draws
     families = {
         "Ising star": ising_model(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), star),
         "Potts m=3": potts_model(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 2)),
@@ -224,15 +227,24 @@ def suite_gradcheck() -> list[Check]:
             objective = empirical_objective(model, kind, data)
             gap = _rel_gap(objective(theta).grad_theta, lambda th: objective(th).value, theta)
             checks.append(Check(f"{kind.value} exact vs FD gradient, {family} (rel)", gap, 1e-6))
+            if kind is not ObjectiveKind.EXACT_MLE:  # see the population rows
+                gap = _product_gap(objective, theta, directions.standard_normal(model.n_params))
+                checks.append(Check(f"{kind.value} curvature product vs FD gradient, {family} (rel)",
+                                    gap, 1e-6))
         # Population fits: central differences of the enumeration oracle
-        # against the gradient the optimizer takes; rm's comes from the gsm
-        # form, so Potts has one.
+        # against the gradient the optimizer takes, and of that gradient
+        # against the curvature's product at the optimum, the model's own
+        # params, the one place where mle's outer-product curvature is its
+        # Hessian; rm's come from the gsm form, so Potts has them.
         joint = exact_normalize(model)
         for kind, (oracle, form) in _POPULATION.items():
-            grad = empirical_objective(model, form, joint)(theta).grad_theta
-            gap = _rel_gap(grad, lambda th: oracle(joint, model, th), theta)
+            objective = empirical_objective(model, form, joint)
+            gap = _rel_gap(objective(theta).grad_theta, lambda th: oracle(joint, model, th), theta)
             checks.append(Check(f"population {kind.value} exact vs FD gradient, {family} (rel)",
                                 gap, 1e-6))
+            gap = _product_gap(objective, model.params, directions.standard_normal(model.n_params))
+            checks.append(Check(f"population {kind.value} curvature product vs FD gradient at the "
+                                f"optimum, {family} (rel)", gap, 1e-6))
     return checks
 
 
@@ -241,6 +253,12 @@ def _rel_gap(exact, fun, theta) -> float:
     relative to the larger of 1 and the numeric gradient's max-norm."""
     numeric = fd_gradient(fun, theta)
     return float(np.abs(exact - numeric).max()) / max(1.0, float(np.abs(numeric).max()))
+
+
+def _product_gap(objective, theta, v) -> float:
+    """`_rel_gap` of the curvature's product with v, the gradient of the
+    exact gradient's component along v."""
+    return _rel_gap(objective(theta).curvature(v), lambda th: objective(th).grad_theta @ v, theta)
 
 
 SUITES = {
