@@ -17,11 +17,13 @@ data in one moments pass and writes its estimate straight into the
 covariance checks that it is positive definite.
 
 Every other fit is a trust-region Newton iteration (Nocedal & Wright 2006,
-ch. 4 and 7) on the curvature product v -> Hv that each objective returns
-beside its value and gradient, so no step forms or factorizes a P x P
-matrix.  It starts at `default_init`, stops at `MAX_ITERS` or `GRAD_TOL`,
-read at call time, and reports its exit (`FitResult.stop_reason`).  Each
-trial costs one evaluation of the design built once per fit.
+ch. 4 and 7) on the product v -> Hv with its exact Hessian that each
+objective returns beside its value and gradient, so no step forms or
+factorizes a P x P matrix; for the discrete mle each product is two passes
+over the state cube.  It starts at `default_init`, stops at `MAX_ITERS` or
+`GRAD_TOL`, read at call time, and reports its exit
+(`FitResult.stop_reason`).  Each trial costs one evaluation of the design
+built once per fit.
 A population fit, on a DiscreteJoint, minimizes the objective's empirical
 form on the joint, which differs from the enumeration oracle by a
 theta-independent constant and so has the same minimizer; it calls the
@@ -143,9 +145,10 @@ def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
     its quadratic model predicts, up to `ARMIJO_ULPS` ulps of the value; the
     radius shrinks to a quarter of a step that gains under a quarter of that
     and grows to twice one that gains over three quarters.  A trial point
-    outside the model's domain, or whose value or gradient is not finite, is
-    refused.  The fit stops at |g|_inf <= GRAD_TOL, after MAX_ITERS steps or
-    when the radius falls below 1e-20, and names that exit in `stop_reason`.
+    outside the model's domain, whose value or gradient is not finite, or
+    that rounds back to theta itself, is refused.  The fit stops at
+    |g|_inf <= GRAD_TOL, after MAX_ITERS steps or when the radius falls below
+    1e-20, and names that exit in `stop_reason`.
 
     Gaussian sm and mle are closed forms with 0 iterations.  A fit on a
     DiscreteJoint minimizes the population objective's empirical form on the
@@ -179,16 +182,17 @@ def fit(model: Model, objective: ObjectiveKind, data) -> FitResult:
             raise ValueError(f"objective is not finite at the initial point {theta}")
         while np.abs(at.grad_theta).max() > GRAD_TOL and iters < MAX_ITERS and radius >= 1e-20:
             step, predicted = _steihaug(model, at.grad_theta, at.curvature, radius)
-            trial = evaluate(theta + step)
+            candidate = theta + step
+            trial = evaluate(candidate)
             gain = -np.inf if trial is None else (
                 at.value - trial.value + ARMIJO_ULPS * np.spacing(abs(at.value)))
-            accepted = gain > 1e-4 * predicted
+            accepted = gain > 1e-4 * predicted and np.any(candidate != theta)
             if not (accepted and gain >= 0.25 * predicted):
                 radius = 0.25 * np.sqrt(step @ step)
             elif gain > 0.75 * predicted:
                 radius = max(radius, 2.0 * np.sqrt(step @ step))
             if accepted:
-                theta, at, iters = theta + step, trial, iters + 1
+                theta, at, iters = candidate, trial, iters + 1
     gnorm = float(np.abs(at.grad_theta).max())
     stop = "grad_tol" if gnorm <= GRAD_TOL else "max_iters" if iters >= MAX_ITERS else "trust_region"
     value = float(at.value) if oracle is None else oracle(data, model, theta)

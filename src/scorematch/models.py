@@ -280,17 +280,18 @@ def sufficient_statistics(model: Model, X) -> np.ndarray:
     C-ordered rows (N, p) with log q~(x) = T(x) . theta
     (`_site_pattern_statistics`)."""
     _require_discrete(model)
-    return _site_pattern_statistics(model, _check_points(model, np.atleast_2d(X)).T)
+    return np.ascontiguousarray(_site_pattern_statistics(model, _check_points(model, np.atleast_2d(X)).T))
 
 
 def _site_pattern_statistics(model: Model, symbols) -> np.ndarray:
     """T at the symbol arrays symbols[i] of sites i, which broadcast together,
-    C-ordered with T's p entries on the last axis: with S the site pattern,
-    the column S[:, x_i] per site (the spin for Ising, the one-hot symbol for
-    Potts), filled one site at a time, and (S'S)[x_a, x_b] per edge (a, b)."""
+    with T's p entries on the last axis, each stored contiguously over the
+    points: with S the site pattern, the column S[:, x_i] per site (the spin
+    for Ising, the one-hot symbol for Potts), filled one site at a time, and
+    (S'S)[x_a, x_b] per edge (a, b)."""
     S = site_pattern(model)
     k, n_fields = S.shape[0], model.n_params - len(model.edges)
-    T = np.empty(np.broadcast_shapes(*(x.shape for x in symbols)) + (model.n_params,))
+    T = np.moveaxis(np.empty((model.n_params,) + np.broadcast_shapes(*(x.shape for x in symbols))), 0, -1)
     for i, x in enumerate(symbols):
         T[..., i * k:(i + 1) * k] = S.T[x]
     pair = S.T @ S

@@ -8,11 +8,8 @@ partition-free: it only sees log q~ through derivatives or conditional ratios.
 
 Every empirical objective returns its exact parameter gradient, built from the
 intermediates its value already computes, and every one that `estimation.fit`
-iterates on also returns the product v -> Hv with its curvature: the exact
-Hessian for gsm, rm, pl and generalized-Gaussian sm, and for the discrete mle
-the outer-product curvature sum_s c_s (T_s - E_q T)(T_s - E_q T)' over the
-cube (Berndt, Hall, Hall & Hausman 1974), which equals the exact Hessian
-N Cov_q[T] at a population optimum.  One builder, `empirical_objective`,
+iterates on also returns the product v -> Hv with its exact Hessian: for the
+discrete mle that is N Cov_q[T].  One builder, `empirical_objective`,
 checks the data against the model and builds the objective's theta-free
 design once; each evaluation at a theta reuses it, through the one per-theta
 evaluation that `_EVALUATE` names for the (model kind, objective) pair.  The
@@ -28,16 +25,17 @@ the m symbols of one site in one configuration of its neighbours, whose rows
 are filled from the site pattern (`models.site_pattern`) in the site's field
 block and incident edge columns alone.  Each evaluation is one product
 z = D theta, a softmax q over each set, and one product back for the gradient.
-pl, gsm and rm are proper scoring rules of those singleton conditionals
-(`_RULES`: the log, Brier and binary ratio scores), each giving its value,
-u = q dl/dq and v = q^2 d2l/dq2, which one evaluator (`_scored`) takes through
-the softmax; their Hessian product is one product with D and one with D',
-centred on each set, and forms no P x P matrix.  mle's is built from the
-data's moments of T, which the design holds, and E_q[T].  Discrete data is a
-Dataset or a DiscreteJoint, which stands for its state cube weighted
-by its probabilities.  The data enter pl, gsm and rm only through each site's
-blanket: a joint's marginals on the blankets, which a Dataset that fits its
-cube becomes by one count, or a larger Dataset's counted blanket rows.
+Every discrete objective is a proper scoring rule (`_RULES`): pl, gsm and rm
+the log, Brier and binary ratio scores of those singleton conditionals, and
+mle the log score of the joint, over the one set of the cube.  Each rule
+gives its value, u = q dl/dq and v = q^2 d2l/dq2, which one evaluator
+(`_scored`) takes through the softmax; the Hessian product is one product
+with D and one with D', centred on each set, and forms no P x P matrix.
+Discrete data is a Dataset or a DiscreteJoint, which stands for its state
+cube weighted by its probabilities.  The data enter pl, gsm and rm only
+through each site's blanket: a joint's marginals on the blankets, which a
+Dataset that fits its cube becomes by one count, or a larger Dataset's
+counted blanket rows.
 Gaussian data is a Dataset or GaussianMoments, which may stand for a Gaussian
 population.  The exact-MLE oracle takes log Z as the table's maximum plus the
 log-sum of exp of the table less it, as `models.exact_normalize` normalizes.
@@ -204,8 +202,6 @@ def empirical_objective(model: Model, objective: ObjectiveKind, data):
         design = (data.values,)
     else:
         design = _discrete_design(model, objective, data)
-        if objective is ObjectiveKind.EXACT_MLE:
-            design += _weighted_moments(*design)
     return lambda theta: evaluate(model.with_params(theta), *design)
 
 
@@ -279,16 +275,17 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
     matching rows of D their sufficient statistics, so the logits z = D theta
     (reshaped like c) are log q~ of the alternatives up to a per-row constant.
     For mle there is one row, the state cube: D = T(cube), filled on the
-    cube's open axes, and c the data's weight on each cube state; it is the
-    only design that builds T rows.  For gsm, rm and pl there is one row per
-    site i and per configuration of i's neighbours that occurs in the data
-    (Besag 1975): D[r, y] = T(x with x_i := y) - T(x with x_i := 0), and
+    cube's open axes and stored by column, and c the data's weight on each
+    cube state; the only design of T rows.  For gsm, rm and pl there is one
+    row per site i and per configuration of i's neighbours that occurs in the
+    data (Besag 1975): D[r, y] = T(x with x_i := y) - T(x with x_i := 0), and
     c[r, y] is the data's weight on the configuration with symbol y at i.
-    That difference is S[:, y] - S[:, 0] in i's field block and (S'S)[y, u] - (S'S)[0, u] in each incident edge's
-    column, with S the site pattern and u the neighbour's symbol, and 0
-    elsewhere: D is allocated once, zeroed, and each site's rows are filled
-    with those entries alone.  Each is a difference of small integers, so D
-    equals T of the alternatives minus T of the symbol-0 one, bit for bit.
+    That difference is S[:, y] - S[:, 0] in i's field block, (S'S)[y, u] -
+    (S'S)[0, u] in each incident edge's column, with S the site pattern and u
+    the neighbour's symbol, and 0 elsewhere: D is allocated once, zeroed, and
+    each site's rows are filled with those entries alone.  Each is a
+    difference of small integers, so D equals T of the alternatives minus T
+    of the symbol-0 one, bit for bit.
 
     A Dataset is read as its empirical joint, one bincount of its base-m
     state codes, when its cube is counted anyway: for mle, or when it has no
@@ -367,20 +364,6 @@ def _blanket_cells(data, blanket: list[int], far: list[int], m: int) -> tuple[np
     c_i = np.zeros((cell[-1] + 1, m))
     c_i[cell, rows[:, -1]] = w
     return rows[new_cell][:, far], c_i
-
-
-def _weighted_moments(D: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The data's weighted second and first moments of the cube statistic,
-    G = sum_s c_s T_s T_s' and a = sum_s c_s T_s, over the rows T_s of D.
-    G is summed over blocks of rows no larger than one column of D or G
-    itself, so no weighted copy of D is made."""
-    w = c.ravel()
-    rows = max(D.shape[0] // D.shape[1], D.shape[1])
-    G = np.zeros((D.shape[1], D.shape[1]))
-    for start in range(0, D.shape[0], rows):
-        block = D[start:start + rows]
-        G += block.T @ (w[start:start + rows, None] * block)
-    return G, w @ D
 
 
 def _blanket_rows(values: np.ndarray, blanket: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -491,11 +474,15 @@ def _scored(rule, mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
     value, u = q dl/dq and v = q^2 d2l/dq2: the gradient is dz' D with
     dz = u - q sum_y u, and the Hessian sum_ry w_ry D~_ry D~_ry', w = v + dz,
     over the rows centred on each set, D~_ry = D_ry - sum_y' q_ry' D_ry': its
-    product is D' of w D~x, centred again by the transposed centring."""
+    product is D' of w D~x, centred again by the transposed centring.  dz
+    and then w are built in one array, to hold few of the design's length."""
     z, s, q = _row_softmax(mod, D, c)
     value, u, v = rule(c, z, s, q)
-    dz = u - q * u.sum(axis=1, keepdims=True)
-    w = v + dz
+    dz = q * -u.sum(axis=1, keepdims=True)
+    dz += u
+    grad = dz.ravel() @ D
+    w = dz  # dz is spent: w = v + dz takes its place
+    w += v
 
     def curvature(x):
         y = (D @ x).reshape(q.shape)
@@ -504,14 +491,17 @@ def _scored(rule, mod: Model, D: np.ndarray, c: np.ndarray) -> ObjectiveValue:
         y -= q * y.sum(axis=1, keepdims=True)
         return y.ravel() @ D
 
-    return ObjectiveValue(float(value), dz.ravel() @ D, curvature)
+    return ObjectiveValue(float(value), grad, curvature)
 
 
 def _log_score(c, z, s, q):
     # pl: sum c (log s - z), the weighted -log q of each alternative, with
     # log q = z - log s and no 1/q, so a conditional that underflows still
-    # scores finitely; l = -c log q gives u = -c and v = c.
-    return np.sum(c * (np.log(s) - z)), -c, c
+    # scores finitely; l = -c log q gives u = -c and v = c.  mle is the same
+    # rule on the one set of the state cube: n log Z - c z, with n = sum c.
+    loss = np.log(s) - z
+    loss *= c
+    return loss.sum(), -c, c
 
 
 def _brier_score(c, z, s, q):
@@ -534,27 +524,10 @@ def _ratio_score(c, z, s, q):
     return np.sum(c * miss**2), -2.0 * c * miss * q, 2.0 * c * q * q
 
 
-def _mle(mod: Model, D: np.ndarray, c: np.ndarray, G: np.ndarray, a: np.ndarray) -> ObjectiveValue:
-    # The negative mean log normalized likelihood, n log Z - c z over the one
-    # row of D, the enumerated cube, with n = sum c.  Its gradient is
-    # n E_q[T] - a of the sufficient statistic T = dlog q~/dtheta, and its
-    # curvature G - a mu' - mu a' + n mu mu' with mu = E_q[T], from the
-    # design's moments (`_weighted_moments`), as a product.  The logits are
-    # exponentiated in place: one array of the cube's size at a time.
-    z = D @ mod.params
-    z -= z.max()
-    n, cz = c.sum(), float(c.ravel() @ z)
-    q = np.exp(z, out=z)
-    s = q.sum()
-    q /= s
-    mu = q @ D
-    b = 0.5 * n * mu - a
-    return ObjectiveValue(float(n * np.log(s) - cz), n * mu - a,
-                          lambda x: G @ x + (b @ x) * mu + (mu @ x) * b)
-
-
-# Each blanket-design objective's proper scoring rule of the singleton conditionals.
+# Each discrete objective's proper scoring rule: of the singleton conditionals
+# on the blanket designs, and for mle the log score of the joint on the cube.
 _RULES = {
+    ObjectiveKind.EXACT_MLE: _log_score,
     ObjectiveKind.PSEUDO_LIKELIHOOD: _log_score,
     ObjectiveKind.GSM_DISCRETE: _brier_score,
     ObjectiveKind.RATIO_MATCHING: _ratio_score,
@@ -562,14 +535,13 @@ _RULES = {
 
 
 # Each model kind's per-theta evaluation of each objective that applies to it;
-# each discrete one but mle is `_scored` with its rule.
+# each discrete one is `_scored` with its rule.
 _EVALUATE = {
     (ModelKind.GAUSSIAN, ObjectiveKind.SM_CONTINUOUS): _gaussian_sm,
     (ModelKind.GAUSSIAN, ObjectiveKind.EXACT_MLE): _gaussian_mle,
     (ModelKind.GEN_GAUSS_1D, ObjectiveKind.SM_CONTINUOUS): _gen_gauss_sm,
     **{(kind, objective): partial(_scored, rule)
        for kind in DISCRETE_KINDS for objective, rule in _RULES.items()},
-    **{(kind, ObjectiveKind.EXACT_MLE): _mle for kind in DISCRETE_KINDS},
 }
 
 

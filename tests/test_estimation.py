@@ -257,12 +257,9 @@ def test_fit_rejects_overflowing_trials_without_warning(monkeypatch):
     assert res.theta_hat[0] == pytest.approx(ref.theta_hat[0], abs=1e-6)
 
 
-@pytest.mark.parametrize("broken", ["value", "gradient"])
-def test_fit_refuses_trial_points_where_the_objective_is_not_finite(monkeypatch, broken):
-    # (theta - 3)^2 up to theta = 1.5 and, past it, a value of -inf or a NaN
-    # gradient beside a value below the minimum.  The first step from 1 runs
-    # past 1.5; every such trial is refused, so the fit closes in on 1.5 from
-    # below and never converges.
+def _fit_parabola_cut_at_1_5(monkeypatch, broken):
+    """A fit on (theta - 3)^2 up to theta = 1.5 and, past it, a value of -inf
+    or a NaN gradient beside a value below the minimum."""
     def objective_at(theta):
         t = float(theta[0])
         if t <= 1.5:
@@ -273,10 +270,43 @@ def test_fit_refuses_trial_points_where_the_objective_is_not_finite(monkeypatch,
 
     monkeypatch.setattr(estimation, "empirical_objective", lambda model, kind, data: objective_at)
     data = sample(gen_gauss_model(1.0), 10, seed=1)
-    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
+    return fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
+
+
+@pytest.mark.parametrize("broken", ["value", "gradient"])
+def test_fit_refuses_trial_points_where_the_objective_is_not_finite(monkeypatch, broken):
+    # The parabola cut at 1.5: the first step from 1 runs past 1.5; every
+    # such trial is refused, so the fit closes in on 1.5 from below and never
+    # converges.
+    res = _fit_parabola_cut_at_1_5(monkeypatch, broken)
     assert 1.4 < res.theta_hat[0] <= 1.5
     assert res.objective_value == (res.theta_hat[0] - 3.0) ** 2
     assert not res.converged
+
+
+def test_fit_refuses_steps_that_round_back_to_theta(monkeypatch):
+    # On the parabola cut at 1.5 the fit reaches 1.5, where each step either
+    # crosses the cut or is below half an ulp of theta: theta + p == theta,
+    # whose gain is the ARMIJO_ULPS credit alone.  Such steps are refused, so
+    # the radius shrinks and the fit ends at `trust_region` within a few dozen
+    # trials; taking them would count null steps up to MAX_ITERS.
+    res = _fit_parabola_cut_at_1_5(monkeypatch, "value")
+    assert res.theta_hat[0] == 1.5
+    assert res.stop_reason == "trust_region" and res.iters < 100
+
+
+def test_fit_credits_armijo_ulps_of_the_value(monkeypatch):
+    # gen-gauss sm on alpha* = 1.2, N = 3000, ends near alpha = 0.145 (the
+    # smoothed cusp's wrong minimizer), where the last Newton steps change J
+    # by less than its roundoff.  With the ARMIJO_ULPS credit the fit reaches
+    # GRAD_TOL in 7 steps; without it those steps are refused and the trust
+    # region collapses at |g|_inf ~ 7e-7.
+    data = sample(gen_gauss_model(1.2), 3000, seed=0)
+    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
+    assert res.stop_reason == "grad_tol" and res.iters == 7
+    monkeypatch.setattr(estimation, "ARMIJO_ULPS", 0)
+    res = fit(gen_gauss_model(1.0), ObjectiveKind.SM_CONTINUOUS, data)
+    assert res.stop_reason == "trust_region" and res.grad_norm > estimation.GRAD_TOL
 
 
 # Known limit, not a target: the eps-smoothed cusp breaks Hyvarinen's

@@ -727,8 +727,9 @@ def test_population_objectives_reject_shape_mismatch():
 def test_gradcheck_suite_passes():
     # Exact gradients of every empirical objective and every population form
     # against central differences of the value, or of the enumeration oracle,
-    # and the curvature products against central differences of the gradient.
+    # and the curvature products, mle's among them, against central
+    # differences of the gradient.
     checks = verify.run_suite("gradcheck")
-    assert len(checks) == 32
+    assert len(checks) == 34
     assert all(c.passed for c in checks), [f"{c.name}: {c.residual:.3e}"
                                            for c in checks if not c.passed]

@@ -174,8 +174,8 @@ def _curvature_matrix(out):
 @example(seed=0)  # a Potts model
 def test_discrete_objective_gradients_match_fd(seed):
     # The exact gradient against central differences of the value, and the
-    # exact Hessian of gsm, rm and pl against central differences of that
-    # gradient; mle's curvature is the outer-product one, checked below.
+    # exact Hessian of each objective against central differences of that
+    # gradient.
     rng = np.random.default_rng(seed)
     model, d, m, theta = _random_pairwise(rng)
     data = discrete_dataset(rng.integers(0, m, (30, d)), m=m)
@@ -187,9 +187,8 @@ def test_discrete_objective_gradients_match_fd(seed):
         out = objective(theta)
         numeric = fd_gradient(lambda t: objective(t).value, theta)
         assert np.abs(out.grad_theta - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
-        if kind is not ObjectiveKind.EXACT_MLE:
-            numeric = _fd_curvature(objective, theta)
-            assert np.abs(_curvature_matrix(out) - numeric).max() <= 1e-8 * max(1.0, np.abs(numeric).max())
+        numeric = _fd_curvature(objective, theta)
+        assert np.abs(_curvature_matrix(out) - numeric).max() <= 1e-8 * max(1.0, np.abs(numeric).max())
 
 
 @given(seed=st.integers(0, 10_000))
@@ -251,29 +250,32 @@ def test_gen_gauss_sm_curvature_matches_fd_of_the_gradient(alpha):
 @given(seed=st.integers(0, 10_000))
 @settings(**SETTINGS)
 def test_mle_curvature_is_the_covariance_of_t_at_a_population_optimum(seed):
-    # On the model's own joint the data's moments of T are the model's, so
-    # the outer-product curvature is the exact Hessian Cov_q[T].  Anywhere it
-    # is a weighted sum of outer products: positive semidefinite, and zero
-    # along each Potts site's gauge (all of its fields moved by one constant).
+    # mle is the log score of the joint, so its curvature is the exact
+    # Hessian N Cov_q[T] at every theta, whatever the data (N = 1 for a
+    # joint or an empirical one): at a population optimum, on the model's own
+    # joint, and at a random theta on a dataset.  It is positive
+    # semidefinite, and zero along each Potts site's gauge (all of its fields
+    # moved by one constant).
     rng = np.random.default_rng(seed)
-    model, d, m, theta = _random_pairwise(rng)
-    joint = exact_normalize(model.with_params(theta))
+    model, d, m, theta_star = _random_pairwise(rng)
     T = sufficient_statistics(model, state_cube(m, d))
-    p = joint.probs.ravel()
-    centred = T - p @ T
-    want = centred.T @ (p[:, None] * centred)
-    got = _curvature_matrix(empirical_objective(model, ObjectiveKind.EXACT_MLE, joint)(theta))
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    data = discrete_dataset(rng.integers(0, m, (30, d)), m=m)
-    H = _curvature_matrix(empirical_objective(model, ObjectiveKind.EXACT_MLE, data)(
-        rng.uniform(-1, 1, model.n_params)))
-    scale = np.abs(H).max()
-    assert np.linalg.eigvalsh(H).min() >= -1e-12 * scale
-    if model.kind is ModelKind.POTTS:
-        for i in range(d):
-            gauge = np.zeros(model.n_params)
-            gauge[i * m:(i + 1) * m] = 1.0
-            assert np.abs(H @ gauge).max() <= 1e-12 * scale
+    for data, theta in ((exact_normalize(model.with_params(theta_star)), theta_star),
+                        (discrete_dataset(rng.integers(0, m, (30, d)), m=m),
+                         rng.uniform(-1, 1, model.n_params))):
+        log_q = T @ theta
+        q = np.exp(log_q - log_q.max())
+        q /= q.sum()
+        centred = T - q @ T
+        want = centred.T @ (q[:, None] * centred)
+        H = _curvature_matrix(empirical_objective(model, ObjectiveKind.EXACT_MLE, data)(theta))
+        scale = np.abs(want).max()
+        assert np.abs(H - want).max() <= 1e-12 * max(1.0, scale)
+        assert np.linalg.eigvalsh(H).min() >= -1e-12 * scale
+        if model.kind is ModelKind.POTTS:
+            for i in range(d):
+                gauge = np.zeros(model.n_params)
+                gauge[i * m:(i + 1) * m] = 1.0
+                assert np.abs(H @ gauge).max() <= 1e-12 * scale
 
 
 GRAPHS = {
