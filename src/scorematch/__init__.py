@@ -26,6 +26,7 @@ from .objectives import (
     GaussianMoments,
     ObjectiveKind,
     ObjectiveValue,
+    SupportError,
     empirical_objective,
     fisher_exact,
     gsm_discrete_population,

@@ -21,7 +21,7 @@ from .models import (
     read_dataset_csv,
     sample,
 )
-from .objectives import ObjectiveKind
+from .objectives import ObjectiveKind, SupportError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -192,6 +192,10 @@ def cmd_scalespace(args) -> int:
     q = _parse_density_spec(args.q, box, args.grid_n)
     try:
         curve = scalespace.divergence_curve(p, q, _parse_t_spec(args.t))
+    except SupportError as exc:
+        raise CliError(
+            f"cannot compare --p {args.p!r} with --q {args.q!r} along the heat flow: {exc}"
+        ) from exc
     except ValueError as exc:
         raise CliError(f"cannot smooth over --t {args.t!r}: {exc}") from exc
     _atomic_write(args.out, curve.to_csv())

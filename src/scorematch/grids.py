@@ -127,7 +127,12 @@ def require_same_geometry(p: GridDensity, q: GridDensity) -> None:
         raise ValueError("grid geometries do not match")
 
 
-def quad(g: GridDensity, integrand: np.ndarray) -> float:
+def quad(g: GridDensity, integrand: np.ndarray, overwrite: bool = False) -> float:
+    """Trapezoid integral over g's grid; with overwrite the weighted integrand
+    is formed in integrand's own buffer instead of a new array."""
+    if overwrite:
+        integrand *= quad_weights(g.axes)
+        return float(np.sum(integrand))
     return float(np.sum(quad_weights(g.axes) * integrand))
 
 
@@ -136,7 +141,9 @@ def support_mask(g: GridDensity) -> np.ndarray:
 
 
 def log_values(g: GridDensity) -> np.ndarray:
-    return np.log(np.maximum(g.values, LOG_FLOOR))
+    """log of the values floored at LOG_FLOOR, taken in the floor's buffer."""
+    out = np.maximum(g.values, LOG_FLOOR)
+    return np.log(out, out=out)
 
 
 def from_function(fn, box, n) -> GridDensity:

@@ -109,41 +109,60 @@ class GaussianMoments:
 # ---------------------------------------------------------------------------
 # Exact divergences
 
+class SupportError(ValueError):
+    """q vanishes where p has mass, so the divergence of p from q is not
+    finite: a fault of the density pair."""
+
+
 def kl_exact(p, q) -> float:
     """KL divergence between two normalized densities on a shared support."""
     if isinstance(p, GridDensity) and isinstance(q, GridDensity):
-        require_same_geometry(p, q)
-        if np.any(q.values[p.values > 0] <= 0):
-            raise ValueError("q vanishes where p is positive")
-        # The log floor keeps log p - log q finite, so nodes where p is 0
-        # contribute 0 to the integrand.
-        integrand = log_values(p)
-        integrand -= log_values(q)
-        integrand *= p.values
-        return quad(p, integrand)
+        return _grid_divergences(p, q, with_fisher=False)[0]
     if isinstance(p, DiscreteJoint) and isinstance(q, DiscreteJoint):
         if p.m != q.m or p.d != q.d:
             raise ValueError("joint shapes do not match")
         mask = p.probs > 0
         if np.any(q.probs[mask] <= 0):
-            raise ValueError("q vanishes where p is positive")
+            raise SupportError("q vanishes where p is positive")
         return float(np.sum(p.probs[mask] * np.log(p.probs[mask] / q.probs[mask])))
     raise TypeError("p and q must both be GridDensity or both DiscreteJoint")
 
 
 def fisher_exact(p: GridDensity, q: GridDensity) -> float:
     """Density-weighted squared distance between the two score fields."""
+    return _grid_divergences(p, q, with_kl=False)[1]
+
+
+def _grid_divergences(
+    p: GridDensity, q: GridDensity, with_kl: bool = True, with_fisher: bool = True
+) -> tuple[float | None, float | None]:
+    """`kl_exact` and `fisher_exact` of a grid pair from one log ratio; a
+    value not asked for is None.
+
+    KL needs q positive wherever p is, which covers Fisher's need of q
+    positive on p's support.  The log floor keeps log p - log q finite, so
+    nodes where p is 0 contribute 0 to the KL integrand.
+    """
     require_same_geometry(p, q)
-    mask = support_mask(p)
-    if np.any(q.values[mask] <= 0):
-        raise ValueError("q vanishes on the support of p")
+    mask = support_mask(p) if with_fisher else None
+    if with_kl:
+        if np.any(q.values[p.values > 0] <= 0):
+            raise SupportError("q vanishes where p is positive")
+    elif np.any(q.values[mask] <= 0):
+        raise SupportError("q vanishes on the support of p")
     log_ratio = log_values(p)
     log_ratio -= log_values(q)
-    sq_dist = squared_norm(grid_gradient(log_ratio, p.spacing))
-    del log_ratio
-    sq_dist *= p.values
-    sq_dist[~mask] = 0.0
-    return quad(p, sq_dist)
+    fisher = kl = None
+    if with_fisher:
+        sq_dist = squared_norm(grid_gradient(log_ratio, p.spacing))
+        sq_dist *= p.values
+        sq_dist[~mask] = 0.0
+        fisher = quad(p, sq_dist, overwrite=True)
+        del sq_dist
+    if with_kl:
+        log_ratio *= p.values
+        kl = quad(p, log_ratio, overwrite=True)
+    return kl, fisher
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,10 @@ def grid_gradient(values: np.ndarray, spacing: tuple[float, ...]) -> list[np.nda
     components = []
     for ax in range(values.ndim):
         h = spacing[ax]
-        f = np.moveaxis(values, ax, 0)
+        # Any view with axis ax first serves: the stencil is elementwise.
+        f = values.swapaxes(ax, 0)
         out = np.empty_like(values)
-        g = np.moveaxis(out, ax, 0)
+        g = out.swapaxes(ax, 0)
         np.subtract(f[2:], f[:-2], out=g[1:-1])
         g[1:-1] /= 2.0 * h
         g[0] = (f[1] - f[0]) / h

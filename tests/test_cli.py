@@ -381,6 +381,20 @@ def test_scalespace_maps_a_smoothing_error_to_usage(tmp_path, capsys, t, reason)
     assert not out.exists()
 
 
+def test_scalespace_names_the_density_pair_when_q_vanishes(tmp_path, capsys):
+    # N(0, 0.01) smoothed by 0.02 underflows to 0 where N(0, 1.02) is still
+    # positive: a fault of the pair, not of the t grid.
+    out = tmp_path / "c.csv"
+    code = main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:0.01",
+                 "--t", "0.02:0.1:0.02", "--grid-n", "1024", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--p 'gauss:0:1'" in err and "--q 'gauss:0:0.01'" in err
+    assert "q vanishes where p is positive" in err
+    assert "--t" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--box", "foo"),
     ("--box", "5:-5"),

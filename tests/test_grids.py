@@ -46,6 +46,16 @@ def test_quad_weights_are_shared_per_point_count_and_spacing():
     assert quad_weights((ax, ax)).shape == (9, 9)
 
 
+def test_quad_overwrite_gives_the_same_bits_in_the_integrand_buffer():
+    rng = np.random.default_rng(3)
+    for axes in ((uniform_axis(-3.0, 3.0, 257),), (uniform_axis(-3.0, 3.0, 65), uniform_axis(0.0, 2.0, 33))):
+        g = grid_density(axes, rng.random(tuple(len(a) for a in axes)), require_decay=False)
+        integrand = rng.standard_normal(g.shape)
+        buffer = integrand.copy()
+        assert quad(g, buffer, overwrite=True) == quad(g, integrand)
+        assert np.array_equal(buffer, quad_weights(axes) * integrand)
+
+
 def test_grid_density_renormalizes_to_unit_mass():
     ax = uniform_axis(-6.0, 6.0, 512)
     g = grid_density((ax,), 3.7 * np.exp(-(ax**2)))

@@ -5,8 +5,19 @@ import numpy as np
 import pytest
 from scipy.ndimage import convolve1d
 
-from scorematch.grids import gaussian_1d, grid_density, mixture_1d, uniform_axis
+from scorematch import scalespace
+from scorematch.grids import (
+    LOG_FLOOR,
+    SUPPORT_FRAC,
+    gaussian_1d,
+    grid_density,
+    mixture_1d,
+    quad,
+    uniform_axis,
+)
+from scorematch.objectives import fisher_exact, kl_exact
 from scorematch.scalespace import (
+    ALIAS_FREE_STEPS,
     DivergenceCurve,
     _heat_flow,
     _kernel,
@@ -181,6 +192,38 @@ def test_heat_flow_restarts_narrow_steps_from_p():
     assert np.array_equal(outs[-1], last)
 
 
+def test_heat_flow_falls_back_below_alias_free_steps():
+    # A step of sigma 3.4 h lies between 2 h and ALIAS_FREE_STEPS h, so the
+    # flow does not take it: that output is smooth's, bit for bit, and the
+    # next step starts from the state the grid without it would hold.
+    p = _workload_densities()[-1]
+    h = p.spacing[0]
+    t_grid = [0.1, 0.1004, 0.3]
+    assert 2.0 * h < np.sqrt(t_grid[1] - t_grid[0]) < ALIAS_FREE_STEPS * h
+    outs = [pt.values.copy() for pt in _heat_flow(p, t_grid)]
+    assert np.array_equal(outs[1], smooth(p, t_grid[1]).values)
+    assert np.array_equal(outs[2], list(_heat_flow(p, [0.1, 0.3]))[-1].values)
+
+
+def test_heat_flow_builds_kernels_once_per_run_of_equal_steps(monkeypatch):
+    p = _gauss(0.0, 1.0, n=1024)
+    t_grid = np.round(np.arange(0.02, 1.0 + 1e-9, 0.02), 12)
+    want = [pt.values.copy() for pt in _heat_flow(p, t_grid)]
+    steps = np.diff(t_grid, prepend=0.0)
+    built = []
+    real = scalespace._kernels
+
+    def counted(t, g):
+        built.append(t)
+        return real(t, g)
+
+    monkeypatch.setattr(scalespace, "_kernels", counted)
+    got = [pt.values.copy() for pt in _heat_flow(p, t_grid)]
+    assert built == [s for i, s in enumerate(steps) if i == 0 or s != steps[i - 1]]
+    assert len(built) == 25  # of 50 steps
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_heat_flow_yields_p_at_t_zero():
     p = _gauss(0.0, 1.0)
     assert next(_heat_flow(p, [0.0, 0.5])) is p
@@ -197,6 +240,67 @@ def test_heat_flow_errors_reach_both_sweeps(t, match):
         divergence_curve(p, p, t)
     with pytest.raises(ValueError, match=match):
         debruijn_residual(p, t)
+
+
+def _second_2d():
+    p = _anisotropic_2d()
+    xx, yy = np.meshgrid(*p.axes, indexing="ij")
+    vals = np.exp(-((xx + 0.5) ** 2) / 1.2 - (yy - 0.3) ** 2 / 0.9)
+    return grid_density(p.axes, vals, require_decay=False)
+
+
+def _oracle_sweeps():
+    """The benchmark's density pairs at n = 1024 and a 2-D pair, each with a
+    t grid for its divergence curve and one for its de Bruijn sweep."""
+    curve_t = np.round(np.arange(0.02, 1.0 + 1e-9, 0.02), 12)
+    debruijn_t = np.round(np.arange(0.1, 1.0 + 1e-9, 0.02), 10)
+    base = _gauss(0.0, 1.0, n=1024)
+    mixture = mixture_1d([(0.5, -2.0, 1.0), (0.5, 2.0, 1.0)], box=BOX, n=1024)
+    t_2d = np.round(np.arange(0.1, 1.5 + 1e-9, 0.1), 12)
+    return [
+        (base, _gauss(0.0, 2.0, n=1024), curve_t, debruijn_t),
+        (base, _gauss(0.5, 1.0, n=1024), curve_t, debruijn_t),
+        (base, mixture, curve_t, debruijn_t),
+        (mixture, base, curve_t, debruijn_t),
+        (_anisotropic_2d(), _second_2d(), t_2d, t_2d),
+    ]
+
+
+def _log(g):
+    return np.log(np.maximum(g.values, LOG_FLOOR))
+
+
+def _weighted_score_gap(g, log_ratio):
+    """Plain-NumPy Fisher integrand: the squared gradient of log_ratio,
+    weighted by g and cut to g's support, integrated."""
+    sq = sum(np.gradient(log_ratio, h, axis=ax, edge_order=1) ** 2 for ax, h in enumerate(g.spacing))
+    return quad(g, np.where(g.values > SUPPORT_FRAC * g.values.max(), sq * g.values, 0.0))
+
+
+@pytest.mark.parametrize("p, q, curve_t, debruijn_t", _oracle_sweeps())
+def test_sweeps_equal_the_public_oracles_on_the_flow(p, q, curve_t, debruijn_t):
+    # The sweeps share one log ratio (one log) per scale between their two
+    # integrals; the public functions take their own, and both must agree to
+    # the bit with the formulas written out in plain NumPy.
+    curve = divergence_curve(p, q, curve_t)
+    pairs = list(zip(_heat_flow(p, curve_t), _heat_flow(q, curve_t)))
+    for got, oracle, reference in (
+        (curve.kl, kl_exact, lambda a, b: quad(a, (_log(a) - _log(b)) * a.values)),
+        (curve.fisher, fisher_exact, lambda a, b: _weighted_score_gap(a, _log(a) - _log(b))),
+    ):
+        assert np.array_equal(got, [oracle(pt, qt) for pt, qt in pairs])
+        assert np.array_equal(got, [reference(pt, qt) for pt, qt in pairs])
+
+    H, J = [], []
+    for pt in _heat_flow(p, debruijn_t):
+        H.append(entropy(pt))
+        J.append(fisher_information(pt))
+        assert H[-1] == quad(pt, np.where(pt.values > 0, -pt.values * _log(pt), 0.0))
+        assert J[-1] == _weighted_score_gap(pt, _log(pt))
+    H, J = np.array(H), np.array(J)
+    dh = (H[2:] - H[:-2]) / (debruijn_t[2:] - debruijn_t[:-2])
+    want = float(np.max(np.abs(dh - 0.5 * J[1:-1]) / np.maximum(J[1:-1], 1e-12)))
+    assert debruijn_residual(p, debruijn_t) == want
 
 
 # ---------------------------------------------------------------------------
