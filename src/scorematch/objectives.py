@@ -19,12 +19,16 @@ normal equations `gaussian_sm_normal_equations` builds from the same moments.
 Generalized-Gaussian sm differentiates its own score and Laplacian terms in
 alpha.  The discrete objectives see Ising and Potts only through a linear
 design over sets of alternatives (`_discrete_design`): for mle the whole state
-cube, whose rows are T of the cube, filled on the cube's open axes by the walk
-that `models.sufficient_statistics` takes at points, and for pl, gsm and rm
-the m symbols of one site in one configuration of its neighbours, whose rows
-are filled from the site pattern (`models.site_pattern`) in the site's field
-block and incident edge columns alone.  Each evaluation is one product
-z = D theta, a softmax q over each set, and one product back for the gradient.
+cube, whose rows are T of the cube, and for pl, gsm and rm the m symbols of
+one site in one configuration of its neighbours, whose rows are filled from
+the site pattern (`models.site_pattern`) in the site's field block and
+incident edge columns alone.  mle's D is T of two half cubes plus a low-rank
+term for the edges between them (`_FactoredCubeStatistics`), with no
+(m^d, P) array, where those halves' statistics are smaller than one cube
+table; a smaller cube keeps T dense, filled on its open axes by the walk that
+`models.sufficient_statistics` takes at points.  Each evaluation is one
+product z = D theta, a softmax q over each set, and one product back for the
+gradient.
 Every discrete objective is a proper scoring rule (`_RULES`): pl, gsm and rm
 the log, Brier and binary ratio scores of those singleton conditionals, and
 mle the log score of the joint, over the one set of the cube.  Each rule
@@ -53,7 +57,7 @@ constant, and calls the oracle once, at its estimate (`estimation.fit`).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -293,9 +297,12 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
     Each row r of c holds the data's weight on a set of alternatives, and the
     matching rows of D their sufficient statistics, so the logits z = D theta
     (reshaped like c) are log q~ of the alternatives up to a per-row constant.
-    For mle there is one row, the state cube: D = T(cube), filled on the
-    cube's open axes and stored by column, and c the data's weight on each
-    cube state; the only design of T rows.  For gsm, rm and pl there is one
+    For mle there is one row, the state cube: D is T of the cube and c the
+    data's weight on each cube state.  With s = d // 2, D is the operator
+    `_FactoredCubeStatistics` split at s when its half cubes' statistics,
+    (m**s + m**(d-s)) * P numbers, are fewer than the m**d of one cube table,
+    and otherwise the dense T, filled on the cube's open axes and stored by
+    column.  For gsm, rm and pl there is one
     row per site i and per configuration of i's neighbours that occurs in the
     data (Besag 1975): D[r, y] = T(x with x_i := y) - T(x with x_i := 0), and
     c[r, y] is the data's weight on the configuration with symbol y at i.
@@ -323,8 +330,13 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
     if isinstance(data, Dataset) and (objective is ObjectiveKind.EXACT_MLE or m**d <= data.n):
         data = DiscreteJoint(m, d, (_state_counts(data.values, m) / data.n).reshape((m,) * d))
     if objective is ObjectiveKind.EXACT_MLE:
-        # T is filled after the count, so the N state codes are gone by then.
-        return _site_pattern_statistics(model, axes).reshape(m**d, -1), data.probs.reshape(1, -1)
+        # T is built after the count, so the N state codes are gone by then.
+        s = d // 2
+        if (m**s + m**(d - s)) * model.n_params < m**d:
+            D = _FactoredCubeStatistics(model, s)
+        else:
+            D = _site_pattern_statistics(model, axes).reshape(m**d, -1)
+        return D, data.probs.reshape(1, -1)
     # One pass over the edges gives each site's neighbours and incident edge
     # columns, in edge order; a repeated edge is its own column.
     neighbours, incident = [[] for _ in range(d)], [[] for _ in range(d)]
@@ -357,6 +369,81 @@ def _discrete_design(model: Model, objective: ObjectiveKind, data) -> tuple[np.n
         rows.transpose(0, 2, 1)[:, [n_fields + e for e in incident[i]]] = edge[u]
         start = stop
     return D, c
+
+
+class _FactoredCubeStatistics:
+    """T of an Ising or Potts model's state cube as the mle design's operator
+    D, with no (m**d, P) array (Van Loan 2000, "The ubiquitous Kronecker
+    product").
+
+    The sites split at s into A = 0..s-1 and B = s..d-1, so the C-ordered
+    cube is A's cube by B's, and at a state (a, b)
+
+        T(a, b) x = T_A(a) x_A + T_B(b) x_B + sum_e x_e (S'S)[x_i(a), x_j(b)]
+
+    with T_A and T_B T of each half's cube over its own fields and the edges
+    within it, and the sum over the cross edges e = (i, j), i in A and j in B.
+    With S the site pattern of k rows, that sum is U diag(x_cross (x) 1_k) V',
+    where U[a, (e, r)] = S[r, x_i(a)] and V[b, (e, r)] = S[r, x_j(b)].  D
+    serves the two products `_scored` takes: D @ x, one small GEMM of
+    [T_A x_A | 1 | U diag(x_cross (x) 1_k)] by [1 | T_B x_B | V]', and y @ D,
+    from the row and column sums of y on the (m**s, m**(d-s)) grid and the
+    k-summed diagonal of U'YV.  Every summand of D @ e_j is a product of
+    small integers, so D's columns equal T of the cube bit for bit.
+    """
+
+    # ndarray @ D then defers to __rmatmul__.
+    __array_ufunc__ = None
+
+    def __init__(self, model: Model, s: int):
+        m, d = model.alphabet_size, model.dim
+        S = site_pattern(model)
+        self._k, n_fields = S.shape[0], model.n_params - len(model.edges)
+        inner, cross = ([], []), []
+        for e, (i, j) in enumerate(model.edges):
+            if (i < s) == (j < s):
+                inner[j >= s].append(e)
+            else:
+                cross.append(e)
+        self._cross = n_fields + np.array(cross, dtype=np.intp)
+        self._cols, self._t = [], []
+        for half, (lo, hi) in enumerate(((0, s), (s, d))):
+            edges = tuple((i - lo, j - lo) for i, j in (model.edges[e] for e in inner[half]))
+            self._cols.append(np.concatenate([np.arange(lo * self._k, hi * self._k),
+                                              n_fields + np.array(inner[half], dtype=np.intp)]))
+            sub = replace(model, dim=hi - lo, params=np.zeros(self._cols[-1].size), edges=edges)
+            T = _site_pattern_statistics(sub, np.indices((m,) * (hi - lo), sparse=True))
+            self._t.append(T.reshape(m ** (hi - lo), -1))
+        # Each cross edge's symbol columns: site i's over A's cube, site j's over B's.
+        ends = np.array([model.edges[e] for e in cross], dtype=np.intp).reshape(-1, 2)
+        symbols_a = np.arange(m**s)[:, None] // m ** (s - 1 - ends[:, 0]) % m
+        symbols_b = np.arange(m ** (d - s))[:, None] // m ** (d - 1 - ends[:, 1]) % m
+        self._u = S.T[symbols_a].reshape(m**s, -1)
+        self._v = S.T[symbols_b].reshape(m ** (d - s), -1)
+        self._cross_taps = np.repeat(self._cross, self._k)
+        self.shape = (m**d, model.n_params)
+
+    def __matmul__(self, x):
+        (t_a, t_b), u, v = self._t, self._u, self._v
+        left = np.empty((u.shape[0], 2 + u.shape[1]))
+        np.matmul(t_a, x[self._cols[0]], out=left[:, 0])
+        left[:, 1] = 1.0
+        np.multiply(u, x[self._cross_taps], out=left[:, 2:])
+        right = np.empty((v.shape[0], 2 + v.shape[1]))
+        right[:, 0] = 1.0
+        np.matmul(t_b, x[self._cols[1]], out=right[:, 1])
+        right[:, 2:] = v
+        return (left @ right.T).ravel()
+
+    def __rmatmul__(self, y):
+        (t_a, t_b), u, v = self._t, self._u, self._v
+        Y = y.reshape(u.shape[0], v.shape[0])
+        out = np.empty(self.shape[1])
+        out[self._cols[0]] = Y.sum(axis=1) @ t_a
+        out[self._cols[1]] = Y.sum(axis=0) @ t_b
+        out[self._cross] = np.einsum("aer,aer->e", u.reshape(u.shape[0], -1, self._k),
+                                     (Y @ v).reshape(u.shape[0], -1, self._k))
+        return out
 
 
 def _blanket_cells(data, blanket: list[int], far: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:

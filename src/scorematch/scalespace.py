@@ -48,6 +48,9 @@ KERNEL_RADIUS_SIGMAS = 8.0
 # exp(-pi^2 sigma^2 / (2 h^2)) (Lindeberg 1990), so the heat flow takes no
 # step whose sigma is below this many grid spacings h.
 ALIAS_FREE_STEPS = 5.0
+# OpenBLAS runs a dot product of more than this many terms on several
+# threads, so `_convolve_same` takes no dot product longer than this.
+BLAS_DOT_TAPS = 10_000
 # Relative density floor of the region `lemma1_residual` measures.
 LEMMA1_SUPPORT = 1e-2
 
@@ -101,13 +104,36 @@ def _convolve(values: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
 
     _kernel's width check keeps each kernel no longer than its axis, so
     "same" returns one output centred on each input point (zero padding).  On
-    a 1-D grid the result is np.convolve's own array.
+    a 1-D grid the result is `_convolve_same`'s own array.
     """
     if values.ndim == 1:
-        return np.convolve(values, kernels[0], mode="same")
+        return _convolve_same(values, kernels[0])
     for ax, k in enumerate(kernels):
-        values = np.apply_along_axis(np.convolve, ax, values, k, mode="same")
+        values = np.apply_along_axis(_convolve_same, ax, values, k)
     return values
+
+
+def _convolve_same(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """np.convolve(values, kernel, "same") for a kernel no longer than values.
+
+    np.convolve takes one BLAS dot product per output point over the kernel's
+    taps, and OpenBLAS splits a ddot of more than BLAS_DOT_TAPS terms across
+    its threads, which changes the rounding with the thread count.  A longer
+    kernel is therefore convolved in chunks of at most that many taps, each
+    chunk's full convolution added at its offset, so the bytes do not depend
+    on the thread count; a shorter one keeps np.convolve's single call.
+    """
+    if kernel.size <= BLAS_DOT_TAPS:
+        return np.convolve(values, kernel, mode="same")
+    # Output i of "same" is the full convolution at i + half.
+    half, n = (kernel.size - 1) // 2, values.size
+    out = np.zeros(n)
+    for start in range(0, kernel.size, BLAS_DOT_TAPS):
+        part = np.convolve(values, kernel[start:start + BLAS_DOT_TAPS])
+        # part[j] is the whole convolution's term at j + start.
+        lo, hi = max(0, start - half), min(n, part.size + start - half)
+        out[lo:hi] += part[lo + half - start:hi + half - start]
+    return out
 
 
 def smooth(p: GridDensity, t: float) -> GridDensity:

@@ -28,6 +28,7 @@ from scorematch.models import (
 from scorematch.objectives import (
     GaussianMoments,
     ObjectiveKind,
+    _FactoredCubeStatistics,
     _discrete_design,
     empirical_objective,
     exact_mle_population,
@@ -340,8 +341,9 @@ def test_pl_gsm_rm_equal_a_per_sample_reference_past_the_cube(edges):
     ("potts", 257, 1, chain_edges(1)),
 ], ids=["chain", "star", "4-cycle", "potts, repeated edge", "complete d=6", "m=17", "m=257"])
 def test_mle_design_is_the_statistics_of_the_state_cube(kind, m, d, edges):
-    # The mle design fills T on the cube's open axes; it must equal T of the
-    # cube's rows bit for bit, whichever route the data's weights take.  The
+    # The mle design is T of the state cube, dense or factored at a split of
+    # the sites; at every split point the operator's columns must equal T of
+    # the cube's rows bit for bit, and its two products the dense ones.  The
     # rows are uint8 up to m = 256 and uint16 at m = 257.
     rng = np.random.default_rng(m * d)
     if kind == "ising":
@@ -349,13 +351,31 @@ def test_mle_design_is_the_statistics_of_the_state_cube(kind, m, d, edges):
     else:
         model = potts_model(rng.uniform(-1, 1, (d, m)), rng.uniform(-1, 1, len(edges)), edges)
     want = sufficient_statistics(model, state_cube(m, d))
+    x, y = rng.standard_normal(model.n_params), rng.standard_normal(m**d)
+    for s in range(d + 1):
+        D = _FactoredCubeStatistics(model, s)
+        columns = np.column_stack([D @ e for e in np.eye(model.n_params)])
+        assert columns.tobytes() == want.tobytes(), s
+        for got, ref in ((D @ x, want @ x), (y @ D, y @ want)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), s
+    # Whichever route the data's weights take, the design's D is T and its c
+    # the weights on the cube.
     joint = exact_normalize(model)
     data = sample(model, 500, seed=m)
     counts = np.bincount(np.ravel_multi_index(data.values.T, (m,) * d), minlength=m**d)
     for source, weights in ((joint, joint.probs.ravel()), (data, counts / data.n)):
         D, c = _discrete_design(model, MLE, source)
-        assert D.shape == want.shape and D.tobytes() == want.tobytes()
+        assert np.column_stack([D @ e for e in np.eye(model.n_params)]).tobytes() == want.tobytes()
         assert np.array_equal(c, weights[None, :])
+
+
+def test_mle_design_factors_where_its_halves_are_smaller_than_the_cube():
+    # The d = 4 chain's half cubes hold (4 + 4) * 7 > 16 numbers, so it keeps
+    # the dense T; the d = 12 chain's hold (64 + 64) * 23 < 4096.
+    for d, factored in ((4, False), (12, True)):
+        model = ising_model(np.zeros(d), np.zeros(d - 1))
+        D, _ = _discrete_design(model, MLE, exact_normalize(model))
+        assert isinstance(D, _FactoredCubeStatistics) is factored, d
 
 
 def _peak_bytes(fn, *args):
@@ -395,16 +415,33 @@ def test_dense_graph_pl_design_is_filled_in_place():
 
 
 def test_mle_design_holds_little_beside_the_cube_statistics():
-    # The d = 12 chain's mle design holds T of the 4096-state cube.  The N
-    # codes, an int64 cube and its checked copy would add 0.79 MiB beside it.
-    # On the d = 16 chain's joint, T is filled on the cube's open axes: an
-    # array of the cube's states would add 1 MiB even as uint8.
+    # The d = 12 chain on 5e4 samples holds the N int64 state codes while it
+    # counts them and then T of two 64-state half cubes: a dense T of the
+    # 4096-state cube (0.72 MiB) would not fit beside the codes.  On the
+    # d = 16 chain's joint the design holds nothing the size of the cube.
+    n = 50_000
     model = ising_model(np.full(12, 0.1), np.full(11, 0.5))
-    data = sample(model, 50_000, seed=5)
-    model16 = ising_model(np.full(16, 0.1), np.full(15, 0.5))
-    for model, data in ((model, data), (model16, exact_normalize(model16))):
-        (D, _), peak = _peak_bytes(_discrete_design, model, MLE, data)
-        assert peak <= D.nbytes + 0.25 * 2**20
+    _, peak = _peak_bytes(_discrete_design, model, MLE, sample(model, n, seed=5))
+    assert peak <= n * 8 + 0.25 * 2**20
+    model = ising_model(np.full(16, 0.1), np.full(15, 0.5))
+    _, peak = _peak_bytes(_discrete_design, model, MLE, exact_normalize(model))
+    assert peak <= 2 * 2**16 * 8 + 0.25 * 2**20
+
+
+def test_mle_evaluation_holds_a_few_cube_tables():
+    # On the d = 18 chain one (2,)*18 float64 table is 2 MiB, and a dense T of
+    # the cube 70 MiB.  Building the objective, one evaluation and one
+    # curvature product hold a few tables: the logits, the softmax, the
+    # gradient's weights and the product's.
+    model = ising_model(np.full(18, 0.1), np.full(17, 0.5))
+    joint = exact_normalize(model)
+
+    def evaluate_and_multiply():
+        value = empirical_objective(model, MLE, joint)(model.params)
+        return value.curvature(np.ones(model.n_params))
+
+    _, peak = _peak_bytes(evaluate_and_multiply)
+    assert peak <= 8 * 2**18 * 8
 
 
 def test_enumerations_hold_a_few_cube_tables():

@@ -18,7 +18,9 @@ from scorematch.grids import (
 from scorematch.objectives import fisher_exact, kl_exact
 from scorematch.scalespace import (
     ALIAS_FREE_STEPS,
+    BLAS_DOT_TAPS,
     DivergenceCurve,
+    _convolve_same,
     _heat_flow,
     _kernel,
     debruijn_residual,
@@ -115,6 +117,25 @@ def test_smooth_convolves_each_row_as_apply_along_axis_does():
         values = np.apply_along_axis(np.convolve, ax, values, k, mode="same")
     ref = grid_density(p.axes, values, require_decay=False).values
     assert np.array_equal(smooth(p, t).values, ref)
+
+
+def test_long_kernels_are_convolved_in_chunks_of_blas_dot_taps():
+    # A kernel of more than BLAS_DOT_TAPS taps is convolved chunk by chunk, so
+    # no dot product is long enough for OpenBLAS to thread; every summand is
+    # nonnegative, so the chunked sums stay within a few ulps of the single
+    # call's at every point.  A kernel of at most BLAS_DOT_TAPS taps keeps
+    # that single call, bit for bit.
+    rng = np.random.default_rng(3)
+    n = BLAS_DOT_TAPS + 500
+    values = rng.random(n) * np.exp(-np.linspace(-12.0, 12.0, n) ** 2)
+    kernel = rng.random(BLAS_DOT_TAPS)
+    assert np.array_equal(_convolve_same(values, kernel), np.convolve(values, kernel, "same"))
+    # An odd kernel with a one-tap last chunk, and an even one as long as values.
+    for taps in (BLAS_DOT_TAPS + 1, n):
+        kernel = rng.random(taps)
+        got, ref = _convolve_same(values, kernel), np.convolve(values, kernel, "same")
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
 
 def test_smooth_rejects_negative_t_and_wide_kernel():
