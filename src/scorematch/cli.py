@@ -58,21 +58,28 @@ def _load_model(path: str):
         raise CliError(f"bad model file {path}: {exc}") from exc
 
 
-def _parse_t_spec(spec: str) -> np.ndarray:
+def _parse_numbers(flag: str, spec: str, form: str) -> list[float]:
+    """The finite numbers of a colon-separated spec laid out like form."""
     try:
-        lo, hi, step = (float(v) for v in spec.split(":"))
+        values = [float(v) for v in spec.split(":")]
     except ValueError:
-        raise CliError(f"bad t-grid spec {spec!r}, expected lo:hi:step") from None
+        values = []
+    if len(values) != form.count(":") + 1:
+        raise CliError(f"bad {flag} spec {spec!r}, expected {form}")
+    if not np.all(np.isfinite(values)):
+        raise CliError(f"{flag} {spec!r} has a non-finite number")
+    return values
+
+
+def _parse_t_spec(spec: str) -> np.ndarray:
+    lo, hi, step = _parse_numbers("--t", spec, "lo:hi:step")
     if step <= 0 or hi <= lo:
-        raise CliError(f"t-grid {spec!r} is not strictly increasing")
+        raise CliError(f"--t {spec!r} is not strictly increasing")
     return np.round(np.arange(lo, hi + 1e-9, step), 12)
 
 
 def _parse_box(spec: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(v) for v in spec.split(":"))
-    except ValueError:
-        raise CliError(f"bad --box spec {spec!r}, expected lo:hi") from None
+    lo, hi = _parse_numbers("--box", spec, "lo:hi")
     if not hi > lo:
         raise CliError(f"--box {spec!r} is not strictly increasing")
     return lo, hi

@@ -138,24 +138,29 @@ def fisher_exact(p: GridDensity, q: GridDensity) -> float:
 
 
 def _grid_divergences(
-    p: GridDensity, q: GridDensity, with_kl: bool = True, with_fisher: bool = True
+    p: GridDensity, q: GridDensity | None, with_kl: bool = True, with_fisher: bool = True
 ) -> tuple[float | None, float | None]:
     """`kl_exact` and `fisher_exact` of a grid pair from one log ratio; a
     value not asked for is None.
+
+    q = None is the flat (Lebesgue) reference, log q = 0, from which the KL of
+    p is -H(p) and the Fisher divergence J(p): de Bruijn is Theorem 1 against it.
 
     KL needs q positive wherever p is, which covers Fisher's need of q
     positive on p's support.  The log floor keeps log p - log q finite, so
     nodes where p is 0 contribute 0 to the KL integrand.
     """
-    require_same_geometry(p, q)
     mask = support_mask(p) if with_fisher else None
-    if with_kl:
-        if np.any(q.values[p.values > 0] <= 0):
-            raise SupportError("q vanishes where p is positive")
-    elif np.any(q.values[mask] <= 0):
-        raise SupportError("q vanishes on the support of p")
+    if q is not None:
+        require_same_geometry(p, q)
+        if with_kl:
+            if np.any(q.values[p.values > 0] <= 0):
+                raise SupportError("q vanishes where p is positive")
+        elif np.any(q.values[mask] <= 0):
+            raise SupportError("q vanishes on the support of p")
     log_ratio = log_values(p)
-    log_ratio -= log_values(q)
+    if q is not None:
+        log_ratio -= log_values(q)
     fisher = kl = None
     if with_fisher:
         sq_dist = squared_norm(grid_gradient(log_ratio, p.spacing))

@@ -1,10 +1,11 @@
 """Heat smoothing of grid densities and divergence curves over the scale factor.
 
 The scale-space family p_t is the convolution of p with a zero-mean Gaussian
-of variance t.  Along t, the KL divergence of a smoothed pair decays at a rate
-set by their Fisher divergence, and the entropy of a smoothed density grows at
-half its Fisher information; the residual functions below measure how well the
-grid computations reproduce those identities.
+of variance t.  Along t, the KL divergence of a smoothed pair decays at half
+their Fisher divergence (Theorem 1).  De Bruijn's identity, entropy growing at
+half the Fisher information, is Theorem 1 against the flat reference, which
+the flow leaves flat: its KL is -H(p_t) and its Fisher divergence J(p_t).  The
+residual functions below measure how well the grids reproduce both.
 
 Smoothing sums each output point directly over the taps of a sampled Gaussian
 cut at 8 standard deviations (one BLAS dot product per point).  Every summand
@@ -27,14 +28,15 @@ within 5.2e-12 and 1.8e-10 relative of that convolution.
 A sweep does each piece of work once per scale.  A flow builds its kernel
 once per run of bitwise-equal steps, and a 1-D step allocates one state-sized
 array, the convolution's own result.  Each smoothed pair takes one log ratio
-for both its KL and Fisher divergences, and each de Bruijn point one log for
-both its entropy and Fisher information.
+for both its KL and Fisher divergences, and each de Bruijn point, paired with
+the flat reference, one log of p.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -188,33 +190,13 @@ def _heat_flow(p: GridDensity, t_grid) -> Iterator[GridDensity]:
 
 
 def entropy(p: GridDensity) -> float:
-    return _information(p, with_fisher=False)[0]
+    """H(p), minus p's KL from the flat reference (see `_grid_divergences`)."""
+    return -_grid_divergences(p, None, with_fisher=False)[0]
 
 
 def fisher_information(p: GridDensity) -> float:
-    return _information(p, with_entropy=False)[1]
-
-
-def _information(
-    p: GridDensity, with_entropy: bool = True, with_fisher: bool = True
-) -> tuple[float | None, float | None]:
-    """`entropy` and `fisher_information` of p from one log; a value not
-    asked for is None."""
-    lp = log_values(p)
-    h = j = None
-    if with_fisher:
-        sq = squared_norm(grid_gradient(lp, p.spacing))
-        sq *= p.values
-        sq[~support_mask(p)] = 0.0
-        j = quad(p, sq, overwrite=True)
-        del sq
-    if with_entropy:
-        # -p log p where p > 0, else 0, built in lp's buffer.
-        lp *= p.values
-        np.negative(lp, out=lp)
-        lp[~(p.values > 0)] = 0.0
-        h = quad(p, lp, overwrite=True)
-    return h, j
+    """J(p), p's Fisher divergence from the flat reference."""
+    return _grid_divergences(p, None, with_kl=False)[1]
 
 
 def heat_pde_residual(p: GridDensity, t: float, dt: float) -> float:
@@ -244,9 +226,11 @@ def lemma1_residual(f: GridDensity) -> float:
     return float(np.abs(lhs - rhs)[mask].max())
 
 
-def divergence_curve(p: GridDensity, q: GridDensity, t_grid) -> DivergenceCurve:
+def divergence_curve(p: GridDensity, q: GridDensity | None, t_grid) -> DivergenceCurve:
     """KL and Fisher divergences of the smoothed pair along a grid of scale
-    factors, with centrally differenced dKL/dt (absent at the endpoints)."""
+    factors, with centrally differenced dKL/dt (absent at the endpoints).
+
+    q = None is the flat reference: kl is then -H(p_t) and fisher J(p_t)."""
     t = np.asarray(t_grid, dtype=float)
     if t.size < 1 or np.any(np.diff(t) <= 0):
         raise ValueError("t grid must be strictly increasing")
@@ -254,7 +238,8 @@ def divergence_curve(p: GridDensity, q: GridDensity, t_grid) -> DivergenceCurve:
     fisher = np.empty(t.size)
     # Each output is a view that keeps its flow's padded state alive, so both
     # are dropped before the flows step again.
-    p_flow, q_flow = _heat_flow(p, t), _heat_flow(q, t)
+    p_flow = _heat_flow(p, t)
+    q_flow = repeat(None) if q is None else _heat_flow(q, t)
     for i in range(t.size):
         pt, qt = next(p_flow), next(q_flow)
         kl[i], fisher[i] = _grid_divergences(pt, qt)
@@ -265,24 +250,25 @@ def divergence_curve(p: GridDensity, q: GridDensity, t_grid) -> DivergenceCurve:
     return DivergenceCurve(t=t, kl=kl, fisher=fisher, dkl_dt=dkl)
 
 
-def theorem1_residual(curve: DivergenceCurve) -> float:
-    """Relative mismatch of dKL/dt against -Fisher/2 over the interior points."""
+def _rate_residual(curve: DivergenceCurve) -> float:
+    """max |dKL/dt + Fisher/2| / max(Fisher, 1e-12) over the interior points."""
     interior = curve.interior()
-    if interior.sum() < 3:
-        raise ValueError("curve needs at least 3 interior points")
     num = np.abs(curve.dkl_dt[interior] + 0.5 * curve.fisher[interior])
     den = np.maximum(curve.fisher[interior], 1e-12)
     return float((num / den).max())
 
 
+def theorem1_residual(curve: DivergenceCurve) -> float:
+    """Relative mismatch of dKL/dt against -Fisher/2 over the interior points."""
+    if curve.interior().sum() < 3:
+        raise ValueError("curve needs at least 3 interior points")
+    return _rate_residual(curve)
+
+
 def debruijn_residual(p: GridDensity, t_grid) -> float:
-    """Relative mismatch of dH/dt against J/2 for the smoothed density."""
+    """Relative mismatch of dH/dt against J/2 for the smoothed density: the
+    rate residual of p's curve against the flat reference, on >= 1 interior point."""
     t = np.asarray(t_grid, dtype=float)
     if t.size < 3 or np.any(np.diff(t) <= 0):
         raise ValueError("t grid must be strictly increasing with >= 3 points")
-    H = np.empty(t.size)
-    J = np.empty(t.size)
-    for i, pt in enumerate(_heat_flow(p, t)):
-        H[i], J[i] = _information(pt)
-    dh = (H[2:] - H[:-2]) / (t[2:] - t[:-2])
-    return float(np.max(np.abs(dh - 0.5 * J[1:-1]) / np.maximum(J[1:-1], 1e-12)))
+    return _rate_residual(divergence_curve(p, None, t))

@@ -18,6 +18,7 @@ from .models import (
 from .objectives import (
     ObjectiveKind,
     empirical_objective,
+    fisher_exact,
     gsm_discrete_population,
     ratio_matching_population,
 )
@@ -56,8 +57,6 @@ def suite_theorem1() -> list[Check]:
         checks.append(Check(f"theorem1 residual, {label}", scalespace.theorem1_residual(curve), 0.02))
     # closed-form anchor at t = 0: dKL/dt = -0.125 must equal -fisher/2 with
     # fisher computed on the unsmoothed grids.
-    from .objectives import fisher_exact
-
     fisher0 = fisher_exact(_gauss(0, 1), _gauss(0, 2))
     checks.append(Check("theorem1 t=0 anchor |fisher - 0.25|", abs(fisher0 - 0.25), 1e-4))
     checks.append(

@@ -370,6 +370,8 @@ def test_scalespace_rejects_bad_specs(tmp_path):
 @pytest.mark.parametrize("t, reason", [
     ("-1:0.2:0.1", "nonnegative"),
     ("1:30:1", "wider than half the box"),
+    ("nan:1:0.1", "has a non-finite number"),
+    ("0.1:1:inf", "has a non-finite number"),
 ])
 def test_scalespace_maps_a_smoothing_error_to_usage(tmp_path, capsys, t, reason):
     out = tmp_path / "c.csv"
@@ -398,10 +400,13 @@ def test_scalespace_names_the_density_pair_when_q_vanishes(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--box", "foo"),
     ("--box", "5:-5"),
+    ("--box", "-inf:12"),
+    ("--box", "-12:inf"),
     ("--grid-n", "1"),
 ])
 def test_scalespace_rejects_bad_grid_flags(tmp_path, capsys, flag, value):
-    code = main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:1", flag, value,
+    # flag=value, since argparse takes a separate "-inf:12" for an option.
+    code = main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:1", f"{flag}={value}",
                  "--out", str(tmp_path / "c.csv")])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err

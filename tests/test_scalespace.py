@@ -319,6 +319,9 @@ def test_sweeps_equal_the_public_oracles_on_the_flow(p, q, curve_t, debruijn_t):
         assert H[-1] == quad(pt, np.where(pt.values > 0, -pt.values * _log(pt), 0.0))
         assert J[-1] == _weighted_score_gap(pt, _log(pt))
     H, J = np.array(H), np.array(J)
+    # Against the flat reference the curve's KL is -H and its Fisher J.
+    flat = divergence_curve(p, None, debruijn_t)
+    assert np.array_equal(flat.kl, -H) and np.array_equal(flat.fisher, J)
     dh = (H[2:] - H[:-2]) / (debruijn_t[2:] - debruijn_t[:-2])
     want = float(np.max(np.abs(dh - 0.5 * J[1:-1]) / np.maximum(J[1:-1], 1e-12)))
     assert debruijn_residual(p, debruijn_t) == want
@@ -431,6 +434,18 @@ def test_theorem1_residual_requires_interior_points():
 def test_debruijn_residual_standard_normal():
     t = np.round(np.arange(0.1, 1.0 + 1e-9, 0.1), 10)
     assert debruijn_residual(_gauss(0.0, 1.0), t) < 0.01
+
+
+def test_debruijn_residual_takes_one_interior_point():
+    # Unlike theorem1_residual, de Bruijn needs only 3 scales: the residual is
+    # the hand formula at the one interior point, and 2 scales are refused.
+    p, t = _gauss(0.0, 1.0, n=1024), np.array([0.1, 0.2, 0.3])
+    pts = list(_heat_flow(p, t))
+    H, J = [entropy(pt) for pt in pts], fisher_information(pts[1])
+    want = abs((H[2] - H[0]) / (t[2] - t[0]) - 0.5 * J) / max(J, 1e-12)
+    assert debruijn_residual(p, t) == want
+    with pytest.raises(ValueError, match=r"strictly increasing with >= 3 points"):
+        debruijn_residual(p, t[:2])
 
 
 def test_curve_csv_format():
