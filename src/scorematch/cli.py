@@ -4,6 +4,7 @@ comparison, scale-space curves, and the numerical verification suites."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -85,20 +86,30 @@ def _parse_box(spec: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _parse_density_spec(spec: str, box, n: int) -> grids.GridDensity:
+def _parse_density_spec(flag: str, spec: str, box, n: int) -> grids.GridDensity:
     kind, _, rest = spec.partition(":")
     try:
         if kind == "gauss":
             mu, var = (float(v) for v in rest.split(":"))
-            return grids.gaussian_1d(mu, var, box=box, n=n)
-        if kind == "mix":
-            comps = [tuple(float(v) for v in c.split(",")) for c in rest.split(";")]
-            return grids.mixture_1d(comps, box=box, n=n)
-    except (ValueError, IndexError):
-        pass
-    raise CliError(
-        f"bad density spec {spec!r}; use gauss:mu:var or mix:w,mu,var;w,mu,var"
-    )
+            make = functools.partial(grids.gaussian_1d, mu, var)
+        elif kind == "mix":
+            make = functools.partial(grids.mixture_1d, [
+                (float(w), float(mu), float(var))
+                for w, mu, var in (c.split(",") for c in rest.split(";"))])
+        else:
+            raise ValueError(kind)
+    except ValueError:
+        raise CliError(f"bad density spec {spec!r}; use gauss:mu:var or "
+                       "mix:w,mu,var;w,mu,var") from None
+    # A spec that parses names a density, which the grid may still refuse.
+    try:
+        return make(box=box, n=n)
+    except grids.BoundaryError as exc:
+        raise CliError(
+            f"{flag} {spec!r} does not fit in --box {box[0]:g}:{box[1]:g}: {exc}"
+        ) from exc
+    except ValueError as exc:
+        raise CliError(f"{flag} {spec!r} is refused: {exc}") from exc
 
 
 def _parse_int(flag: str, text: str, lowest: int) -> int:
@@ -195,8 +206,8 @@ def cmd_scalespace(args) -> int:
         grids.uniform_axis(*box, args.grid_n)
     except ValueError as exc:
         raise CliError(f"bad --grid-n {args.grid_n}: {exc}") from None
-    p = _parse_density_spec(args.p, box, args.grid_n)
-    q = _parse_density_spec(args.q, box, args.grid_n)
+    p = _parse_density_spec("--p", args.p, box, args.grid_n)
+    q = _parse_density_spec("--q", args.q, box, args.grid_n)
     try:
         curve = scalespace.divergence_curve(p, q, _parse_t_spec(args.t))
     except SupportError as exc:
@@ -274,6 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a token such as "-12:12" for an option, so a --box or --t
+    # value with a negative bound is joined to its flag, as in --box=-12:12.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--box", "--t") and re.match(r"-[^-]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -15,6 +15,10 @@ SUPPORT_FRAC = 1e-12
 # Hard cap on boundary values relative to the peak; boxes should be chosen so
 # the density decays to ~1e-12 of its peak, enforced loosely here.
 BOUNDARY_FRAC = 1e-9
+
+
+class BoundaryError(ValueError):
+    """A density that does not decay at its box's boundary."""
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,7 @@ def quad_weights(axes: tuple[np.ndarray, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _trapezoid_weights(geometry: tuple[tuple[int, float], ...]) -> np.ndarray:
-    ws = []
-    for n, h in geometry:
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2
-        ws.append(w)
-    w = ws[0] if len(ws) == 1 else np.multiply.outer(ws[0], ws[1])
+    w = reduce(np.multiply.outer, [np.r_[h / 2, np.full(n - 2, h), h / 2] for n, h in geometry])
     w.flags.writeable = False
     return w
 
@@ -101,7 +100,7 @@ def grid_density(
         peak = values.max()
         edge = _boundary_max(values)
         if edge > BOUNDARY_FRAC * peak:
-            raise ValueError(
+            raise BoundaryError(
                 f"density does not decay at the box boundary "
                 f"(edge/peak = {edge / peak:.3g})"
             )
@@ -109,11 +108,7 @@ def grid_density(
 
 
 def _boundary_max(values: np.ndarray) -> float:
-    if values.ndim == 1:
-        return float(max(values[0], values[-1]))
-    return float(
-        max(values[0].max(), values[-1].max(), values[:, 0].max(), values[:, -1].max())
-    )
+    return float(max(np.take(values, [0, -1], axis=k).max() for k in range(values.ndim)))
 
 
 def same_geometry(p: GridDensity, q: GridDensity) -> bool:
@@ -149,25 +144,18 @@ def log_values(g: GridDensity) -> np.ndarray:
 def from_function(fn, box, n) -> GridDensity:
     """Sample an unnormalized nonnegative function on a box and normalize.
 
-    ``box`` is (lo, hi) in 1-D or ((lo0, hi0), (lo1, hi1)) in 2-D; ``n`` is the
-    point count of every axis.
+    ``box`` holds one (lo, hi) per axis and ``n`` is the point count of every
+    axis; ``fn`` takes one coordinate array per axis, each shaped like the
+    grid (``np.meshgrid(*axes, indexing="ij")``), and returns the values.
     """
-    if np.isscalar(box[0]):
-        ax = (uniform_axis(box[0], box[1], int(n)),)
-        vals = fn(ax[0])
-    else:
-        ax = tuple(uniform_axis(lo, hi, int(n)) for lo, hi in box)
-        xx, yy = np.meshgrid(ax[0], ax[1], indexing="ij")
-        vals = fn(xx, yy)
-    return grid_density(ax, vals)
+    axes = tuple(uniform_axis(lo, hi, int(n)) for lo, hi in box)
+    return grid_density(axes, fn(*np.meshgrid(*axes, indexing="ij")))
 
 
 def gaussian_1d(mu: float, var: float, box=(-12.0, 12.0), n: int = 4096) -> GridDensity:
     if var <= 0:
         raise ValueError("variance must be positive")
-    return from_function(
-        lambda x: np.exp(-((x - mu) ** 2) / (2.0 * var)), box, n
-    )
+    return from_function(lambda x: np.exp(-((x - mu) ** 2) / (2.0 * var)), (box,), n)
 
 
 def mixture_1d(components, box=(-12.0, 12.0), n: int = 4096) -> GridDensity:
@@ -184,4 +172,4 @@ def mixture_1d(components, box=(-12.0, 12.0), n: int = 4096) -> GridDensity:
             out += w / np.sqrt(2 * np.pi * var) * np.exp(-((x - mu) ** 2) / (2 * var))
         return out
 
-    return from_function(fn, box, n)
+    return from_function(fn, (box,), n)

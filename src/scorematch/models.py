@@ -363,21 +363,14 @@ def exact_normalize(model: Model, n: int | None = None):
         return discrete_joint(probs)
     if model.dim > 2:
         raise ValueError("continuous quadrature supported in 1-D and 2-D only")
-    box = default_box(model)
     if n is None:
         n = 4096 if model.dim == 1 else 256
-    if model.dim == 1:
-        def fn(xs):
-            logs = log_unnorm(model, xs[:, None])
-            return np.exp(logs - logs.max())
-        return from_function(fn, box, n)
 
-    def fn2(xx, yy):
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        logs = log_unnorm(model, pts)
-        return np.exp(logs - logs.max()).reshape(xx.shape)
+    def fn(*coords):
+        logs = log_unnorm(model, np.column_stack([c.ravel() for c in coords]))
+        return np.exp(logs - logs.max()).reshape(coords[0].shape)
 
-    return from_function(fn2, (box, box), n)
+    return from_function(fn, (default_box(model),) * model.dim, n)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grids import GridDensity, grid_density, log_values, quad, support_mask
+from .grids import GridDensity, grid_density, log_values, quad
 from .objectives import _grid_divergences
 from .operators import grid_gradient, grid_laplacian, squared_norm
 
@@ -217,8 +217,6 @@ def lemma1_residual(f: GridDensity) -> float:
     and would swamp the O(h^2) interior behavior.
     """
     vals = f.values
-    if np.any(vals[support_mask(f)] <= 0):
-        raise ValueError("density must be positive on its support")
     mask = vals >= LEMMA1_SUPPORT * vals.max()
     lf = log_values(f)
     lhs = grid_laplacian(vals, f.spacing) / np.maximum(vals, 1e-300)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scorematch import models, verify
-from scorematch.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from scorematch.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, _atomic_write, main
 from scorematch.estimation import closed_form_gaussian_sm
 from scorematch.models import (
     dataset_to_csv,
@@ -48,6 +48,17 @@ def test_generate_reproducible(ising2, tmp_path, capsys):
                  "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == first
     assert len(first.decode().splitlines()) == 101  # header + 100 rows
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    # The output is written to a temporary file beside it and renamed into
+    # place; a rename onto a directory fails and the temporary file goes.
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        _atomic_write(str(target), "x\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(target.iterdir()) == []
 
 
 def test_generate_rejects_zero_n(ising2, tmp_path, capsys):
@@ -359,10 +370,12 @@ def test_scalespace_reproducible_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_scalespace_rejects_bad_specs(tmp_path):
+def test_scalespace_rejects_bad_specs(tmp_path, capsys):
     out = str(tmp_path / "c.csv")
-    assert main(["scalespace", "--p", "gauss:0", "--q", "gauss:0:1",
-                 "--out", out]) == EXIT_USAGE
+    for spec in ("gauss:0", "gauss:a:1", "mix:1,0", "mix:", "cauchy:0:1"):
+        assert main(["scalespace", "--p", spec, "--q", "gauss:0:1",
+                     "--out", out]) == EXIT_USAGE
+        assert f"bad density spec {spec!r}" in capsys.readouterr().err
     assert main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:1",
                  "--t", "1:0:0.1", "--out", out]) == EXIT_USAGE
 
@@ -375,12 +388,14 @@ def test_scalespace_rejects_bad_specs(tmp_path):
 ])
 def test_scalespace_maps_a_smoothing_error_to_usage(tmp_path, capsys, t, reason):
     out = tmp_path / "c.csv"
-    code = main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:2", f"--t={t}",
-                 "--grid-n", "1024", "--out", str(out)])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "--t" in err and reason in err and "Traceback" not in err
-    assert not out.exists()
+    # The value joined to its flag and as a token of its own.
+    for t_args in ([f"--t={t}"], ["--t", t]):
+        code = main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:2", *t_args,
+                     "--grid-n", "1024", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--t" in err and reason in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_scalespace_names_the_density_pair_when_q_vanishes(tmp_path, capsys):
@@ -405,14 +420,50 @@ def test_scalespace_names_the_density_pair_when_q_vanishes(tmp_path, capsys):
     ("--grid-n", "1"),
 ])
 def test_scalespace_rejects_bad_grid_flags(tmp_path, capsys, flag, value):
-    # flag=value, since argparse takes a separate "-inf:12" for an option.
-    code = main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:1", f"{flag}={value}",
-                 "--out", str(tmp_path / "c.csv")])
+    # The value joined to its flag and as a token of its own.
+    for flag_args in ([f"{flag}={value}"], [flag, value]):
+        code = main(["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:1", *flag_args,
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "density spec" not in err
+        assert not (tmp_path / "c.csv").exists()
+
+
+def test_scalespace_reads_a_negative_box_given_as_its_own_token(tmp_path):
+    args = ["scalespace", "--p", "gauss:0:1", "--q", "gauss:0:2", "--t", "0.1:0.3:0.1",
+            "--grid-n", "1024"]
+    paths = [tmp_path / f"{k}.csv" for k in ("joined", "separate", "default")]
+    for path, box_args in zip(paths, (["--box=-12:12"], ["--box", "-12:12"], [])):
+        assert main(args + box_args + ["--out", str(path)]) == EXIT_OK
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+@pytest.mark.parametrize("density_args, reason", [
+    pytest.param(["--p", "gauss:0:1", "--box", "0:12"],
+                 "--p 'gauss:0:1' does not fit in --box 0:12", id="narrow-box"),
+    pytest.param(["--p", "gauss:0:100"],
+                 "--p 'gauss:0:100' does not fit in --box -12:12", id="wide-gauss"),
+    pytest.param(["--q", "mix:0.5,0,1;0.5,11,1"],
+                 "--q 'mix:0.5,0,1;0.5,11,1' does not fit in --box -12:12", id="mix-at-edge"),
+    pytest.param(["--p", "gauss:0:-1"],
+                 "--p 'gauss:0:-1' is refused: variance must be positive", id="negative-var"),
+])
+def test_scalespace_names_why_a_well_formed_density_is_refused(tmp_path, capsys,
+                                                                density_args, reason):
+    # A spec of the right form is not a syntax error: the message gives the
+    # grid's reason, and names --box only when the density leaves the box.
+    args = {"--p": "gauss:0:1", "--q": "gauss:0:2", "--box": "-12:12"}
+    args.update(zip(density_args[::2], density_args[1::2]))
+    out = tmp_path / "c.csv"
+    code = main(["scalespace", *(a for kv in args.items() for a in kv), "--grid-n", "1024",
+                 "--out", str(out)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert flag in err
-    assert "density spec" not in err
-    assert not (tmp_path / "c.csv").exists()
+    assert reason in err and "bad density spec" not in err and "Traceback" not in err
+    assert ("does not decay at the box boundary" in err) == ("--box" in err)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

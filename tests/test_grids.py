@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from scorematch.grids import (
+    BoundaryError,
     GridDensity,
+    from_function,
     gaussian_1d,
     grid_density,
     mixture_1d,
     quad,
     quad_weights,
+    require_same_geometry,
     same_geometry,
     support_mask,
     uniform_axis,
 )
+from scorematch.objectives import kl_exact
 
 
 def test_uniform_axis_endpoints_and_spacing():
@@ -79,10 +83,28 @@ def test_grid_density_rejects_negative_and_nonfinite_values():
         grid_density((ax,), vals)
 
 
+def test_grid_density_rejects_an_empty_table_a_shape_mismatch_and_three_axes():
+    ax = uniform_axis(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="no mass"):
+        grid_density((ax,), np.zeros(8))
+    with pytest.raises(ValueError, match="shape does not match"):
+        grid_density((ax, ax), np.ones(8), require_decay=False)
+    with pytest.raises(ValueError, match="only 1-D and 2-D"):
+        grid_density((ax, ax, ax), np.ones((8, 8, 8)), require_decay=False)
+
+
 def test_grid_density_rejects_nondecaying_boundary():
     ax = uniform_axis(-1.0, 1.0, 64)
-    with pytest.raises(ValueError, match="decay"):
+    with pytest.raises(BoundaryError, match="decay"):
         grid_density((ax,), np.exp(-(ax**2)))
+    # In 2-D each of the four edges counts: a bump centred on one edge of a
+    # wide box is refused, and decays at the other three.
+    wide = uniform_axis(-10.0, 10.0, 64)
+    xx, yy = np.meshgrid(wide, wide, indexing="ij")
+    for centre in ((-10.0, 0.0), (10.0, 0.0), (0.0, -10.0), (0.0, 10.0)):
+        bump = np.exp(-((xx - centre[0]) ** 2 + (yy - centre[1]) ** 2))
+        with pytest.raises(BoundaryError, match="decay"):
+            grid_density((wide, wide), bump)
 
 
 def test_gaussian_1d_matches_closed_form_pdf():
@@ -114,6 +136,11 @@ def test_same_geometry_discriminates_boxes():
     c = gaussian_1d(0.0, 1.0, n=512)
     assert same_geometry(a, b)
     assert not same_geometry(a, c)
+    require_same_geometry(a, b)
+    with pytest.raises(ValueError, match="geometries do not match"):
+        require_same_geometry(a, c)
+    with pytest.raises(ValueError, match="geometries do not match"):
+        kl_exact(a, c)
 
 
 def test_support_mask_excludes_far_tails():
@@ -138,3 +165,12 @@ def test_2d_grid_density():
     g = grid_density((ax, ax), np.exp(-(xx**2 + yy**2) / 2.0))
     assert g.dim == 2
     assert abs(quad(g, g.values) - 1.0) < 1e-10
+    # from_function takes one (lo, hi) per axis and hands fn one coordinate
+    # array per axis in "ij" order.
+    f = from_function(lambda x, y: np.exp(-(x**2 + y**2) / 2.0), ((-7.0, 7.0),) * 2, 128)
+    assert np.array_equal(f.values, g.values)
+    h = from_function(lambda x, y: np.exp(-(x**2) / 2.0 - y**2), ((-8.0, 8.0), (-6.0, 6.0)), 64)
+    assert h.box == ((-8.0, 8.0), (-6.0, 6.0)) and h.shape == (64, 64)
+    x, y = h.axes
+    ref = np.exp(-(x[:, None] ** 2) / 2.0 - y[None, :] ** 2)
+    assert np.allclose(h.values, ref / quad(h, ref), rtol=1e-12, atol=0.0)

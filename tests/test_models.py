@@ -249,6 +249,8 @@ def test_exact_normalize_gaussian_grid_matches_pdf():
     x = grid.axes[0]
     ref = np.exp(-(x**2) / 2.0) / np.sqrt(2 * np.pi)
     assert np.abs(grid.values - ref).max() < 1e-6
+    # 4096 points is the 1-D default.
+    assert np.array_equal(exact_normalize(gaussian_model([0.0], [[1.0]])).values, grid.values)
 
 
 def test_exact_normalize_2d_gaussian_grid_matches_pdf():
@@ -263,6 +265,8 @@ def test_exact_normalize_2d_gaussian_grid_matches_pdf():
     quad_form = np.einsum("...i,ij,...j->...", r, np.linalg.inv(cov), r)
     ref = np.exp(-quad_form / 2.0) / (2.0 * np.pi * np.sqrt(np.linalg.det(cov)))
     assert np.abs(grid.values - ref).max() <= 1e-12 * ref.max()
+    # 256 points per axis is the 2-D default.
+    assert np.array_equal(exact_normalize(gaussian_model(mu, cov)).values, grid.values)
 
 
 def test_exact_normalize_rejects_huge_state_space():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scorematch import models, objectives, verify
-from scorematch.grids import gaussian_1d
+from scorematch.grids import gaussian_1d, grid_density
 from scorematch.models import (
     ParameterDomainError,
     chain_edges,
@@ -28,6 +28,7 @@ from scorematch.models import (
 from scorematch.objectives import (
     GaussianMoments,
     ObjectiveKind,
+    SupportError,
     _FactoredCubeStatistics,
     _discrete_design,
     empirical_objective,
@@ -82,6 +83,8 @@ def test_kl_rejects_vanishing_q():
         kl_exact(p, q)
     with pytest.raises(TypeError):
         kl_exact(p, gaussian_1d(0.0, 1.0))
+    with pytest.raises(ValueError, match="joint shapes do not match"):
+        kl_exact(p, discrete_joint(np.full((2, 2), 0.25)))
 
 
 def test_kl_nonnegative_random_joints():
@@ -98,6 +101,13 @@ def test_kl_nonnegative_random_joints():
 def test_fisher_identical_is_zero():
     p = gaussian_1d(0.0, 1.0)
     assert fisher_exact(p, p) == 0.0
+
+
+def test_fisher_rejects_q_vanishing_on_the_support_of_p():
+    p = gaussian_1d(0.0, 1.0, n=1024)
+    q = grid_density(p.axes, np.where(p.axes[0] > 1.0, 0.0, p.values))
+    with pytest.raises(SupportError, match="q vanishes on the support of p"):
+        fisher_exact(p, q)
 
 
 def test_fisher_mean_shift_closed_form():

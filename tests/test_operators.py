@@ -180,6 +180,12 @@ def test_brook_ratio_zero_conditional_reports_coordinate():
     with pytest.raises(ZeroConditionalError) as exc:
         brook_ratio(conds, (1, 0), (0, 0))
     assert exc.value.coordinate == 0
+    # The fibre of coordinate 1 at x0 = 1 has no mass at all.
+    with pytest.raises(ZeroConditionalError) as exc:
+        conds(1, (1, 0))
+    assert exc.value.coordinate == 1
+    with pytest.raises(ValueError, match="state dimensions differ"):
+        brook_ratio(conds, (1, 0), (0, 0, 0))
 
 
 def test_reconstruct_uniform_joint():

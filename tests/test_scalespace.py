@@ -405,6 +405,9 @@ def test_divergence_curve_endpoints_nan_interior_filled():
     curve = divergence_curve(p, q, np.array([0.1, 0.2, 0.3, 0.4]))
     assert np.isnan(curve.dkl_dt[0]) and np.isnan(curve.dkl_dt[-1])
     assert curve.interior().sum() == 2
+    for t in ([], [0.2, 0.1], [0.1, 0.1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            divergence_curve(p, q, t)
 
 
 def test_theorem1_matches_closed_form_gaussian_kl_derivative():
